@@ -25,9 +25,12 @@ test-shuffle:
 	$(GO) test -shuffle=on ./...
 
 # A short chaos pass rides along via ./... (internal/chaos trims its seed
-# counts under -short).
+# counts under -short). The analysis engine's differential tests run again
+# at GOMAXPROCS 1 and 4: default Options on a 1-CPU host run the engine
+# with a single worker.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -short -cpu 1,4 -run TestParallel ./internal/core
 
 # Full fault-injection suite: ≥1000 seeded runs over the workload corpus,
 # every injected fault detected and healed (see internal/chaos). Includes
@@ -119,7 +122,7 @@ verify-encodings:
 	$(GO) run ./cmd/dplint examples/*.mv testdata/*.mv
 
 # Huge-graph scalability gate: one reduced 5×10⁴-node tier end to end —
-# generate, analyze with the level-parallel engine and the serial reference,
+# generate, analyze with the level-parallel engine on 4 workers and on 1,
 # assert byte-identical .dpa output, verify serially and on 4 workers with
 # byte-identical reports (under -race), compile, decode (see
 # scale_smoke_test.go). The full 10⁵–10⁶-node curve is

@@ -236,9 +236,9 @@ func main() {
 	// The scale experiment sweeps the huge-graph tiers (workload.HugeTiers):
 	// at -scale 1.0 the top tier is a million-node, multi-million-edge
 	// graph, so it is opt-in — never part of -experiment all. -scale
-	// multiplies the tier node counts; -workers sets the parallel engine's
-	// worker count (minimum 2, so the level-parallel schedule always runs
-	// and is proven byte-identical to the serial reference).
+	// multiplies the tier node counts; -workers sets the engine's worker
+	// count (minimum 2, so the multi-worker schedule always runs and is
+	// proven byte-identical to the 1-worker run).
 	if wanted["scale"] {
 		scaleWorkers := *workers
 		if scaleWorkers < 2 {

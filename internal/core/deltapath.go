@@ -70,20 +70,11 @@ type Options struct {
 	// than the sequential policy's.
 	BatchAnchors bool
 
-	// Workers selects the analysis engine. 0 (auto) uses the
-	// level-parallel engine with up to GOMAXPROCS workers, but only when
-	// GOMAXPROCS > 1 and the graph has at least ParThreshold nodes —
-	// otherwise the serial reference engine runs, so every existing
-	// workload is unaffected by default. 1 forces serial; >1 forces the
-	// parallel engine with that many workers (subject to the threshold).
-	// Both engines produce bit-identical Results (see parallel.go).
+	// Workers sizes the level-parallel engine's worker pool (see
+	// parallel.go). 0 (auto) uses GOMAXPROCS workers, capped at 8; 1 runs
+	// the whole sweep on one goroutine. The Result is bit-identical for
+	// every worker count.
 	Workers int
-
-	// ParThreshold overrides the node count below which auto mode stays
-	// serial (default 32768). Negative removes the size gate entirely,
-	// which the differential tests use to force the parallel engine onto
-	// small graphs.
-	ParThreshold int
 
 	// MeasureMemory enables live-heap sampling at analysis checkpoints;
 	// the high-water mark is reported in Result.Stats.PeakBytes. Off by
@@ -124,8 +115,8 @@ type Result struct {
 	// construction; reported for comparison against PCCE's conflicts.
 	UnifiedVirtualSites int
 
-	// Stats reports scalability characteristics of the run: which engine
-	// ran, its wave count, and (with Options.MeasureMemory) the peak
+	// Stats reports scalability characteristics of the run: the engine's
+	// pool size and wave count, and (with Options.MeasureMemory) the peak
 	// memory budget. Nil for results not produced by Encode in this
 	// process (analysisio.Load, Extend).
 	Stats *AnalysisStats
@@ -153,6 +144,60 @@ var errWidthTooSmall = fmt.Errorf("core: integer width too small to encode this 
 
 // Encode runs the DeltaPath analysis (Algorithm 2) on g.
 func Encode(g *callgraph.Graph, opts Options) (*Result, error) {
+	st, err := newRestartState(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	// The level-parallel engine (parallel.go) flattens the graph and builds
+	// its wave schedule once, then reuses both across the restarts.
+	workers := effectiveWorkers(opts)
+	mem := &memPeak{enabled: opts.MeasureMemory}
+	mem.sample()
+	eng := newParEngine(g, st.topo, st.rec, opts.EdgeProfile, workers)
+	mem.sample()
+
+	res := &Result{}
+	for {
+		run, overflowAt, ok := eng.runOnce(st.an, st.resets, st.maxID, opts.BatchAnchors, mem)
+		if !ok {
+			if err := st.promote(g, res, overflowAt); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		res.finish(g, st.rec, st.an, st.resets, run)
+		mem.sample()
+		stats := &AnalysisStats{
+			Nodes:   g.NumNodes(),
+			Edges:   g.NumEdges(),
+			Sites:   g.NumSites(),
+			Anchors: len(st.an),
+			Levels:  eng.levels,
+			Par:     workers,
+		}
+		if opts.MeasureMemory {
+			stats.PeakBytes = mem.peak
+			if stats.Nodes > 0 {
+				stats.BytesPerNode = float64(stats.PeakBytes) / float64(stats.Nodes)
+			}
+		}
+		res.Stats = stats
+		return res, nil
+	}
+}
+
+// restartState is the input of Algorithm 2's restart loop and the anchor
+// sets the loop grows: an holds the piece starts, resets the runtime-
+// resetting ones.
+type restartState struct {
+	maxID      uint64
+	rec        map[callgraph.Edge]bool
+	topo       []callgraph.NodeID
+	an, resets map[callgraph.NodeID]bool
+}
+
+// newRestartState validates g and seeds the first pass's anchor sets.
+func newRestartState(g *callgraph.Graph, opts Options) (*restartState, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -167,7 +212,7 @@ func Encode(g *callgraph.Graph, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	// An: entry + recursive-edge targets; overflow anchors join below.
+	// An: entry + recursive-edge targets; overflow anchors join later.
 	an := map[callgraph.NodeID]bool{entry: true}
 	recTargets := map[callgraph.NodeID]bool{}
 	for e := range rec {
@@ -186,66 +231,28 @@ func Encode(g *callgraph.Graph, opts Options) (*Result, error) {
 	for _, n := range opts.ForceAnchors {
 		resets[n] = true
 	}
+	return &restartState{maxID: maxID, rec: rec, topo: topo, an: an, resets: resets}, nil
+}
 
-	// Engine selection: the level-parallel engine (parallel.go) builds its
-	// flat schedule once and reuses it across Algorithm 2's restarts; it
-	// produces bit-identical passes, so restart decisions are unaffected.
-	workers := effectiveWorkers(opts, g.NumNodes())
-	mem := &memPeak{enabled: opts.MeasureMemory}
-	mem.sample()
-	var eng *parEngine
-	if workers > 1 {
-		eng = newParEngine(g, topo, rec, opts.EdgeProfile, workers)
-		mem.sample()
+// promote turns the overflowing callers of a failed pass into resetting
+// anchors and records them in res. It fails when none of them is new: the
+// next pass would overflow in the same place.
+func (st *restartState) promote(g *callgraph.Graph, res *Result, overflowAt []callgraph.NodeID) error {
+	progress := false
+	for _, p := range overflowAt {
+		if !st.resets[p] {
+			st.an[p] = true
+			st.resets[p] = true
+			res.OverflowAnchors = append(res.OverflowAnchors, p)
+			progress = true
+		}
 	}
-
-	res := &Result{}
-	for {
-		var run *pass
-		var overflowAt []callgraph.NodeID
-		var ok bool
-		if eng != nil {
-			run, overflowAt, ok = eng.runOnce(an, resets, maxID, opts.BatchAnchors, mem)
-		} else {
-			run, overflowAt, ok = runOnce(g, topo, rec, an, resets, maxID, opts.EdgeProfile, opts.BatchAnchors)
-		}
-		if ok {
-			res.finish(g, rec, an, resets, run)
-			mem.sample()
-			st := &AnalysisStats{
-				Nodes:   g.NumNodes(),
-				Edges:   g.NumEdges(),
-				Sites:   g.NumSites(),
-				Anchors: len(an),
-				Par:     workers,
-			}
-			if eng != nil {
-				st.Levels = eng.levels
-			}
-			if opts.MeasureMemory {
-				st.PeakBytes = mem.peak
-				if st.Nodes > 0 {
-					st.BytesPerNode = float64(st.PeakBytes) / float64(st.Nodes)
-				}
-			}
-			res.Stats = st
-			return res, nil
-		}
-		progress := false
-		for _, p := range overflowAt {
-			if !resets[p] {
-				an[p] = true
-				resets[p] = true
-				res.OverflowAnchors = append(res.OverflowAnchors, p)
-				progress = true
-			}
-		}
-		if !progress {
-			return nil, fmt.Errorf("%w: overflow at anchor %s with limit %d",
-				errWidthTooSmall, g.Name(overflowAt[0]), maxID)
-		}
-		res.Restarts++
+	if !progress {
+		return fmt.Errorf("%w: overflow at anchor %s with limit %d",
+			errWidthTooSmall, g.Name(overflowAt[0]), st.maxID)
 	}
+	res.Restarts++
+	return nil
 }
 
 // pass is the state of one analysis attempt.
@@ -312,74 +319,6 @@ func recursiveEntry(rec map[callgraph.Edge]bool, entry callgraph.NodeID) bool {
 		}
 	}
 	return false
-}
-
-// runOnce is one iteration of Algorithm 2's restart loop. On overflow it
-// returns the caller node to promote to anchor and ok=false.
-func runOnce(g *callgraph.Graph, topo []callgraph.NodeID, rec map[callgraph.Edge]bool,
-	an, resets map[callgraph.NodeID]bool, maxID uint64, profile map[callgraph.Edge]uint64,
-	batch bool) (*pass, []callgraph.NodeID, bool) {
-
-	p := &pass{
-		nanchors: make(map[callgraph.NodeID][]callgraph.NodeID),
-		eanchors: make(map[callgraph.Edge][]callgraph.NodeID),
-		cav:      make(map[callgraph.NodeID]map[callgraph.NodeID]uint64),
-		icc:      make(map[callgraph.NodeID]map[callgraph.NodeID]uint64),
-		av:       make(map[callgraph.Site]uint64),
-		batch:    batch,
-		dead:     make(map[callgraph.NodeID]map[callgraph.NodeID]bool),
-		seenOver: make(map[callgraph.NodeID]bool),
-	}
-	identifyTerritories(g, rec, an, resets, p)
-
-	// CAV[n][r] starts at 0 for every anchor r that can reach n.
-	for n, anchors := range p.nanchors {
-		m := make(map[callgraph.NodeID]uint64, len(anchors))
-		for _, r := range anchors {
-			m[r] = 0
-		}
-		p.cav[n] = m
-	}
-
-	processed := make(map[callgraph.Site]bool)
-	for _, n := range topo {
-		for _, e := range orderIn(g.ForwardIn(n, rec), profile) {
-			cs := e.Site()
-			if processed[cs] {
-				continue
-			}
-			processed[cs] = true
-			a, overflow := calculateIncrement(g, rec, cs, p, maxID)
-			if overflow && !batch {
-				return nil, []callgraph.NodeID{cs.Caller}, false
-			}
-			p.av[cs] = a
-		}
-		if resets[n] {
-			p.icc[n] = map[callgraph.NodeID]uint64{n: 1}
-		} else if cavN := p.cav[n]; len(cavN) > 0 {
-			m := make(map[callgraph.NodeID]uint64, len(cavN))
-			for r, v := range cavN {
-				if p.batch && p.isDead(n, r) {
-					continue // dead range: do not seed downstream counts
-				}
-				m[r] = v
-			}
-			if an[n] {
-				// Non-resetting piece start — the entry: exactly one
-				// context (program start) reaches it within its own
-				// piece, while calls into it continue their callers'
-				// pieces, so its ICC merges the reserved 1 with the
-				// interior cells those callers see.
-				m[n] = 1
-			}
-			p.icc[n] = m
-		}
-	}
-	if len(p.overflows) > 0 {
-		return nil, p.overflows, false
-	}
-	return p, nil, true
 }
 
 // calculateIncrement computes the single addition value for call site cs

@@ -1,11 +1,13 @@
-// Level-parallel analysis engine for huge graphs (10⁵–10⁶ nodes).
+// Level-parallel analysis engine: the one Algorithm 2 sweep Encode runs,
+// at every graph size.
 //
-// The serial reference pass (runOnce) processes call sites in the graph's
-// canonical Kahn order and every downstream consumer — golden files, .dpa
-// fixtures, Extend's bit-exact replay — depends on the addition values that
-// order produces. The parallel engine therefore does NOT re-order the
-// computation; it extracts the dependency structure of the *same* schedule
-// and runs independent portions concurrently:
+// The reference map sweep (runOnce, kept in the tests as the oracle this
+// engine is checked against) processes call sites in the graph's canonical
+// Kahn order and every downstream consumer — golden files, .dpa fixtures,
+// Extend's bit-exact replay — depends on the addition values that order
+// produces. The engine therefore does NOT re-order the computation; it
+// extracts the dependency structure of the *same* schedule and runs
+// independent portions concurrently:
 //
 //   - task(n) = "process node n's first-encountered sites in serial order,
 //     then n's ICC is final". One task per node.
@@ -21,12 +23,13 @@
 //     proven empirically corpus-wide by TestParallelSerialDifferential.
 //
 // The engine keeps its hot state in compact int32 CSR arrays (anchor rows,
-// edge territories, CAV cells in one backing slice) instead of the serial
-// pass's nested maps; ICC is never materialized during the sweep — reads
-// reconstruct it from the frozen CAV row and the anchor flags, which is
-// exactly how the serial pass builds the ICC map. On success the arrays are
-// converted into the ordinary *pass shape, so Result, incState and Extend
-// are byte-for-byte indistinguishable from the serial engine's output.
+// edge territories, CAV cells in one backing slice, and per territory entry
+// the precomputed positions of the two cells it reads) instead of nested
+// maps; ICC is never materialized during the sweep — reads reconstruct it
+// from the frozen CAV row, which is exactly how the reference sweep builds
+// the ICC map. On success the arrays are converted into the ordinary *pass
+// shape, so Result, incState and Extend are byte-for-byte indistinguishable
+// from the reference sweep's output.
 package core
 
 import (
@@ -47,12 +50,11 @@ type AnalysisStats struct {
 	Sites   int `json:"sites"`
 	Anchors int `json:"anchors"` // piece starts in the final pass
 
-	// Levels is the number of conflict waves the parallel schedule found
-	// (the depth of the task-dependency DAG). 0 when the legacy serial
-	// path ran: the serial sweep has no wave structure to report.
+	// Levels is the number of conflict waves the engine's schedule found
+	// (the depth of the task-dependency DAG).
 	Levels int `json:"levels"`
 
-	// Par is the worker count the analysis ran with (1 = serial).
+	// Par is the size of the worker pool the analysis ran with.
 	Par int `json:"par"`
 
 	// PeakBytes is the high-water live-heap mark observed at engine
@@ -65,12 +67,6 @@ type AnalysisStats struct {
 }
 
 const (
-	// defaultParThreshold is the node count below which auto mode
-	// (Options.Workers == 0) keeps the serial engine: wave scheduling
-	// only pays for itself on huge graphs, and every existing workload
-	// stays on the reference path by default.
-	defaultParThreshold = 32 << 10
-
 	// maxAutoWorkers caps auto mode; the wave executor's per-task work is
 	// small, so very wide pools only add barrier traffic.
 	maxAutoWorkers = 8
@@ -80,32 +76,14 @@ const (
 	waveChunk = 128
 )
 
-// effectiveWorkers resolves Options.Workers against GOMAXPROCS and the node
-// threshold. Workers == 1 always forces serial; auto mode (0) is serial when
-// GOMAXPROCS == 1 or the graph is below the threshold; ParThreshold < 0
-// removes the size gate (used by the differential tests on small graphs).
-func effectiveWorkers(opts Options, nodes int) int {
-	if opts.Workers == 1 {
-		return 1
+// effectiveWorkers resolves Options.Workers to the wave pool size: an
+// explicit count as given, auto mode (0 or negative) GOMAXPROCS capped at
+// maxAutoWorkers.
+func effectiveWorkers(opts Options) int {
+	if opts.Workers > 0 {
+		return opts.Workers
 	}
-	thr := opts.ParThreshold
-	if thr == 0 {
-		thr = defaultParThreshold
-	}
-	if thr > 0 && nodes < thr {
-		return 1
-	}
-	w := opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w > maxAutoWorkers {
-			w = maxAutoWorkers
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return min(runtime.GOMAXPROCS(0), maxAutoWorkers)
 }
 
 // memPeak samples the live heap at engine checkpoints when enabled.
@@ -320,7 +298,14 @@ type overEvent struct {
 	caller callgraph.NodeID
 }
 
-// parRun is one anchor-set attempt: the parallel counterpart of runOnce.
+// edgeAnchor is one entry of an edge's territory row: for edge (c, t) and
+// anchor r, the cavBuf positions of cells (t, r) and (c, r). The three
+// fields share one slot because the row transpose writes them together.
+type edgeAnchor struct {
+	anchor, calleeCell, callerCell int32
+}
+
+// parRun is one anchor-set attempt: the state of one engine pass.
 type parRun struct {
 	eng     *parEngine
 	anB     []bool
@@ -335,7 +320,7 @@ type parRun struct {
 	nanchOff []int32
 	nanchBuf []int32
 	eanchOff []int32
-	eanchBuf []int32
+	eanchBuf []edgeAnchor
 	cavBuf   []uint64
 	deadBuf  []bool
 
@@ -348,9 +333,9 @@ type parRun struct {
 	firstOv []overEvent                  // non-batch: min-seq event, seq<0 = none
 }
 
-// runOnce runs one parallel pass. Result contract matches the serial
-// runOnce: (pass, nil, true) on success, (nil, callers, false) on overflow
-// with callers in serial discovery order.
+// runOnce runs one pass over the anchor set an: (pass, nil, true) on
+// success, (nil, callers, false) on overflow with callers in serial
+// discovery order — the contract of the reference sweep.
 func (eng *parEngine) runOnce(an, resets map[callgraph.NodeID]bool, maxID uint64,
 	batch bool, mem *memPeak) (*pass, []callgraph.NodeID, bool) {
 
@@ -429,21 +414,21 @@ func (eng *parEngine) runOnce(an, resets map[callgraph.NodeID]bool, maxID uint64
 
 // buildTerritories runs every anchor's bounded DFS concurrently (work-stolen
 // off a shared cursor, each worker with its own epoch-stamped visited array)
-// and merges the per-anchor node/edge lists into sorted CSR rows: anchors
-// are merged in ascending order, so each row lists its anchors sorted —
-// the same lists the serial territoryDFS builds, and binary-searchable.
+// and merges the per-anchor node lists into sorted CSR rows: anchors are
+// merged in ascending order, so each row lists its anchors sorted — the
+// same lists territoryDFS builds. An anchor's territory edges are the
+// non-recursive out-edges of the members its DFS expanded (all but the
+// boundary anchors), so they are derived from the node list, and the merge
+// records each edge entry's caller and callee cells as it goes: both exist,
+// because the DFS visited the caller to traverse the edge and reached the
+// callee through it.
 func (run *parRun) buildTerritories(anchors []callgraph.NodeID) {
 	eng := run.eng
 	terrNodes := make([][]int32, len(anchors))
-	terrEdges := make([][]int32, len(anchors))
 
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	workers := eng.workers
-	if workers > len(anchors) {
-		workers = len(anchors)
-	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(eng.workers, len(anchors)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -457,22 +442,16 @@ func (run *parRun) buildTerritories(anchors []callgraph.NodeID) {
 				r := int32(anchors[i])
 				epoch := int32(i) + 1
 				nodes := []int32{r}
-				var edges []int32
 				visited[r] = epoch
 				stack = append(stack[:0], r)
 				for len(stack) > 0 {
 					v := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					if v != r && run.resetsB[v] {
+					if !run.expands(v, r) {
 						continue // boundary anchor: in the territory, not traversed
 					}
 					for ei := eng.outStart[v]; ei < eng.outStart[v+1]; ei++ {
-						if eng.edgeRec[ei] {
-							continue
-						}
-						edges = append(edges, ei)
-						t := eng.edgeCallee[ei]
-						if visited[t] != epoch {
+						if t := eng.edgeCallee[ei]; !eng.edgeRec[ei] && visited[t] != epoch {
 							visited[t] = epoch
 							nodes = append(nodes, t)
 							stack = append(stack, t)
@@ -480,95 +459,78 @@ func (run *parRun) buildTerritories(anchors []callgraph.NodeID) {
 					}
 				}
 				terrNodes[i] = nodes
-				terrEdges[i] = edges
 			}
 		}()
 	}
 	wg.Wait()
 
-	nanchCnt := make([]int32, eng.numNodes)
-	eanchCnt := make([]int32, eng.numEdges)
-	var nTotal, eTotal int32
-	for i := range anchors {
-		for _, n := range terrNodes[i] {
-			nanchCnt[n]++
-		}
-		for _, ei := range terrEdges[i] {
-			eanchCnt[ei]++
-		}
-		nTotal += int32(len(terrNodes[i]))
-		eTotal += int32(len(terrEdges[i]))
-	}
+	// Row lengths, counted at offset+1 and prefix-summed into offsets.
 	run.nanchOff = make([]int32, eng.numNodes+1)
 	run.eanchOff = make([]int32, eng.numEdges+1)
-	var acc int32
+	for i, r := range anchors {
+		for _, n := range terrNodes[i] {
+			run.nanchOff[n+1]++
+			if run.expands(n, int32(r)) {
+				for ei := eng.outStart[n]; ei < eng.outStart[n+1]; ei++ {
+					if !eng.edgeRec[ei] {
+						run.eanchOff[ei+1]++
+					}
+				}
+			}
+		}
+	}
 	for n := 0; n < eng.numNodes; n++ {
-		run.nanchOff[n] = acc
-		acc += nanchCnt[n]
+		run.nanchOff[n+1] += run.nanchOff[n]
 	}
-	run.nanchOff[eng.numNodes] = acc
-	acc = 0
 	for ei := 0; ei < eng.numEdges; ei++ {
-		run.eanchOff[ei] = acc
-		acc += eanchCnt[ei]
+		run.eanchOff[ei+1] += run.eanchOff[ei]
 	}
-	run.eanchOff[eng.numEdges] = acc
 
+	nTotal, eTotal := run.nanchOff[eng.numNodes], run.eanchOff[eng.numEdges]
 	run.nanchBuf = make([]int32, nTotal)
-	run.eanchBuf = make([]int32, eTotal)
-	nFill := make([]int32, eng.numNodes)
-	copy(nFill, run.nanchOff[:eng.numNodes])
-	eFill := make([]int32, eng.numEdges)
-	copy(eFill, run.eanchOff[:eng.numEdges])
+	run.eanchBuf = make([]edgeAnchor, eTotal)
+	nFill := append([]int32(nil), run.nanchOff[:eng.numNodes]...)
+	eFill := append([]int32(nil), run.eanchOff[:eng.numEdges]...)
 	for i, r := range anchors {
 		for _, n := range terrNodes[i] {
 			run.nanchBuf[nFill[n]] = int32(r)
 			nFill[n]++
 		}
-		for _, ei := range terrEdges[i] {
-			run.eanchBuf[eFill[ei]] = int32(r)
-			eFill[ei]++
+		// Every member n of r's territory now has its cell (n, r) at
+		// nFill[n]-1.
+		for _, c := range terrNodes[i] {
+			if !run.expands(c, int32(r)) {
+				continue
+			}
+			for ei := eng.outStart[c]; ei < eng.outStart[c+1]; ei++ {
+				if eng.edgeRec[ei] {
+					continue
+				}
+				run.eanchBuf[eFill[ei]] = edgeAnchor{
+					anchor:     int32(r),
+					calleeCell: nFill[eng.edgeCallee[ei]] - 1,
+					callerCell: nFill[c] - 1,
+				}
+				eFill[ei]++
+			}
 		}
 	}
 	run.cavBuf = make([]uint64, nTotal) // CAV[n][r] starts at 0
 }
 
-// cavIdx returns the cavBuf position of cell (n, r), or -1 when r's
-// territory does not contain n. Rows are sorted; binary search.
-func (run *parRun) cavIdx(n, r int32) int32 {
-	lo, hi := run.nanchOff[n], run.nanchOff[n+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if run.nanchBuf[mid] < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < run.nanchOff[n+1] && run.nanchBuf[lo] == r {
-		return lo
-	}
-	return -1
-}
+// expands reports whether anchor r's bounded DFS traverses member v's
+// out-edges: it retreats at every other resetting anchor.
+func (run *parRun) expands(v, r int32) bool { return v == r || !run.resetsB[v] }
 
-// iccRead reconstructs ICC[c][r] exactly as the serial pass's icc map would
-// hold it at the moment a later node reads it: resetting anchors expose
-// {c: 1}; otherwise the frozen CAV row, with dead cells absent and the
-// reserved 1 of a non-resetting piece start (the entry) overriding its own
-// cell. Absent cells read as 0, matching the serial map lookup.
-func (run *parRun) iccRead(c, r int32) uint64 {
-	if run.resetsB[c] {
-		if r == c {
-			return 1
-		}
-		return 0
-	}
-	if run.anB[c] && r == c {
+// iccRead reconstructs ICC[c][r] exactly as the reference sweep's icc map
+// would hold it at the moment a later node reads it, for an entry of one of
+// c's out-edges with anchor r and caller cell ci. A piece start reads its
+// reserved 1 (r == c); otherwise c is interior to r's territory — r's DFS
+// expanded c, so c does not reset — and the frozen CAV cell is read, a dead
+// cell reading as absent (0).
+func (run *parRun) iccRead(c, r, ci int32) uint64 {
+	if r == c {
 		return 1
-	}
-	ci := run.cavIdx(c, r)
-	if ci < 0 {
-		return 0
 	}
 	if run.batch && run.deadBuf[ci] {
 		return 0
@@ -577,11 +539,11 @@ func (run *parRun) iccRead(c, r int32) uint64 {
 }
 
 // exec runs the wave schedule: a barrier between waves, a work-stealing
-// cursor within each. A failed pass always runs to completion: the serial
-// engine stops at its first overflow, but the first overflow in sequence
-// order can sit anywhere in the wave schedule, so every event is collected
-// and the minimum-sequence one reproduces the serial promotion. That is
-// sound because each site's inputs flow only from strictly
+// cursor within each. A failed pass always runs to completion: the
+// reference sweep stops at its first overflow, but the first overflow in
+// sequence order can sit anywhere in the wave schedule, so every event is
+// collected and the minimum-sequence one reproduces the serial promotion.
+// That is sound because each site's inputs flow only from strictly
 // smaller-sequence sites (the conflict chains and ICC deps both point
 // backward in sequence order), so every site below the minimal overflow
 // computes clean serial values regardless of how later overflows were
@@ -615,7 +577,7 @@ func (run *parRun) exec() {
 
 // task processes node n's assigned sites in serial order. ICC finalization
 // needs no work at run time: the CAV row freezes here by schedule
-// construction, and iccRead reconstructs the map the serial pass would
+// construction, and iccRead reconstructs the map the reference sweep would
 // build from it.
 func (run *parRun) task(n int32, w int) {
 	eng := run.eng
@@ -625,22 +587,19 @@ func (run *parRun) task(n int32, w int) {
 	}
 }
 
-// calcIncrement is the parallel calculateIncrement: same maximum over the
-// targets' live CAV cells, same ICC-plus-increment writes, same overflow
+// calcIncrement is calculateIncrement over the CSR state: same maximum over
+// the targets' live CAV cells, same ICC-plus-increment writes, same overflow
 // bookkeeping (batch mode kills the range; either mode records the event
-// with its sequence number and keeps sweeping).
+// with its sequence number and keeps sweeping). Recursive edges have empty
+// territory rows, so they contribute nothing.
 func (run *parRun) calcIncrement(s int32, w int) uint64 {
 	eng := run.eng
 	row := eng.siteEdges[eng.siteOff[s]:eng.siteOff[s+1]]
 
 	var a uint64
 	for _, ei := range row {
-		if eng.edgeRec[ei] {
-			continue
-		}
-		t := eng.edgeCallee[ei]
-		for k := run.eanchOff[ei]; k < run.eanchOff[ei+1]; k++ {
-			ci := run.cavIdx(t, run.eanchBuf[k])
+		for _, ea := range run.eanchBuf[run.eanchOff[ei]:run.eanchOff[ei+1]] {
+			ci := ea.calleeCell
 			if run.batch && run.deadBuf[ci] {
 				continue
 			}
@@ -652,13 +611,9 @@ func (run *parRun) calcIncrement(s int32, w int) uint64 {
 
 	caller := int32(eng.siteList[s].Caller)
 	for _, ei := range row {
-		if eng.edgeRec[ei] {
-			continue
-		}
-		t := eng.edgeCallee[ei]
-		for k := run.eanchOff[ei]; k < run.eanchOff[ei+1]; k++ {
-			r := run.eanchBuf[k]
-			iw := run.iccRead(caller, r)
+		for _, ea := range run.eanchBuf[run.eanchOff[ei]:run.eanchOff[ei+1]] {
+			ci := ea.calleeCell
+			iw := run.iccRead(caller, ea.anchor, ea.callerCell)
 			if iw > run.maxID-a {
 				seq := eng.sitePos[s]
 				if !run.batch {
@@ -670,12 +625,10 @@ func (run *parRun) calcIncrement(s int32, w int) uint64 {
 				if prev, ok := run.overMin[w][callgraph.NodeID(caller)]; !ok || seq < prev {
 					run.overMin[w][callgraph.NodeID(caller)] = seq
 				}
-				ci := run.cavIdx(t, r)
 				run.deadBuf[ci] = true
 				continue
 			}
 			v := iw + a
-			ci := run.cavIdx(t, r)
 			if !(run.batch && run.deadBuf[ci]) {
 				run.cavBuf[ci] = v
 			}
@@ -687,9 +640,9 @@ func (run *parRun) calcIncrement(s int32, w int) uint64 {
 	return a
 }
 
-// toPass converts the CSR state of a successful run into the serial pass
-// shape, so Result assembly (finish) and Extend's incState are identical to
-// the serial engine's output.
+// toPass converts the CSR state of a successful run into the pass shape,
+// so Result assembly (finish) and Extend's incState are identical to the
+// reference sweep's output.
 func (run *parRun) toPass() *pass {
 	eng := run.eng
 	p := &pass{
@@ -698,9 +651,6 @@ func (run *parRun) toPass() *pass {
 		cav:      make(map[callgraph.NodeID]map[callgraph.NodeID]uint64),
 		icc:      make(map[callgraph.NodeID]map[callgraph.NodeID]uint64),
 		av:       make(map[callgraph.Site]uint64, len(eng.siteList)),
-		batch:    run.batch,
-		dead:     make(map[callgraph.NodeID]map[callgraph.NodeID]bool),
-		seenOver: make(map[callgraph.NodeID]bool),
 	}
 	for w := 0; w < eng.workers; w++ {
 		if run.maxCAV[w] > p.maxCAV {
@@ -754,7 +704,7 @@ func (run *parRun) toPass() *pass {
 			}
 			anchors := make([]callgraph.NodeID, end-off)
 			for k := off; k < end; k++ {
-				anchors[k-off] = callgraph.NodeID(run.eanchBuf[k])
+				anchors[k-off] = callgraph.NodeID(run.eanchBuf[k].anchor)
 			}
 			e := callgraph.Edge{
 				Caller: callgraph.NodeID(n),

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"deltapath/internal/analysisio"
@@ -14,32 +15,29 @@ import (
 	"deltapath/internal/workload"
 )
 
-// encodeBoth runs the serial reference engine and the parallel engine on
-// the same graph and options, with the parallel engine forced on via a
-// negative threshold.
+// encodeBoth runs the reference map sweep and the level-parallel engine
+// with the given pool size on the same graph and options.
 func encodeBoth(t *testing.T, g *callgraph.Graph, opts Options, workers int) (*Result, *Result) {
 	t.Helper()
-	serialOpts := opts
-	serialOpts.Workers = 1
-	serial, err := Encode(g, serialOpts)
+	serial, err := encodeOracle(g, opts)
 	if err != nil {
-		t.Fatalf("serial Encode: %v", err)
+		t.Fatalf("reference Encode: %v", err)
 	}
 	parOpts := opts
 	parOpts.Workers = workers
-	parOpts.ParThreshold = -1
 	par, err := Encode(g, parOpts)
 	if err != nil {
 		t.Fatalf("parallel Encode: %v", err)
 	}
 	if par.Stats == nil || par.Stats.Par != workers || par.Stats.Levels == 0 {
-		t.Fatalf("parallel engine did not engage: stats %+v", par.Stats)
+		t.Fatalf("parallel engine stats wrong: %+v", par.Stats)
 	}
 	return serial, par
 }
 
-// assertIdentical compares every analysis output the two engines must agree
-// on, including the serialized .dpa bytes and the call-path-tracking SIDs.
+// assertIdentical compares every analysis output the engine and the
+// reference sweep must agree on, including the serialized .dpa bytes and
+// the call-path-tracking SIDs.
 func assertIdentical(t *testing.T, g *callgraph.Graph, serial, par *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(serial.Spec.SiteAV, par.Spec.SiteAV) {
@@ -92,10 +90,17 @@ func assertIdentical(t *testing.T, g *callgraph.Graph, serial, par *Result) {
 	}
 }
 
-// TestParallelSerialDifferential proves the two engines equivalent over the
-// whole generated corpus, under both encoding settings and for worker
-// counts bracketing the GOMAXPROCS ∈ {1, 4} CI matrix.
+// TestParallelSerialDifferential proves the engine equivalent to the
+// reference sweep over the whole generated corpus, under both encoding
+// settings, and on a huge smoke tier, for pool sizes bracketing the
+// GOMAXPROCS ∈ {1, 4} CI matrix.
 func TestParallelSerialDifferential(t *testing.T) {
+	differential := func(t *testing.T, g *callgraph.Graph) {
+		for _, workers := range []int{1, 2, 4} {
+			serial, par := encodeBoth(t, g, Options{}, workers)
+			assertIdentical(t, g, serial, par)
+		}
+	}
 	suite := workload.Suite()
 	if testing.Short() {
 		suite = suite[:5]
@@ -112,13 +117,21 @@ func TestParallelSerialDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cha.Build: %v", err)
 				}
-				for _, workers := range []int{2, 4} {
-					serial, par := encodeBoth(t, build.Graph, Options{}, workers)
-					assertIdentical(t, build.Graph, serial, par)
-				}
+				differential(t, build.Graph)
 			})
 		}
 	}
+	huge := workload.HugeSmoke(20_000)
+	if testing.Short() {
+		huge = workload.HugeSmoke(5_000)
+	}
+	t.Run(huge.Name, func(t *testing.T) {
+		g, err := huge.Build()
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		differential(t, g)
+	})
 }
 
 // layeredTestGraph builds a random layered DAG whose node IDs interleave
@@ -186,7 +199,7 @@ func layeredTestGraph(seed int64, nodes, layers int) *callgraph.Graph {
 
 // TestParallelRandomGraphs sweeps random layered DAGs across MaxID widths
 // small enough to trigger Algorithm 2's restart loop, in both restart
-// policies, asserting engine equivalence each time.
+// policies, asserting the engine equals the reference sweep each time.
 func TestParallelRandomGraphs(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
 	if testing.Short() {
@@ -199,12 +212,9 @@ func TestParallelRandomGraphs(t *testing.T) {
 				opts := Options{MaxID: maxID, BatchAnchors: batch}
 				name := fmt.Sprintf("seed%d/max%d/batch%v", seed, maxID, batch)
 				t.Run(name, func(t *testing.T) {
-					serialOpts := opts
-					serialOpts.Workers = 1
-					serial, serr := Encode(g, serialOpts)
+					serial, serr := encodeOracle(g, opts)
 					parOpts := opts
 					parOpts.Workers = 4
-					parOpts.ParThreshold = -1
 					par, perr := Encode(g, parOpts)
 					if (serr == nil) != (perr == nil) {
 						t.Fatalf("error divergence: serial %v, parallel %v", serr, perr)
@@ -256,27 +266,27 @@ func TestParallelFigure4(t *testing.T) {
 	assertIdentical(t, g, serial, par)
 }
 
-// TestEffectiveWorkers pins the fallback policy: serial when forced, when
-// auto-capped by GOMAXPROCS==1, or when the graph is below the threshold.
+// TestEffectiveWorkers pins the pool-size policy: auto mode is GOMAXPROCS
+// capped at maxAutoWorkers, and an explicit count (1 included) is kept.
 func TestEffectiveWorkers(t *testing.T) {
-	if got := effectiveWorkers(Options{Workers: 1}, 1<<20); got != 1 {
-		t.Errorf("Workers=1 must force serial, got %d", got)
-	}
-	if got := effectiveWorkers(Options{Workers: 4}, 100); got != 1 {
-		t.Errorf("below-threshold graph must fall back to serial, got %d", got)
-	}
-	if got := effectiveWorkers(Options{Workers: 4, ParThreshold: -1}, 100); got != 4 {
-		t.Errorf("negative threshold must remove the size gate, got %d", got)
-	}
-	if got := effectiveWorkers(Options{Workers: 4}, 1<<20); got != 4 {
-		t.Errorf("explicit workers on a huge graph, got %d", got)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 16} {
+		runtime.GOMAXPROCS(procs)
+		if got, want := effectiveWorkers(Options{}), min(procs, maxAutoWorkers); got != want {
+			t.Errorf("auto mode at GOMAXPROCS=%d: got %d workers, want %d", procs, got, want)
+		}
+		for _, w := range []int{1, 4} {
+			if got := effectiveWorkers(Options{Workers: w}); got != w {
+				t.Errorf("Workers=%d at GOMAXPROCS=%d: got %d", w, procs, got)
+			}
+		}
 	}
 }
 
 // TestParallelStatsMemory checks MeasureMemory populates the budget fields.
 func TestParallelStatsMemory(t *testing.T) {
 	g := layeredTestGraph(3, 60, 5)
-	res, err := Encode(g, Options{Workers: 2, ParThreshold: -1, MeasureMemory: true})
+	res, err := Encode(g, Options{Workers: 2, MeasureMemory: true})
 	if err != nil {
 		t.Fatal(err)
 	}

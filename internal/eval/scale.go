@@ -21,21 +21,23 @@ import (
 
 // ScaleRow is one huge-graph tier of the scalability curve: analysis and
 // compile latency, memory budget, and decode throughput at 10⁵–10⁶ nodes,
-// plus the proofs the tier demands — the parallel engine's .dpa bytes
-// identical to the serial reference's, and the verifier certifying the
-// result.
+// plus the proofs the tier demands — the analysis engine's .dpa bytes
+// identical between its Par-worker and 1-worker runs, and the verifier
+// certifying the result.
 type ScaleRow struct {
 	Tier    string `json:"tier"`
 	Nodes   int    `json:"nodes"`
 	Edges   int    `json:"edges"`
 	Sites   int    `json:"sites"`
 	Anchors int    `json:"anchors"`
-	// Levels is the parallel engine's wave count; Par its worker count.
-	Levels    int     `json:"levels"`
-	Par       int     `json:"par"`
-	BuildMs   float64 `json:"build_ms"`
-	ParMs     float64 `json:"par_ms"`    // parallel-engine analysis
-	SerialMs  float64 `json:"serial_ms"` // serial reference analysis
+	// Levels is the engine's wave count; Par its worker count.
+	Levels  int     `json:"levels"`
+	Par     int     `json:"par"`
+	BuildMs float64 `json:"build_ms"`
+	ParMs   float64 `json:"par_ms"` // analysis on Par workers
+	// SerialMs is the same analysis on one worker. Baselines recorded
+	// before the map engine was retired hold that engine's time here.
+	SerialMs  float64 `json:"serial_ms"`
 	CompileMs float64 `json:"compile_ms"`
 	// VerifyMs is the serial (Workers=1) soundness verification;
 	// VerifyParMs the same proof on Par workers. VerifyIdentical proves
@@ -43,13 +45,14 @@ type ScaleRow struct {
 	// serial one's — the level-parallel analogue of Identical.
 	VerifyMs    float64 `json:"verify_ms"`
 	VerifyParMs float64 `json:"verify_par_ms"`
-	// Identical: SHA-256 of the serialized .dpa from both engines agree.
+	// Identical: SHA-256 of the serialized .dpa from the Par-worker and
+	// 1-worker analyses agree.
 	Identical       bool `json:"identical"`
 	VerifyClean     bool `json:"verify_clean"`
 	VerifyIdentical bool `json:"verify_identical"`
-	// PeakBytes/BytesPerNode are sampled heap peaks of the parallel run
-	// (core.AnalysisStats); the parallel run goes first so the serial
-	// engine's state never inflates them.
+	// PeakBytes/BytesPerNode are sampled heap peaks of the Par-worker run
+	// (core.AnalysisStats); it goes first so the 1-worker run's state
+	// never inflates them.
 	PeakBytes    uint64  `json:"peak_bytes"`
 	BytesPerNode float64 `json:"bytes_per_node"`
 	MaxIDBits    int     `json:"max_id_bits"`
@@ -60,10 +63,9 @@ type ScaleRow struct {
 	DecodeSample int     `json:"decode_sample"`
 }
 
-// ScaleCurve measures one row per tier. workers is the parallel engine's
-// worker count (the size gate is bypassed so every tier exercises the
-// level-parallel schedule); sample bounds the decoded contexts per tier
-// (0 → 256).
+// ScaleCurve measures one row per tier. workers (at least 2) is the
+// engine's worker count for the Par run, compared against a 1-worker run;
+// sample bounds the decoded contexts per tier (0 → 256).
 func ScaleCurve(tiers []workload.HugeParams, workers, sample int) ([]ScaleRow, error) {
 	if workers < 2 {
 		workers = 2
@@ -96,11 +98,11 @@ func scaleTier(p workload.HugeParams, workers, sample int) (ScaleRow, error) {
 	row.BuildMs = msSince(start)
 	row.Nodes, row.Edges, row.Sites = g.NumNodes(), g.NumEdges(), g.NumSites()
 
-	// Parallel engine first, with memory measurement: at this point the
+	// The Par-worker run first, with memory measurement: at this point the
 	// heap holds only the graph, so the sampled peak is the analysis's own.
 	runtime.GC()
 	start = time.Now()
-	par, err := core.Encode(g, core.Options{Workers: workers, ParThreshold: -1, MeasureMemory: true})
+	par, err := core.Encode(g, core.Options{Workers: workers, MeasureMemory: true})
 	if err != nil {
 		return row, fmt.Errorf("parallel encode: %w", err)
 	}
@@ -116,7 +118,7 @@ func scaleTier(p workload.HugeParams, workers, sample int) (ScaleRow, error) {
 	start = time.Now()
 	serial, err := core.Encode(g, core.Options{Workers: 1})
 	if err != nil {
-		return row, fmt.Errorf("serial encode: %w", err)
+		return row, fmt.Errorf("1-worker encode: %w", err)
 	}
 	row.SerialMs = msSince(start)
 

@@ -19,12 +19,14 @@ import (
 )
 
 // TestScaleSmoke is the CI scale-smoke gate: one reduced huge-graph tier run
-// end to end — generate, analyze with the level-parallel engine and the
-// serial reference, prove the serialized .dpa byte-identical, certify the
+// end to end — generate, analyze with the level-parallel engine on 4
+// workers and on 1, prove the serialized .dpa byte-identical, certify the
 // spec with the verifier both serially and on 4 workers (byte-identical
 // reports, under -race in CI), compile, and decode sampled contexts — every
 // verdict the full 10⁵–10⁶-node curve (dpbench -experiment scale) relies
-// on. SCALE_SMOKE_NODES overrides the tier size (CI uses 50000).
+// on. SCALE_SMOKE_NODES overrides the tier size (CI uses 50000). The
+// engine's comparison against the reference map sweep lives in
+// internal/core (TestParallelSerialDifferential).
 func TestScaleSmoke(t *testing.T) {
 	nodes := 20_000
 	if s := os.Getenv("SCALE_SMOKE_NODES"); s != "" {
@@ -45,7 +47,7 @@ func TestScaleSmoke(t *testing.T) {
 		t.Errorf("tier shape off target: %d nodes, %d edges", g.NumNodes(), g.NumEdges())
 	}
 
-	par, err := core.Encode(g, core.Options{Workers: 4, ParThreshold: -1, MeasureMemory: true})
+	par, err := core.Encode(g, core.Options{Workers: 4, MeasureMemory: true})
 	if err != nil {
 		t.Fatalf("parallel encode: %v", err)
 	}
@@ -64,7 +66,7 @@ func TestScaleSmoke(t *testing.T) {
 
 	serial, err := core.Encode(g, core.Options{Workers: 1})
 	if err != nil {
-		t.Fatalf("serial encode: %v", err)
+		t.Fatalf("1-worker encode: %v", err)
 	}
 
 	// Byte-identity of the whole serialized analysis (spec + SIDs).
@@ -77,7 +79,7 @@ func TestScaleSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(pb.Bytes(), sb.Bytes()) {
-		t.Errorf("parallel .dpa bytes diverged from the serial reference (%d vs %d bytes)",
+		t.Errorf("4-worker .dpa bytes diverged from the 1-worker run (%d vs %d bytes)",
 			pb.Len(), sb.Len())
 	}
 
