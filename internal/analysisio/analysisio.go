@@ -143,6 +143,18 @@ func Save(w io.Writer, spec *encoding.Spec, cptPlan *cpt.Plan) error {
 // pre-epoch builds, so existing files and golden bytes stay valid; a
 // nonzero epoch selects DPA3, which carries the epoch after the digest.
 func SaveEpoch(w io.Writer, spec *encoding.Spec, cptPlan *cpt.Plan, epoch uint64) error {
+	g := spec.Graph
+	// Only true anchor keys are written (a false key is no anchor), and the
+	// count must match what is written, or Load misreads every later field.
+	anchors := 0
+	for id, on := range spec.Anchors {
+		if id < 0 || int(id) >= g.NumNodes() {
+			return fmt.Errorf("analysisio: anchor %d is not a node of the graph", id)
+		}
+		if on {
+			anchors++
+		}
+	}
 	bw := bufio.NewWriter(w)
 	head := magic
 	if epoch > 0 {
@@ -151,7 +163,6 @@ func SaveEpoch(w io.Writer, spec *encoding.Spec, cptPlan *cpt.Plan, epoch uint64
 	if _, err := bw.WriteString(head); err != nil {
 		return err
 	}
-	g := spec.Graph
 	dig := DigestGraph(g)
 	putUvarint(bw, dig.Nodes)
 	putUvarint(bw, dig.Edges)
@@ -223,7 +234,7 @@ func SaveEpoch(w io.Writer, spec *encoding.Spec, cptPlan *cpt.Plan, epoch uint64
 			}
 		}
 	}
-	putUvarint(bw, uint64(len(spec.Anchors)))
+	putUvarint(bw, uint64(anchors))
 	for _, id := range g.Nodes() {
 		if spec.Anchors[id] {
 			putUvarint(bw, uint64(id))

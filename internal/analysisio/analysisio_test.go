@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"deltapath/internal/callgraph"
 	"deltapath/internal/cha"
 	"deltapath/internal/core"
 	"deltapath/internal/cpt"
@@ -97,6 +98,42 @@ func TestRoundTripStructure(t *testing.T) {
 	}
 	if bundle.CPT == nil || bundle.CPT.NumSets == 0 {
 		t.Fatalf("CPT plan lost")
+	}
+}
+
+// TestSaveAnchorKeys: Save writes only true anchor keys, counted as
+// written, so a spec carrying a false key reloads with the same anchors; an
+// anchor key that is no node is refused rather than written.
+func TestSaveAnchorKeys(t *testing.T) {
+	build, res, _ := roundTrip(t)
+	spec := res.Spec
+	want := len(spec.Anchors)
+	for _, id := range build.Graph.Nodes() {
+		if !spec.Anchors[id] {
+			spec.Anchors[id] = false
+			break
+		}
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, spec, cpt.Compute(build.Graph)); err != nil {
+		t.Fatal(err)
+	}
+	bundle, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("reload of a spec with a false anchor key: %v", err)
+	}
+	if got := len(bundle.Spec.Anchors); got != want {
+		t.Fatalf("reloaded %d anchors, want %d", got, want)
+	}
+	for id := range bundle.Spec.Anchors {
+		if !spec.Anchors[id] {
+			t.Fatalf("node %d reloaded as an anchor", id)
+		}
+	}
+
+	spec.Anchors[callgraph.NodeID(build.Graph.NumNodes())] = true
+	if err := Save(&bytes.Buffer{}, spec, nil); err == nil {
+		t.Fatal("Save accepted an anchor that is not a node")
 	}
 }
 

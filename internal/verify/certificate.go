@@ -97,27 +97,22 @@ func (h fnv64) word(v uint64) fnv64 {
 // label, callee, push kind, and effective addition value, in insertion
 // order. Two specs whose fingerprints agree on a node set run byte-identical
 // territory proofs over that set.
-func nodeFingerprints(spec *encoding.Spec) []uint64 {
-	g := spec.Graph
-	fps := make([]uint64, g.NumNodes())
-	for _, n := range g.Nodes() {
+func (v *view) nodeFingerprints() []uint64 {
+	fps := make([]uint64, v.n)
+	for u := range fps {
 		h := fnvOffset64
-		if spec.Anchors[n] {
+		if v.isAnchor(int32(u)) {
 			h = h.word(1)
 		} else {
 			h = h.word(0)
 		}
-		for _, e := range g.Out(n) {
-			h = h.word(uint64(uint32(e.Label)))
-			h = h.word(uint64(uint32(e.Callee)))
-			if kind, ok := spec.Push[e]; ok {
-				h = h.word(2 + uint64(kind))
-			} else {
-				h = h.word(1)
-			}
-			h = h.word(spec.AV(e))
+		for e := v.outStart[u]; e < v.outStart[u+1]; e++ {
+			h = h.word(uint64(uint32(v.label[e])))
+			h = h.word(uint64(uint32(v.callee[e])))
+			h = h.word(1 + uint64(v.push[e])) // 1, or 2+kind for a push edge
+			h = h.word(v.av[e])
 		}
-		fps[n] = uint64(h)
+		fps[u] = uint64(h)
 	}
 	return fps
 }

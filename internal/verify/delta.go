@@ -20,7 +20,6 @@ package verify
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"deltapath/internal/callgraph"
 	"deltapath/internal/cpt"
@@ -48,10 +47,6 @@ func stalef(format string, args ...any) error {
 func CheckDelta(prev *Certificate, spec *encoding.Spec, plan *cpt.Plan,
 	dirty []callgraph.NodeID, opts Options) (*Report, error) {
 
-	maxID := opts.MaxID
-	if maxID == 0 {
-		maxID = math.MaxInt64
-	}
 	if prev == nil {
 		return nil, stalef("no certificate")
 	}
@@ -59,6 +54,7 @@ func CheckDelta(prev *Certificate, spec *encoding.Spec, plan *cpt.Plan,
 		return nil, stalef("no spec/graph to verify")
 	}
 	g := spec.Graph
+	maxID := opts.maxID()
 	if prev.MaxID != maxID {
 		return nil, stalef("certified under MaxID %d, verifying under %d", prev.MaxID, maxID)
 	}
@@ -80,49 +76,21 @@ func CheckDelta(prev *Certificate, spec *encoding.Spec, plan *cpt.Plan,
 		return nil, stalef("graph does not validate: %v", err)
 	}
 
-	// The global, linear-time checks: identical to Check, run in full.
-	rep := &Report{Findings: []Diagnostic{}}
-	rep.Stats = Stats{
-		Nodes:        g.NumNodes(),
-		Edges:        g.NumEdges(),
-		Sites:        g.NumSites(),
-		VirtualSites: g.NumVirtualSites(),
-		PushEdges:    len(spec.Push),
-	}
-	checkStructure(rep, spec)
-	pushOK := checkPushEdges(rep, spec)
-	checkVirtualAV(rep, spec)
-
-	starts := pieceStarts(spec)
-	rep.Stats.PieceStarts = len(starts)
-
-	// The acyclicity witness is re-validated from scratch: TopoOrder is the
-	// one global proof whose cost is linear anyway, and the dirty territory
-	// proofs need the order regardless.
-	var nodeFP []uint64
-	var obligations []territoryObligation
+	// The global, linear-time checks run in full, exactly as in Check; the
+	// acyclicity witness is re-validated from scratch, since the dirty
+	// territory proofs need the order regardless.
+	rep := newReport(spec)
 	delta := &DeltaInfo{}
-	topo, err := g.TopoOrder(pushEdgeSet(spec))
+	v := newView(spec)
+	err := v.verify(rep, plan, maxID, func(nodeFP []uint64, starts []callgraph.NodeID) ([]territoryObligation, error) {
+		return deltaObligations(prev, nodeFP, starts, dirty, delta, func(s []callgraph.NodeID) []territoryObligation {
+			return v.proveTerritories(s, maxID, opts.Workers)
+		})
+	})
 	if err != nil {
-		reportForwardCycle(rep, spec)
-	} else if pushOK {
-		nodeFP = nodeFingerprints(spec)
-		obligations, err = deltaObligations(prev, spec, nodeFP, starts, topo, maxID, dirty, opts.Workers, delta)
-		if err != nil {
-			return nil, err
-		}
-		checkCoverage(rep, spec, obligations)
-		mergeObligations(rep, obligations)
-	}
-
-	checkCPT(rep, spec, plan)
-	if plan != nil {
-		rep.Stats.CPTSets = plan.NumSets
+		return nil, err
 	}
 	rep.Delta = delta
-	if rep.Clean() && nodeFP != nil {
-		rep.Certificate = buildCertificate(spec, maxID, nodeFP, starts, obligations)
-	}
 	return rep, nil
 }
 
@@ -132,10 +100,10 @@ func CheckDelta(prev *Certificate, spec *encoding.Spec, plan *cpt.Plan,
 // start must satisfy the frame condition (its certified fingerprint
 // re-derives from the current node fingerprints) or the whole delta is
 // stale. Certified territories for starts that no longer exist are ignored:
-// the report concerns only the current starts.
-func deltaObligations(prev *Certificate, spec *encoding.Spec, nodeFP []uint64,
-	starts, topo []callgraph.NodeID, maxID uint64, dirty []callgraph.NodeID,
-	workers int, delta *DeltaInfo) ([]territoryObligation, error) {
+// the report concerns only the current starts. prove re-proves the dirty
+// starts.
+func deltaObligations(prev *Certificate, nodeFP []uint64, starts, dirty []callgraph.NodeID,
+	delta *DeltaInfo, prove func([]callgraph.NodeID) []territoryObligation) ([]territoryObligation, error) {
 
 	dirtySet := make(map[callgraph.NodeID]bool, len(dirty))
 	for _, n := range dirty {
@@ -169,13 +137,12 @@ func deltaObligations(prev *Certificate, spec *encoding.Spec, nodeFP []uint64,
 		}
 	}
 
-	// Re-prove the dirty territories, with the same worker pool and the
-	// same per-obligation code path as the full verifier.
+	// Re-prove the dirty territories on the full verifier's code path.
 	proveStarts := make([]callgraph.NodeID, len(proveIdx))
 	for k, i := range proveIdx {
 		proveStarts[k] = starts[i]
 	}
-	proved := proveTerritories(spec, proveStarts, topo, maxID, workers)
+	proved := prove(proveStarts)
 	for k, i := range proveIdx {
 		obs[i] = proved[k]
 	}

@@ -43,7 +43,8 @@ func cloneSpec(s *encoding.Spec) *encoding.Spec {
 // report that report must match the full verifier's finding-for-finding and
 // stat-for-stat — in particular it must never accept a spec the full
 // verifier rejects. Stale refusals are always legal (the caller falls back
-// to Check); silent divergence never is.
+// to Check); silent divergence never is. Both verifiers also answer exactly
+// as their references do.
 func FuzzCheckDelta(f *testing.F) {
 	type base struct {
 		spec *encoding.Spec
@@ -144,7 +145,7 @@ func FuzzCheckDelta(f *testing.F) {
 					delete(cert.Territories, cert.Starts[arg%len(cert.Starts)])
 				}
 			case 11: // admit a start as dirty
-				if starts := pieceStarts(spec); len(starts) > 0 {
+				if starts := oraclePieceStarts(spec); len(starts) > 0 {
 					dirty = append(dirty, starts[arg%len(starts)])
 				}
 			}
@@ -152,10 +153,16 @@ func FuzzCheckDelta(f *testing.F) {
 
 		workers := len(data) % 3
 		full := Check(spec, b.plan, Options{})
+		assertMatchesOracle(t, "fuzz full", full, checkOracle(spec, b.plan, Options{}))
 		drep, err := CheckDelta(cert, spec, b.plan, dirty, Options{Workers: workers})
+		want, werr := checkDeltaOracle(cert, spec, b.plan, dirty, Options{})
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("CheckDelta error %v, oracle %v", err, werr)
+		}
 		if err != nil {
 			return // stale refusal: the caller falls back to the full check
 		}
+		assertMatchesOracle(t, "fuzz delta", drep, want)
 		if drep.Delta == nil {
 			t.Fatal("delta report carries no DeltaInfo")
 		}

@@ -14,7 +14,8 @@ import (
 // magic, truncated sections, bit-flipped addition values, implausible
 // counts. It additionally asserts determinism: verifying the same bytes
 // twice renders byte-identical reports, the property the golden tests and
-// the chaos post-heal hook rely on.
+// the chaos post-heal hook rely on. And whatever loads verifies exactly as
+// the reference verifier does.
 func FuzzVerify(f *testing.F) {
 	// Seeds: well-formed analyses over two structurally different corpus
 	// programs (virtual dispatch + dynamic loading; recursion), then
@@ -50,6 +51,9 @@ func FuzzVerify(f *testing.F) {
 		again := CheckBytes(data, Options{})
 		if rep.JSON() != again.JSON() {
 			t.Fatalf("nondeterministic verification:\n%s\nvs\n%s", rep.JSON(), again.JSON())
+		}
+		if b, err := analysisio.Load(bytes.NewReader(data)); err == nil {
+			assertMatchesOracle(t, "fuzz", rep, checkOracle(b.Spec, b.CPT, Options{}))
 		}
 	})
 }

@@ -42,10 +42,12 @@ package verify
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -126,12 +128,11 @@ type Report struct {
 func (r *Report) Clean() bool { return len(r.Findings) == 0 }
 
 func (r *Report) add(check, node, site, format string, args ...any) {
-	r.Findings = append(r.Findings, Diagnostic{
-		Check:  check,
-		Node:   node,
-		Site:   site,
-		Detail: fmt.Sprintf(format, args...),
-	})
+	r.Findings = append(r.Findings, diag(check, node, site, format, args...))
+}
+
+func diag(check, node, site, format string, args ...any) Diagnostic {
+	return Diagnostic{Check: check, Node: node, Site: site, Detail: fmt.Sprintf(format, args...)}
 }
 
 // CheckFile loads a .dpa analysis file and verifies it. An unloadable file
@@ -166,81 +167,106 @@ func CheckBundle(b *analysisio.Bundle, opts Options) *Report {
 // Check verifies an encoding spec (and its CPT plan, which may be nil) in
 // memory.
 func Check(spec *encoding.Spec, plan *cpt.Plan, opts Options) *Report {
-	// Findings starts non-nil so a clean report marshals as [], never null.
-	rep := &Report{Findings: []Diagnostic{}}
-	maxID := opts.MaxID
-	if maxID == 0 {
-		maxID = math.MaxInt64
-	}
 	if spec == nil || spec.Graph == nil {
+		rep := &Report{Findings: []Diagnostic{}}
 		rep.add("structure", "", "", "no spec/graph to verify")
 		return rep
 	}
-	g := spec.Graph
-	rep.Stats = Stats{
-		Nodes:        g.NumNodes(),
-		Edges:        g.NumEdges(),
-		Sites:        g.NumSites(),
-		VirtualSites: g.NumVirtualSites(),
-		PushEdges:    len(spec.Push),
-	}
-	if err := g.Validate(); err != nil {
+	rep := newReport(spec)
+	if err := spec.Graph.Validate(); err != nil {
 		rep.add("structure", "", "", "%v", err)
 		return rep
 	}
+	maxID := opts.maxID()
+	v := newView(spec)
+	// Proving every territory from scratch cannot fail.
+	_ = v.verify(rep, plan, maxID, func(_ []uint64, starts []callgraph.NodeID) ([]territoryObligation, error) {
+		return v.proveTerritories(starts, maxID, opts.Workers), nil
+	})
+	return rep
+}
 
-	checkStructure(rep, spec)
-	pushOK := checkPushEdges(rep, spec)
-	checkVirtualAV(rep, spec)
+// newReport starts a report on spec's graph. Findings starts non-nil so a
+// clean report marshals as [], never null.
+func newReport(spec *encoding.Spec) *Report {
+	g := spec.Graph
+	return &Report{
+		Findings: []Diagnostic{},
+		Stats: Stats{
+			Nodes:        g.NumNodes(),
+			Edges:        g.NumEdges(),
+			Sites:        g.NumSites(),
+			VirtualSites: g.NumVirtualSites(),
+			PushEdges:    len(spec.Push),
+		},
+	}
+}
 
-	starts := pieceStarts(spec)
+func (o Options) maxID() uint64 {
+	if o.MaxID == 0 {
+		return math.MaxInt64
+	}
+	return o.MaxID
+}
+
+// verify runs every check in report order over the view, with the territory
+// obligations supplied by obligations — fresh proofs for Check, reuse or
+// re-proof for CheckDelta — and certifies a clean report.
+func (v *view) verify(rep *Report, plan *cpt.Plan, maxID uint64,
+	obligations func(nodeFP []uint64, starts []callgraph.NodeID) ([]territoryObligation, error)) error {
+
+	checkStructure(rep, v)
+	pushOK := checkPushEdges(rep, v)
+	checkVirtualAV(rep, v)
+
+	starts := v.pieceStarts()
 	rep.Stats.PieceStarts = len(starts)
 
 	// Interval verification needs a topological order of the forward
 	// (non-push) graph; its existence is itself the recursion invariant.
 	var nodeFP []uint64
-	var obligations []territoryObligation
-	topo, err := g.TopoOrder(pushEdgeSet(spec))
-	if err != nil {
-		reportForwardCycle(rep, spec)
+	var obs []territoryObligation
+	if !v.topoOrder() {
+		reportForwardCycle(rep, v)
 	} else if pushOK {
-		nodeFP = nodeFingerprints(spec)
-		obligations = proveTerritories(spec, starts, topo, maxID, opts.Workers)
-		checkCoverage(rep, spec, obligations)
-		mergeObligations(rep, obligations)
+		nodeFP = v.nodeFingerprints()
+		var err error
+		if obs, err = obligations(nodeFP, starts); err != nil {
+			return err
+		}
+		checkCoverage(rep, v, obs)
+		mergeObligations(rep, obs)
 	}
 
-	checkCPT(rep, spec, plan)
+	checkCPT(rep, v, plan)
 	if plan != nil {
 		rep.Stats.CPTSets = plan.NumSets
 	}
 	if rep.Clean() && nodeFP != nil {
-		rep.Certificate = buildCertificate(spec, maxID, nodeFP, starts, obligations)
+		rep.Certificate = buildCertificate(v.spec, maxID, nodeFP, starts, obs)
 	}
-	return rep
+	return nil
 }
 
 // checkStructure verifies that every spec map key references an entity of
 // the graph. analysisio.Load guarantees this for well-formed files; an
-// in-memory spec (or a tampered artifact) may not.
-func checkStructure(rep *Report, spec *encoding.Spec) {
-	g := spec.Graph
-	for _, s := range sortedSites(spec.SiteAV) {
-		if len(g.SiteTargets(s)) == 0 {
-			rep.add("structure", "", siteName(g, s),
-				"addition value %d assigned to a call site that does not exist", spec.SiteAV[s])
-		}
+// in-memory spec (or a tampered artifact) may not. The view collected the
+// stray keys while reading the maps.
+func checkStructure(rep *Report, v *view) {
+	g := v.g
+	slices.SortFunc(v.straySiteAV, compareSites)
+	for _, s := range v.straySiteAV {
+		rep.add("structure", "", siteName(g, s),
+			"addition value %d assigned to a call site that does not exist", v.spec.SiteAV[s])
 	}
-	for _, e := range sortedEdges(spec.EdgeAV) {
-		if !g.HasEdge(e) {
-			rep.add("structure", "", siteName(g, e.Site()),
-				"per-edge addition value assigned to nonexistent edge to %s", nameOf(g, e.Callee))
-		}
+	slices.SortFunc(v.strayEdgeAV, compareEdges)
+	for _, e := range v.strayEdgeAV {
+		rep.add("structure", "", siteName(g, e.Site()),
+			"per-edge addition value assigned to nonexistent edge to %s", nameOf(g, e.Callee))
 	}
-	for _, n := range sortedNodes(spec.Anchors) {
-		if n < 0 || int(n) >= g.NumNodes() {
-			rep.add("structure", fmt.Sprintf("node#%d", n), "", "anchor is not a node of the graph")
-		}
+	slices.Sort(v.strayAnchors)
+	for _, n := range v.strayAnchors {
+		rep.add("structure", fmt.Sprintf("node#%d", n), "", "anchor is not a node of the graph")
 	}
 }
 
@@ -249,84 +275,138 @@ func checkStructure(rep *Report, spec *encoding.Spec) {
 // that every cyclic step starts a piece with its own reserved width
 // (Algorithm 2's handling of PCCE recursion). It reports whether the push
 // set is trustworthy enough for the interval checks to proceed.
-func checkPushEdges(rep *Report, spec *encoding.Spec) bool {
-	g := spec.Graph
+func checkPushEdges(rep *Report, v *view) bool {
+	spec, g := v.spec, v.g
+	type finding struct {
+		e callgraph.Edge
+		d Diagnostic
+	}
+	var bad []finding
 	ok := true
-	for _, e := range sortedPushEdges(spec.Push) {
-		kind := spec.Push[e]
-		if !g.HasEdge(e) {
-			rep.add("structure", "", siteName(g, e.Site()),
+	for e, kind := range spec.Push {
+		var d Diagnostic
+		switch {
+		case v.edgeIndex(e) < 0:
+			d = diag("structure", "", siteName(g, e.Site()),
 				"push edge to %s does not exist in the graph", nameOf(g, e.Callee))
 			ok = false
-			continue
-		}
-		switch kind {
-		case encoding.PieceRecursion:
-			if !spec.Anchors[e.Callee] {
-				rep.add("recursion-anchored", nameOf(g, e.Callee), siteName(g, e.Site()),
-					"recursive edge target is not an anchor: the cycle through this edge has no piece boundary")
+		case kind == encoding.PieceRecursion:
+			if v.isAnchor(int32(e.Callee)) {
+				continue
 			}
-		case encoding.PiecePruned:
+			d = diag("recursion-anchored", nameOf(g, e.Callee), siteName(g, e.Site()),
+				"recursive edge target is not an anchor: the cycle through this edge has no piece boundary")
+		case kind == encoding.PiecePruned:
 			// Pruned edges may target any node; decoding from an arbitrary
 			// start is sound whenever the anchor-rooted intervals are.
+			continue
 		default:
-			rep.add("push-kind", "", siteName(g, e.Site()),
+			d = diag("push-kind", "", siteName(g, e.Site()),
 				"push edge to %s has kind %v; only recursion/pruned edges start pieces",
 				nameOf(g, e.Callee), kind)
 			ok = false
 		}
+		bad = append(bad, finding{e, d})
+	}
+	slices.SortFunc(bad, func(a, b finding) int { return compareEdges(a.e, b.e) })
+	for _, f := range bad {
+		rep.Findings = append(rep.Findings, f.d)
 	}
 	return ok
 }
 
 // reportForwardCycle names one cycle of the forward graph: a strongly
 // connected component not broken by any push edge.
-func reportForwardCycle(rep *Report, spec *encoding.Spec) {
-	g := spec.Graph
-	push := pushEdgeSet(spec)
-	// SCC over the forward graph: collapse using only non-push edges by
-	// checking components of the full graph won't do (push edges may link
-	// them), so run a small Tarjan-equivalent via Kosaraju on filtered
-	// edges. Graphs here are small; simplicity over speed.
-	comp := forwardSCC(g, push)
-	bySize := map[int][]callgraph.NodeID{}
-	for n, c := range comp {
-		bySize[c] = append(bySize[c], callgraph.NodeID(n))
+func reportForwardCycle(rep *Report, v *view) {
+	comp, count := v.forwardSCC()
+	members := make([][]int32, count)
+	for u, c := range comp {
+		members[c] = append(members[c], int32(u))
 	}
-	keys := make([]int, 0, len(bySize))
-	for c := range bySize {
-		keys = append(keys, c)
-	}
-	sort.Ints(keys)
-	for _, c := range keys {
-		members := bySize[c]
-		if len(members) < 2 && !hasForwardSelfLoop(g, push, members[0]) {
+	for _, ms := range members {
+		if len(ms) < 2 && !v.forwardSelfLoop(ms[0]) {
 			continue
 		}
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 		names := make([]string, 0, 5)
-		for i, m := range members {
+		for i, m := range ms {
 			if i == 5 {
 				names = append(names, "...")
 				break
 			}
-			names = append(names, nameOf(g, m))
+			names = append(names, nameOf(v.g, callgraph.NodeID(m)))
 		}
 		rep.add("forward-acyclic", names[0], "",
 			"cycle not broken by any recursion push edge: {%s} — decoding cannot terminate",
-			joinNames(names))
+			strings.Join(names, ", "))
 		return // one witness cycle is enough; the finding is structural
 	}
 	rep.add("forward-acyclic", "", "", "forward graph is cyclic")
 }
 
-func hasForwardSelfLoop(g *callgraph.Graph, push map[callgraph.Edge]bool, n callgraph.NodeID) bool {
-	for _, e := range g.Out(n) {
-		if e.Callee == n && !push[e] {
+func (v *view) forwardSelfLoop(u int32) bool {
+	for e := v.outStart[u]; e < v.outStart[u+1]; e++ {
+		if v.callee[e] == u && v.push[e] == 0 {
 			return true
 		}
 	}
 	return false
+}
+
+// forwardSCC numbers the strongly connected components of the forward
+// (non-push) graph by iterative Kosaraju and returns the numbering and the
+// component count.
+func (v *view) forwardSCC() ([]int32, int) {
+	order := make([]int32, 0, v.n)
+	seen := make([]bool, v.n)
+	type frame struct{ u, e int32 }
+	for s := 0; s < v.n; s++ {
+		if seen[s] {
+			continue
+		}
+		seen[s] = true
+		stack := []frame{{int32(s), v.outStart[s]}}
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			if f.e == v.outStart[f.u+1] {
+				order = append(order, f.u)
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			e := f.e
+			f.e++
+			if c := v.callee[e]; v.push[e] == 0 && !seen[c] {
+				seen[c] = true
+				stack = append(stack, frame{c, v.outStart[c]})
+			}
+		}
+	}
+	// Transpose pass in reverse finishing order.
+	comp := make([]int32, v.n)
+	for i := range comp {
+		comp[i] = -1
+	}
+	count := 0
+	var work []int32
+	for i := len(order) - 1; i >= 0; i-- {
+		root := order[i]
+		if comp[root] != -1 {
+			continue
+		}
+		comp[root] = int32(count)
+		work = append(work[:0], root)
+		for len(work) > 0 {
+			u := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, c := range v.inCaller[v.inStart[u]:v.inStart[u+1]] {
+				if comp[c] == -1 {
+					comp[c] = int32(count)
+					work = append(work, c)
+				}
+			}
+		}
+		count++
+	}
+	return comp, count
 }
 
 // checkCoverage verifies that every node lies in at least one piece start's
@@ -334,17 +414,16 @@ func hasForwardSelfLoop(g *callgraph.Graph, push map[callgraph.Edge]bool, n call
 // space, so no piece ending there could ever decode (core.addOrphanAnchors
 // exists precisely to prevent this). Membership comes from the already-walked
 // territory obligations, so the DFS runs once per territory, not twice.
-func checkCoverage(rep *Report, spec *encoding.Spec, obs []territoryObligation) {
-	g := spec.Graph
-	covered := make([]bool, g.NumNodes())
+func checkCoverage(rep *Report, v *view, obs []territoryObligation) {
+	covered := make([]bool, v.n)
 	for _, ob := range obs {
 		for _, n := range ob.members {
 			covered[n] = true
 		}
 	}
-	for _, n := range g.Nodes() {
-		if !covered[n] {
-			rep.add("coverage", nameOf(g, n), "",
+	for n, ok := range covered {
+		if !ok {
+			rep.add("coverage", nameOf(v.g, callgraph.NodeID(n)), "",
 				"node is outside every piece start's territory: contexts ending here are undecodable")
 		}
 	}
@@ -352,7 +431,7 @@ func checkCoverage(rep *Report, spec *encoding.Spec, obs []territoryObligation) 
 
 // interval is one in-edge's claim on a node's encoding space: [av, av+width).
 type interval struct {
-	e     callgraph.Edge
+	k     int32 // the edge's position in the view's in-rows
 	av    uint64
 	width uint64
 }
@@ -372,60 +451,96 @@ type territoryObligation struct {
 	maxCap    uint64 // largest ICC, ≥1 (Stats.MaxCapacity is the max over all)
 }
 
-// proveTerritory is the injectivity core for one piece start: recompute
-// every territory node's inflated calling-context count (ICC) bottom-up
-// from the spec's addition values, and require the incoming intervals to be
-// pairwise disjoint with ICC their tight bound. Disjoint intervals make the
-// decoder's greedy rule — largest addition value not exceeding the
-// remaining ID — invert every path sum uniquely (Section 3.1); recomputing
-// ICC rather than trusting a stored one means a tampered addition value
-// cannot hide.
-func proveTerritory(spec *encoding.Spec, start callgraph.NodeID,
-	topo []callgraph.NodeID, maxID uint64) territoryObligation {
+// prover is one worker's scratch for territory proofs. Membership and ICC
+// are arrays over all nodes, stamped per territory rather than cleared, so
+// a proof touches only its own members.
+type prover struct {
+	v     *view
+	maxID uint64
+	// member[u] and expanded[u] equal the current territory's stamp iff u
+	// is a member, and a member whose out-edges the walk followed.
+	member   []int32
+	expanded []int32
+	icc      []uint64 // ICC of the members proven so far
+	work     []int32
+	ranks    []int32
+	in       []interval
+}
 
-	g := spec.Graph
-	ob := territoryObligation{start: start, maxCap: 1}
-	sub := &Report{}
-	nodes, edges := territory(spec, start)
-	icc := make(map[callgraph.NodeID]uint64, len(nodes))
-	icc[start] = 1
-	for _, n := range topo {
-		if n == start || !nodes[n] {
+func (v *view) newProver(maxID uint64) *prover {
+	return &prover{v: v, maxID: maxID,
+		member: make([]int32, v.n), expanded: make([]int32, v.n), icc: make([]uint64, v.n)}
+}
+
+// prove is the injectivity core for one piece start: recompute every
+// territory node's inflated calling-context count (ICC) bottom-up from the
+// spec's addition values, and require the incoming intervals to be pairwise
+// disjoint with ICC their tight bound. Disjoint intervals make the decoder's
+// greedy rule — largest addition value not exceeding the remaining ID —
+// invert every path sum uniquely (Section 3.1); recomputing ICC rather than
+// trusting a stored one means a tampered addition value cannot hide.
+//
+// stamp must differ from every stamp this prover used before.
+func (p *prover) prove(start callgraph.NodeID, stamp int32) territoryObligation {
+	v, g := p.v, p.v.g
+	s := int32(start)
+
+	// The territory is the bounded DFS of Section 3.2: traversal retreats
+	// at other anchors (which still belong to the territory as its
+	// boundary) and never crosses push edges — the same walk the decoder
+	// and core.identifyTerritories use.
+	p.member[s] = stamp
+	p.ranks = append(p.ranks[:0], v.rank[s])
+	p.work = append(p.work[:0], s)
+	for len(p.work) > 0 {
+		u := p.work[len(p.work)-1]
+		p.work = p.work[:len(p.work)-1]
+		if u != s && v.isAnchor(u) {
 			continue
 		}
-		var in []interval
-		for _, e := range g.In(n) {
-			if !edges[e] {
-				continue
+		p.expanded[u] = stamp
+		for e := v.outStart[u]; e < v.outStart[u+1]; e++ {
+			if c := v.callee[e]; v.push[e] == 0 && p.member[c] != stamp {
+				p.member[c] = stamp
+				p.ranks = append(p.ranks, v.rank[c])
+				p.work = append(p.work, c)
 			}
-			w, ok := icc[e.Caller]
-			if !ok {
-				// Caller is a boundary anchor of this territory: paths
-				// within the piece do not continue through it, so the
-				// edge contributes no range here.
-				continue
-			}
-			in = append(in, interval{e: e, av: spec.AV(e), width: w})
 		}
-		if len(in) == 0 {
-			continue // territory-boundary anchor: in-territory in-edges all retreat
+	}
+	slices.Sort(p.ranks)
+	ob := territoryObligation{start: start, maxCap: 1, members: make([]callgraph.NodeID, len(p.ranks))}
+	for i, r := range p.ranks {
+		ob.members[i] = callgraph.NodeID(v.topo[r])
+	}
+	slices.Sort(ob.members)
+
+	// Members in forward topological order, so every caller's ICC is final
+	// before its callees read it. Only in-edges whose caller the walk
+	// expanded — the start or a non-anchor member — carry a range here.
+	sub := &Report{}
+	p.icc[s] = 1
+	for _, r := range p.ranks {
+		n := v.topo[r]
+		if n == s {
+			continue
 		}
-		sort.Slice(in, func(i, j int) bool {
-			if in[i].av != in[j].av {
-				return in[i].av < in[j].av
+		in := p.in[:0]
+		for k := v.inStart[n]; k < v.inStart[n+1]; k++ {
+			if c := v.inCaller[k]; p.expanded[c] == stamp {
+				in = append(in, interval{k: k, av: v.inAV[k], width: p.icc[c]})
 			}
-			return less(in[i].e, in[j].e)
-		})
+		}
+		p.in = in
 		ob.intervals += len(in)
 		nodeOK := true
 		var iccN uint64
 		for i, iv := range in {
-			if iv.av > maxID-iv.width {
-				sub.add("capacity", nameOf(g, n), siteName(g, iv.e.Site()),
+			if iv.av > p.maxID-iv.width {
+				sub.add("capacity", nameOf(g, callgraph.NodeID(n)), siteName(g, v.site(v.inEdges[iv.k])),
 					"piece capacity overflows the integer limit: addition value %d + width %d > %d (territory of %s)",
-					iv.av, iv.width, maxID, nameOf(g, start))
+					iv.av, iv.width, p.maxID, nameOf(g, start))
 				nodeOK = false
-				iccN = maxID // clamp so downstream arithmetic stays defined
+				iccN = p.maxID // clamp so downstream arithmetic stays defined
 				continue
 			}
 			if end := iv.av + iv.width; end > iccN {
@@ -434,15 +549,15 @@ func proveTerritory(spec *encoding.Spec, start callgraph.NodeID,
 			if i+1 < len(in) {
 				next := in[i+1]
 				if gap := next.av - iv.av; gap < iv.width {
-					sub.add("intervals", nameOf(g, n), siteName(g, iv.e.Site()),
+					sub.add("intervals", nameOf(g, callgraph.NodeID(n)), siteName(g, v.site(v.inEdges[iv.k])),
 						"in-edge ranges overlap in territory of %s: [%d,%d) from %s collides with [%d,...) from %s — two paths share an encoding",
-						nameOf(g, start), iv.av, iv.av+iv.width, nameOf(g, iv.e.Caller),
-						next.av, nameOf(g, next.e.Caller))
+						nameOf(g, start), iv.av, iv.av+iv.width, nameOf(g, callgraph.NodeID(v.inCaller[iv.k])),
+						next.av, nameOf(g, callgraph.NodeID(v.inCaller[next.k])))
 					nodeOK = false
 				}
 			}
 		}
-		icc[n] = iccN
+		p.icc[n] = iccN
 		if iccN > ob.maxCap {
 			ob.maxCap = iccN
 		}
@@ -457,7 +572,6 @@ func proveTerritory(spec *encoding.Spec, start callgraph.NodeID,
 			ob.holes += iccN - used
 		}
 	}
-	ob.members = sortedNodes(nodes)
 	ob.findings = sub.Findings
 	return ob
 }
@@ -465,16 +579,15 @@ func proveTerritory(spec *encoding.Spec, start callgraph.NodeID,
 // proveTerritories runs every obligation, optionally across a worker pool.
 // The result slice is indexed like starts, so the merge order — and with it
 // every rendered byte of the report — is identical for any worker count.
-func proveTerritories(spec *encoding.Spec, starts []callgraph.NodeID,
-	topo []callgraph.NodeID, maxID uint64, workers int) []territoryObligation {
-
+func (v *view) proveTerritories(starts []callgraph.NodeID, maxID uint64, workers int) []territoryObligation {
 	obs := make([]territoryObligation, len(starts))
 	if workers > len(starts) {
 		workers = len(starts)
 	}
 	if workers <= 1 {
+		p := v.newProver(maxID)
 		for i, s := range starts {
-			obs[i] = proveTerritory(spec, s, topo, maxID)
+			obs[i] = p.prove(s, int32(i+1))
 		}
 		return obs
 	}
@@ -484,12 +597,13 @@ func proveTerritories(spec *encoding.Spec, starts []callgraph.NodeID,
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			p := v.newProver(maxID)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(starts) {
 					return
 				}
-				obs[i] = proveTerritory(spec, starts[i], topo, maxID)
+				obs[i] = p.prove(starts[i], int32(i+1))
 			}
 		}()
 	}
@@ -516,27 +630,24 @@ func mergeObligations(rep *Report, obs []territoryObligation) {
 // must assign every dispatch target of a site the same value, or the
 // runtime's single addition at the site is wrong for some target — exactly
 // the dispatch conflict DeltaPath's CAV/ICC machinery eliminates.
-func checkVirtualAV(rep *Report, spec *encoding.Spec) {
-	g := spec.Graph
-	if !spec.PerEdge {
-		if len(spec.EdgeAV) > 0 {
+func checkVirtualAV(rep *Report, v *view) {
+	g := v.g
+	if !v.spec.PerEdge {
+		if len(v.spec.EdgeAV) > 0 {
 			rep.add("virtual-site-av", "", "",
 				"spec carries %d per-edge addition values but is not per-edge: values would be silently ignored",
-				len(spec.EdgeAV))
+				len(v.spec.EdgeAV))
 		}
 		return
 	}
-	for _, s := range g.Sites() {
-		targets := g.SiteTargets(s)
-		if len(targets) < 2 {
-			continue
-		}
-		want := spec.EdgeAV[targets[0]]
+	for k := 0; k < v.numSites(); k++ {
+		targets := v.targets(k)
+		want := v.av[targets[0]]
 		for _, e := range targets[1:] {
-			if got := spec.EdgeAV[e]; got != want {
-				rep.add("virtual-site-av", "", siteName(g, s),
+			if got := v.av[e]; got != want {
+				rep.add("virtual-site-av", "", siteName(g, v.site(e)),
 					"dispatch targets disagree on the addition value: %s gets %d, %s gets %d",
-					nameOf(g, targets[0].Callee), want, nameOf(g, e.Callee), got)
+					nameOf(g, callgraph.NodeID(v.callee[targets[0]])), want, nameOf(g, callgraph.NodeID(v.callee[e])), got)
 			}
 		}
 	}
@@ -546,177 +657,55 @@ func checkVirtualAV(rep *Report, spec *encoding.Spec) {
 // rules: one dense SID per node, and every call site carries the one SID
 // all of its dispatch targets share — the comparison the runtime makes at
 // every function entry (Section 4.1).
-func checkCPT(rep *Report, spec *encoding.Spec, plan *cpt.Plan) {
+func checkCPT(rep *Report, v *view, plan *cpt.Plan) {
 	if plan == nil {
 		return
 	}
-	g := spec.Graph
-	if len(plan.SID) != g.NumNodes() {
-		rep.add("cpt-sids", "", "", "SID table has %d entries for %d nodes", len(plan.SID), g.NumNodes())
+	g := v.g
+	if len(plan.SID) != v.n {
+		rep.add("cpt-sids", "", "", "SID table has %d entries for %d nodes", len(plan.SID), v.n)
 		return
 	}
-	for _, n := range g.Nodes() {
-		if sid := plan.SID[n]; sid < 0 || int(sid) >= plan.NumSets {
-			rep.add("cpt-sids", nameOf(g, n), "", "SID %d outside [0,%d)", sid, plan.NumSets)
+	for n, sid := range plan.SID {
+		if sid < 0 || int(sid) >= plan.NumSets {
+			rep.add("cpt-sids", nameOf(g, callgraph.NodeID(n)), "", "SID %d outside [0,%d)", sid, plan.NumSets)
 		}
 	}
-	for _, s := range sortedSites(plan.Expected) {
-		if len(g.SiteTargets(s)) == 0 {
-			rep.add("cpt-closure", "", siteName(g, s), "expectation recorded for a call site that does not exist")
+	// Each site's expectation, located by one walk of the map; an
+	// expectation for a site the graph lacks is reported first.
+	want := make([]int32, v.numSites())
+	has := make([]bool, v.numSites())
+	var dangling []callgraph.Site
+	for s, sid := range plan.Expected {
+		if k := v.siteIndex(s); k >= 0 {
+			want[k], has[k] = sid, true
+		} else {
+			dangling = append(dangling, s)
 		}
 	}
-	for _, s := range g.Sites() {
-		targets := g.SiteTargets(s)
-		if len(targets) == 0 {
-			continue
-		}
-		want, ok := plan.Expected[s]
-		if !ok {
+	slices.SortFunc(dangling, compareSites)
+	for _, s := range dangling {
+		rep.add("cpt-closure", "", siteName(g, s), "expectation recorded for a call site that does not exist")
+	}
+	for k := 0; k < v.numSites(); k++ {
+		targets := v.targets(k)
+		s := v.site(targets[0])
+		if !has[k] {
 			rep.add("cpt-closure", "", siteName(g, s),
 				"call site has no saved SID expectation: hazardous unexpected call paths through it are undetectable")
 			continue
 		}
 		for _, e := range targets {
-			if plan.SID[e.Callee] != want {
-				rep.add("cpt-closure", nameOf(g, e.Callee), siteName(g, s),
+			if sid := plan.SID[v.callee[e]]; sid != want[k] {
+				rep.add("cpt-closure", nameOf(g, callgraph.NodeID(v.callee[e])), siteName(g, s),
 					"dispatch target carries SID %d but the site expects %d: the sets are not merged",
-					plan.SID[e.Callee], want)
+					sid, want[k])
 			}
 		}
 	}
 }
 
 // --- helpers ---
-
-// pieceStarts returns the nodes at which pieces begin — the entry plus
-// every anchor — in increasing node order.
-func pieceStarts(spec *encoding.Spec) []callgraph.NodeID {
-	seen := make(map[callgraph.NodeID]bool, len(spec.Anchors)+1)
-	if entry, ok := spec.Graph.Entry(); ok {
-		seen[entry] = true
-	}
-	for n := range spec.Anchors {
-		if n >= 0 && int(n) < spec.Graph.NumNodes() {
-			seen[n] = true
-		}
-	}
-	return sortedNodes(seen)
-}
-
-func pushEdgeSet(spec *encoding.Spec) map[callgraph.Edge]bool {
-	set := make(map[callgraph.Edge]bool, len(spec.Push))
-	for e := range spec.Push {
-		set[e] = true
-	}
-	return set
-}
-
-// territory computes the nodes and edges reachable from start by the
-// bounded DFS of Section 3.2: traversal retreats at other anchors (which
-// still belong to the territory as its boundary) and never crosses push
-// edges — the same walk the decoder and core.identifyTerritories use.
-func territory(spec *encoding.Spec, start callgraph.NodeID) (map[callgraph.NodeID]bool, map[callgraph.Edge]bool) {
-	g := spec.Graph
-	nodes := map[callgraph.NodeID]bool{start: true}
-	edges := make(map[callgraph.Edge]bool)
-	work := []callgraph.NodeID{start}
-	for len(work) > 0 {
-		v := work[len(work)-1]
-		work = work[:len(work)-1]
-		if v != start && spec.Anchors[v] {
-			continue // boundary anchor: belongs to the territory, not traversed
-		}
-		for _, e := range g.Out(v) {
-			if _, pushed := spec.Push[e]; pushed {
-				continue
-			}
-			edges[e] = true
-			if !nodes[e.Callee] {
-				nodes[e.Callee] = true
-				work = append(work, e.Callee)
-			}
-		}
-	}
-	return nodes, edges
-}
-
-func territoryNodes(spec *encoding.Spec, start callgraph.NodeID) []callgraph.NodeID {
-	nodes, _ := territory(spec, start)
-	return sortedNodes(nodes)
-}
-
-// forwardSCC returns component numbers over the graph restricted to
-// non-push edges (iterative Kosaraju; graphs are analysis-sized).
-func forwardSCC(g *callgraph.Graph, push map[callgraph.Edge]bool) []int {
-	n := g.NumNodes()
-	order := make([]callgraph.NodeID, 0, n)
-	seen := make([]bool, n)
-	type frame struct {
-		v  callgraph.NodeID
-		ei int
-	}
-	for s := 0; s < n; s++ {
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		stack := []frame{{v: callgraph.NodeID(s)}}
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			advanced := false
-			out := g.Out(f.v)
-			for f.ei < len(out) {
-				e := out[f.ei]
-				f.ei++
-				if push[e] || seen[e.Callee] {
-					continue
-				}
-				seen[e.Callee] = true
-				stack = append(stack, frame{v: e.Callee})
-				advanced = true
-				break
-			}
-			if !advanced {
-				order = append(order, f.v)
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	// Transpose pass in reverse finishing order.
-	rin := make([][]callgraph.NodeID, n)
-	for _, id := range g.Nodes() {
-		for _, e := range g.Out(id) {
-			if !push[e] {
-				rin[e.Callee] = append(rin[e.Callee], e.Caller)
-			}
-		}
-	}
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	c := 0
-	for i := len(order) - 1; i >= 0; i-- {
-		root := order[i]
-		if comp[root] != -1 {
-			continue
-		}
-		work := []callgraph.NodeID{root}
-		comp[root] = c
-		for len(work) > 0 {
-			v := work[len(work)-1]
-			work = work[:len(work)-1]
-			for _, u := range rin[v] {
-				if comp[u] == -1 {
-					comp[u] = c
-					work = append(work, u)
-				}
-			}
-		}
-		c++
-	}
-	return comp
-}
 
 // nameOf is a bounds-checked g.Name: spec maps in a tampered in-memory
 // spec may reference node IDs the graph does not have, and diagnostics
@@ -732,59 +721,16 @@ func siteName(g *callgraph.Graph, s callgraph.Site) string {
 	return fmt.Sprintf("%s@%d", nameOf(g, s.Caller), s.Label)
 }
 
-func less(a, b callgraph.Edge) bool {
-	if a.Caller != b.Caller {
-		return a.Caller < b.Caller
+func compareSites(a, b callgraph.Site) int {
+	if c := cmp.Compare(a.Caller, b.Caller); c != 0 {
+		return c
 	}
-	if a.Label != b.Label {
-		return a.Label < b.Label
-	}
-	return a.Callee < b.Callee
+	return cmp.Compare(a.Label, b.Label)
 }
 
-func sortedNodes[V any](m map[callgraph.NodeID]V) []callgraph.NodeID {
-	out := make([]callgraph.NodeID, 0, len(m))
-	for n := range m {
-		out = append(out, n)
+func compareEdges(a, b callgraph.Edge) int {
+	if c := compareSites(a.Site(), b.Site()); c != 0 {
+		return c
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedSites[V any](m map[callgraph.Site]V) []callgraph.Site {
-	out := make([]callgraph.Site, 0, len(m))
-	for s := range m {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Caller != out[j].Caller {
-			return out[i].Caller < out[j].Caller
-		}
-		return out[i].Label < out[j].Label
-	})
-	return out
-}
-
-func sortedEdges[V any](m map[callgraph.Edge]V) []callgraph.Edge {
-	out := make([]callgraph.Edge, 0, len(m))
-	for e := range m {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
-	return out
-}
-
-func sortedPushEdges(m map[callgraph.Edge]encoding.PieceKind) []callgraph.Edge {
-	return sortedEdges(m)
-}
-
-func joinNames(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
+	return cmp.Compare(a.Callee, b.Callee)
 }

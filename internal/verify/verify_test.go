@@ -193,22 +193,29 @@ func TestDetectsVirtualAVDisagreement(t *testing.T) {
 }
 
 // TestDetectsCoverageHole: a node outside every piece start's territory
-// has no decodable encoding space.
+// has no decodable encoding space. An anchor key set to false marks no
+// anchor — the decoder never starts a piece there — so it must not cover
+// the orphan either.
 func TestDetectsCoverageHole(t *testing.T) {
 	g := callgraph.New()
 	main := g.AddNode("app.Main.main", false)
-	g.AddNode("app.Orphan.run", false) // no in-edges, not an anchor
+	orphan := g.AddNode("app.Orphan.run", false) // no in-edges, not an anchor
 	g.SetEntry(main)
-	spec := &encoding.Spec{
-		Graph:   g,
-		SiteAV:  map[callgraph.Site]uint64{},
-		EdgeAV:  map[callgraph.Edge]uint64{},
-		Push:    map[callgraph.Edge]encoding.PieceKind{},
-		Anchors: map[callgraph.NodeID]bool{},
-	}
-	rep := Check(spec, nil, Options{})
-	if !hasCheck(rep, "coverage") {
-		t.Fatalf("expected coverage finding, got:\n%s", rep.Text())
+	for _, anchors := range []map[callgraph.NodeID]bool{{}, {orphan: false}} {
+		spec := &encoding.Spec{
+			Graph:   g,
+			SiteAV:  map[callgraph.Site]uint64{},
+			EdgeAV:  map[callgraph.Edge]uint64{},
+			Push:    map[callgraph.Edge]encoding.PieceKind{},
+			Anchors: anchors,
+		}
+		rep := Check(spec, nil, Options{})
+		if !hasCheck(rep, "coverage") {
+			t.Fatalf("anchors %v: expected coverage finding, got:\n%s", anchors, rep.Text())
+		}
+		if rep.Stats.PieceStarts != 1 {
+			t.Errorf("anchors %v: %d piece starts, want the entry alone", anchors, rep.Stats.PieceStarts)
+		}
 	}
 }
 
