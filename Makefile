@@ -28,11 +28,14 @@ test-shuffle:
 # counts under -short). The analysis engine's differential tests run again
 # at GOMAXPROCS 1 and 4: default Options on a 1-CPU host run the engine
 # with a single worker. The verifier's oracle differentials and delta tests,
-# which prove on 1 and 2 workers, run again at GOMAXPROCS 1 and 2.
+# which prove on 1 and 2 workers, run again at GOMAXPROCS 1 and 2. The
+# compiled decoder's tests, whose goroutines race to publish a territory
+# row on first decode, run again at GOMAXPROCS 1 and 4.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -short -cpu 1,4 -run TestParallel ./internal/core
 	$(GO) test -race -short -cpu 1,2 -run 'MatchesOracle|TestCheckDelta' ./internal/verify
+	$(GO) test -race -short -cpu 1,4 -run TestCompiled ./internal/encoding
 
 # Full fault-injection suite: ≥1000 seeded runs over the workload corpus,
 # every injected fault detected and healed (see internal/chaos). Includes

@@ -1,6 +1,7 @@
 // Decode-path benchmarks: the legacy map-based decoder vs the compiled
-// flat-table decoder on identical context sets, plus the encoder's per-event
-// cost through the ref-keyed (map) and dense (slice-index) probe interfaces.
+// flat-table decoder on identical context sets, the cost of compiling the
+// flat tables, plus the encoder's per-event cost through the ref-keyed (map)
+// and dense (slice-index) probe interfaces.
 // `dpbench -experiment decode` measures the same ratio end to end; these
 // go-bench forms are the developer-loop spelling.
 package deltapath
@@ -10,8 +11,11 @@ import (
 	"testing"
 
 	"deltapath/internal/callgraph"
+	"deltapath/internal/cha"
+	"deltapath/internal/core"
 	"deltapath/internal/encoding"
 	"deltapath/internal/instrument"
+	"deltapath/internal/workload"
 )
 
 // benchContext is one sampled decode input.
@@ -81,28 +85,84 @@ func BenchmarkDecodeLegacy(b *testing.B) {
 }
 
 // BenchmarkDecodeCompiled measures the compiled flat-table decoder on the
-// same contexts, through the allocation-free DecodeInto batch loop.
+// same contexts, through the allocation-free DecodeInto batch loop, and on
+// dynload.mv, whose contexts include UCP pieces starting at nodes without a
+// compiled territory row (the warm-up pass publishes theirs).
 func BenchmarkDecodeCompiled(b *testing.B) {
-	an, ctxs := collectDecodeContexts(b, "testdata/recursion.mv")
-	dec := an.epoch().decoder
-	var buf []encoding.Frame
-	var err error
-	for _, c := range ctxs { // warm the scratch pool and buffer
-		if buf, err = dec.DecodeInto(buf, c.st, c.end); err != nil {
+	for _, name := range []string{"recursion", "dynload"} {
+		b.Run(name, func(b *testing.B) {
+			an, ctxs := collectDecodeContexts(b, "testdata/"+name+".mv")
+			dec := an.epoch().decoder
+			var buf []encoding.Frame
+			var err error
+			for _, c := range ctxs { // warm the scratch pool, buffer and rows
+				if buf, err = dec.DecodeInto(buf, c.st, c.end); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, c := range ctxs {
+					if buf, err = dec.DecodeInto(buf, c.st, c.end); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(ctxs))), "ns/context")
+		})
+	}
+}
+
+// compiledSink keeps BenchmarkCompile's result live.
+var compiledSink *encoding.CompiledDecoder
+
+// BenchmarkCompile times encoding.Compile — the CSR rows plus the territory
+// rows of the statically known piece starts — on three suite programs and
+// the 50k-node huge smoke tier.
+func BenchmarkCompile(b *testing.B) {
+	for _, name := range []string{"mpegaudio", "crypto.rsa", "sunflow", "huge-50k"} {
+		spec := compileBenchSpec(b, name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				compiledSink = encoding.Compile(spec)
+			}
+		})
+	}
+}
+
+// compileBenchSpec encodes a suite program's graph (the settings Analyze
+// uses) or, for "huge-50k", the 50k-node huge smoke tier.
+func compileBenchSpec(b *testing.B, name string) *encoding.Spec {
+	b.Helper()
+	var g *callgraph.Graph
+	if name == "huge-50k" {
+		var err error
+		if g, err = workload.HugeSmoke(50_000).Build(); err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range ctxs {
-			if buf, err = dec.DecodeInto(buf, c.st, c.end); err != nil {
-				b.Fatal(err)
-			}
+	} else {
+		p, ok := workload.ByName(name)
+		if !ok {
+			b.Fatalf("missing benchmark %s", name)
 		}
+		prog, err := p.Generate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		build, err := cha.Build(prog, cha.Options{Setting: cha.EncodingAll, KeepUnreachable: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		g = build.Graph
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(ctxs))), "ns/context")
+	res, err := core.Encode(g, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Spec
 }
 
 // fastEvent is one pre-resolved probe event for the dense replay.

@@ -201,18 +201,27 @@ func SaveEpoch(w io.Writer, spec *encoding.Spec, cptPlan *cpt.Plan, epoch uint64
 		}
 	}
 
-	// Spec.
+	// Spec. Each keyed section is its map's length followed by the keys met
+	// in site order, so a key that names no site or edge of the graph would
+	// leave the count above the entries and the file unloadable: such a key
+	// is refused once its section is written (w is then incomplete).
 	putBool(bw, spec.PerEdge)
 	putUvarint(bw, uint64(len(spec.SiteAV)))
+	written := 0
 	for _, s := range sites {
 		if av, ok := spec.SiteAV[s]; ok {
 			putUvarint(bw, uint64(s.Caller))
 			putUvarint(bw, uint64(s.Label))
 			putUvarint(bw, av)
+			written++
 		}
+	}
+	if written != len(spec.SiteAV) {
+		return danglingSite(g, "SiteAV", spec.SiteAV)
 	}
 	// Per-edge AVs (PCCE mode).
 	putUvarint(bw, uint64(len(spec.EdgeAV)))
+	written = 0
 	for _, s := range sites {
 		for _, e := range g.SiteTargets(s) {
 			if av, ok := spec.EdgeAV[e]; ok {
@@ -220,10 +229,15 @@ func SaveEpoch(w io.Writer, spec *encoding.Spec, cptPlan *cpt.Plan, epoch uint64
 				putUvarint(bw, uint64(e.Label))
 				putUvarint(bw, uint64(e.Callee))
 				putUvarint(bw, av)
+				written++
 			}
 		}
 	}
+	if written != len(spec.EdgeAV) {
+		return danglingEdge(g, "EdgeAV", spec.EdgeAV)
+	}
 	putUvarint(bw, uint64(len(spec.Push)))
+	written = 0
 	for _, s := range sites {
 		for _, e := range g.SiteTargets(s) {
 			if kind, ok := spec.Push[e]; ok {
@@ -231,8 +245,12 @@ func SaveEpoch(w io.Writer, spec *encoding.Spec, cptPlan *cpt.Plan, epoch uint64
 				putUvarint(bw, uint64(e.Label))
 				putUvarint(bw, uint64(e.Callee))
 				putUvarint(bw, uint64(kind))
+				written++
 			}
 		}
+	}
+	if written != len(spec.Push) {
+		return danglingEdge(g, "Push", spec.Push)
 	}
 	putUvarint(bw, uint64(anchors))
 	for _, id := range g.Nodes() {
@@ -252,15 +270,40 @@ func SaveEpoch(w io.Writer, spec *encoding.Spec, cptPlan *cpt.Plan, epoch uint64
 		}
 		putUvarint(bw, uint64(cptPlan.NumSets))
 		putUvarint(bw, uint64(len(cptPlan.Expected)))
+		written = 0
 		for _, s := range sites {
 			if sid, ok := cptPlan.Expected[s]; ok {
 				putUvarint(bw, uint64(s.Caller))
 				putUvarint(bw, uint64(s.Label))
 				putUvarint(bw, uint64(sid))
+				written++
 			}
+		}
+		if written != len(cptPlan.Expected) {
+			return danglingSite(g, "CPT Expected", cptPlan.Expected)
 		}
 	}
 	return bw.Flush()
+}
+
+// danglingSite names a key of m that is no call site of g.
+func danglingSite[V any](g *callgraph.Graph, section string, m map[callgraph.Site]V) error {
+	for s := range m {
+		if len(g.SiteTargets(s)) == 0 {
+			return fmt.Errorf("analysisio: %s key %v is not a call site of the graph", section, s)
+		}
+	}
+	return fmt.Errorf("analysisio: %s keys and call sites disagree", section)
+}
+
+// danglingEdge names a key of m that is no edge of g.
+func danglingEdge[V any](g *callgraph.Graph, section string, m map[callgraph.Edge]V) error {
+	for e := range m {
+		if !g.HasEdge(e) {
+			return fmt.Errorf("analysisio: %s key %+v is not an edge of the graph", section, e)
+		}
+	}
+	return fmt.Errorf("analysisio: %s keys and edges disagree", section)
 }
 
 // Load restores an analysis from r.

@@ -2,6 +2,7 @@ package analysisio
 
 import (
 	"bytes"
+	"maps"
 	"strings"
 	"testing"
 
@@ -134,6 +135,45 @@ func TestSaveAnchorKeys(t *testing.T) {
 	spec.Anchors[callgraph.NodeID(build.Graph.NumNodes())] = true
 	if err := Save(&bytes.Buffer{}, spec, nil); err == nil {
 		t.Fatal("Save accepted an anchor that is not a node")
+	}
+}
+
+// TestSaveRefusesDanglingKeys: a SiteAV, EdgeAV, Push or CPT Expected key
+// that names no site or edge of the graph is refused with an error naming
+// it, rather than written under a count the entries do not match (which
+// saved cleanly and then failed to load).
+func TestSaveRefusesDanglingKeys(t *testing.T) {
+	build, res, _ := roundTrip(t)
+	nodes := callgraph.NodeID(build.Graph.NumNodes())
+	site := callgraph.Site{Caller: 0, Label: 4242}
+	edge := callgraph.Edge{Caller: 0, Callee: nodes - 1, Label: 4242}
+	for _, c := range []struct {
+		name, key string
+		taint     func(*encoding.Spec, *cpt.Plan)
+	}{
+		{"SiteAV", site.String(), func(s *encoding.Spec, _ *cpt.Plan) { s.SiteAV[site] = 1 }},
+		{"EdgeAV", "Label:4242", func(s *encoding.Spec, _ *cpt.Plan) {
+			s.EdgeAV = map[callgraph.Edge]uint64{edge: 1}
+		}},
+		{"Push", "Label:4242", func(s *encoding.Spec, _ *cpt.Plan) { s.Push[edge] = encoding.PieceRecursion }},
+		{"CPT Expected", site.String(), func(_ *encoding.Spec, p *cpt.Plan) { p.Expected[site] = 0 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			spec := *res.Spec
+			spec.SiteAV = maps.Clone(res.Spec.SiteAV)
+			spec.Push = maps.Clone(res.Spec.Push)
+			plan := cpt.Compute(build.Graph)
+			c.taint(&spec, plan)
+			var buf bytes.Buffer
+			err := Save(&buf, &spec, plan)
+			if err == nil {
+				_, lerr := Load(&buf)
+				t.Fatalf("Save accepted a dangling %s key (Load: %v)", c.name, lerr)
+			}
+			if !strings.Contains(err.Error(), c.name+" key") || !strings.Contains(err.Error(), c.key) {
+				t.Fatalf("error %q does not name the %s key %s", err, c.name, c.key)
+			}
+		})
 	}
 }
 

@@ -2,8 +2,10 @@ package encoding
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"deltapath/internal/callgraph"
 	"deltapath/internal/obs"
@@ -12,7 +14,8 @@ import (
 // This file is the compiled decode path: Compile lowers a Spec into flat,
 // cache-friendly arrays — CSR in-edge rows sorted by descending AV, edge-
 // index bitsets for the anchor territories — built once and read-only
-// afterwards, so decoding needs no locks, no map lookups, and (through
+// afterwards (a territory row first needed at decode time is published once,
+// atomically), so decoding needs no locks, no map lookups, and (through
 // DecodeInto plus a pooled scratch arena) no steady-state allocations.
 // The legacy Decoder remains as the map-based reference implementation;
 // the differential tests and FuzzCompiledDecode hold the two byte-identical
@@ -31,11 +34,11 @@ var (
 	_ ContextDecoder = (*CompiledDecoder)(nil)
 )
 
-// CompiledDecoder decodes contexts from flat precomputed tables. Unlike the
-// legacy Decoder it has no mutable state at all after Compile returns —
-// every field is written once and only read afterwards — so it is safe for
-// unlimited concurrent use without any synchronization (the sync.Pool
-// scratch arena is internally concurrent).
+// CompiledDecoder decodes contexts from flat precomputed tables. Its only
+// mutable state after Compile returns is the territory row of a piece start
+// first seen at decode time, built once and published through an atomic
+// pointer, so it is safe for unlimited concurrent use without locks (the
+// sync.Pool scratch arena is internally concurrent).
 type CompiledDecoder struct {
 	spec     *Spec
 	numNodes int32
@@ -51,29 +54,27 @@ type CompiledDecoder struct {
 	inCaller []int32
 	inAV     []uint64
 
-	// Territory bitsets: bit inIdx[s] of a row is set iff slot s's edge is
-	// reachable from the row's node without leaving through another anchor
-	// (Section 3.2's bounded DFS, precomputed). Two storage modes:
+	// Territory bitsets, one slot per node: bit s of node v's row is set
+	// iff slot s's edge is reachable from v without leaving through another
+	// anchor (Section 3.2's bounded DFS). Compile fills the rows of the
+	// statically known piece starts (anchors, the entry, the context
+	// roots); any other start — a UCP resume point — gets its row from the
+	// same DFS on its first decode. published counts the rows published at
+	// decode time and is capped at built, the number Compile filled, so
+	// records naming arbitrary start nodes cannot grow the store past twice
+	// its compiled size; past the cap a row is built for one decode and
+	// dropped.
 	//
-	//   - eager (terr non-nil): one row per node, any piece start served
-	//     from the flat table. Chosen while V×⌈E/64⌉ words fit the
-	//     maxEagerTerritoryWords budget — every suite-scale graph.
-	//   - sparse (terrRows non-nil): rows only for the known piece starts
-	//     (anchors, the entry, context roots); an arbitrary UCP resume
-	//     point falls back to an on-the-fly DFS over the retained
-	//     out-CSR. At 10⁶ nodes the eager table would need hundreds of
-	//     gigabytes; the sparse rows need megabytes.
-	//
-	// Both nil when the spec has no anchors — then every edge qualifies
+	// rows is nil when the spec has no anchors — then every edge qualifies
 	// and the filter would be pure overhead, exactly the legacy
 	// territoryOf contract.
 	terrWords int32
-	terr      []uint64
-	terrRows  map[int32][]uint64
+	rows      []atomic.Pointer[[]uint64]
+	built     int32
+	published atomic.Int32
 
-	// Out-CSR of the non-push edges (counting-sorted from the in-rows),
-	// retained only in sparse mode for the fallback DFS; anchorBits is the
-	// retreat set.
+	// Out-CSR of the non-push edges, walked by the territory DFS;
+	// anchorBits is its retreat set.
 	outStart   []int32
 	outCallee  []int32
 	outIdx     []int32
@@ -85,9 +86,7 @@ type CompiledDecoder struct {
 
 	// Observability hooks (nil = no-op), registered under the same
 	// dp_decode_memo_* names as the legacy decoder: every table lookup is
-	// a hit. memoMisses stays zero in eager mode (the tables are
-	// precomputed, so the "memo" cannot miss) and counts sparse-mode
-	// fallback DFS runs for piece starts outside the precomputed set.
+	// a hit, and every territory row built at decode time is a miss.
 	memoHits   *obs.Counter
 	memoMisses *obs.Counter
 	frames     *obs.Histogram
@@ -109,8 +108,9 @@ type decodeScratch struct {
 }
 
 // Compile lowers spec into a CompiledDecoder. Cost is O(V + E log E) for
-// the CSR rows plus, only when the spec has anchors, O(V·E) for the
-// territory bitsets — paid once per analysis, amortized over every decode.
+// the CSR rows plus, only when the spec has anchors, one O(V + E) territory
+// DFS per statically known piece start — paid once per analysis, amortized
+// over every decode.
 func Compile(spec *Spec) *CompiledDecoder {
 	g := spec.Graph
 	n := g.NumNodes()
@@ -137,22 +137,9 @@ func Compile(spec *Spec) *CompiledDecoder {
 	return c
 }
 
-// Precompile is the Decoder-side spelling of Compile, for callers holding a
-// legacy decoder: both decode over the same spec.
-func (d *Decoder) Precompile() *CompiledDecoder { return Compile(d.spec) }
-
-// maxEagerTerritoryWords bounds the eager all-nodes territory table:
-// 8M words = 64 MB. Suite-scale graphs sit orders of magnitude below it;
-// the huge tier (10⁵–10⁶ nodes) switches to sparse piece-start rows. A var
-// so the differential tests can force sparse mode on small graphs.
-var maxEagerTerritoryWords = int64(8 << 20)
-
-// compileTerritories precomputes territory bitsets: the same bounded DFS
-// the legacy territoryOf memoizes lazily, stored as packed edge-index bits.
-// Under the eager budget every node gets a row (a piece start can be any
-// node — UCP pushes record arbitrary resume points); past it only the known
-// piece starts are precomputed and other starts fall back to an on-the-fly
-// DFS at decode time (see territory).
+// compileTerritories builds the out-CSR the territory DFS walks and fills the
+// rows of the piece starts known statically: every anchor, the entry, and the
+// context roots. Any other start is filled on first use (see territory).
 func (c *CompiledDecoder) compileTerritories() {
 	n := int(c.numNodes)
 	numEdges := len(c.inCaller)
@@ -183,38 +170,15 @@ func (c *CompiledDecoder) compileTerritories() {
 	}
 
 	anchors := make([]bool, n)
+	starts := make([]int32, 0, len(c.spec.Anchors)+4)
 	for a, on := range c.spec.Anchors {
 		if on && a >= 0 && int(a) < n {
 			anchors[a] = true
+			starts = append(starts, int32(a))
 		}
 	}
 	c.outStart, c.outCallee, c.outIdx, c.anchorBits = outStart, outCallee, outIdx, anchors
 
-	if int64(n)*int64(c.terrWords) <= maxEagerTerritoryWords {
-		c.terr = make([]uint64, n*int(c.terrWords))
-		seen := make([]int32, n)
-		for i := range seen {
-			seen[i] = -1
-		}
-		var work []int32
-		for start := 0; start < n; start++ {
-			bits := c.terr[start*int(c.terrWords) : (start+1)*int(c.terrWords)]
-			work = c.fillTerritory(int32(start), bits, seen, int32(start), work)
-		}
-		// Eager mode serves every start from the table; the fallback CSR
-		// is dead weight.
-		c.outStart, c.outCallee, c.outIdx, c.anchorBits = nil, nil, nil, nil
-		return
-	}
-
-	// Sparse mode: precompute the piece starts that occur in practice —
-	// every anchor, the entry, and the context roots.
-	starts := make([]int32, 0, len(c.spec.Anchors)+4)
-	for a, on := range c.spec.Anchors {
-		if on && a >= 0 && int(a) < n {
-			starts = append(starts, int32(a))
-		}
-	}
 	if e, ok := c.spec.Graph.Entry(); ok && int(e) < n {
 		starts = append(starts, int32(e))
 	}
@@ -223,26 +187,28 @@ func (c *CompiledDecoder) compileTerritories() {
 			starts = append(starts, int32(r))
 		}
 	}
-	c.terrRows = make(map[int32][]uint64, len(starts))
+	slices.Sort(starts)
+	starts = slices.Compact(starts)
+
+	// The compiled rows share one backing array and one header array.
+	words := int(c.terrWords)
+	bits := make([]uint64, len(starts)*words)
+	heads := make([][]uint64, len(starts))
 	seen := make([]int32, n)
-	for i := range seen {
-		seen[i] = -1
-	}
 	var work []int32
+	c.rows = make([]atomic.Pointer[[]uint64], n)
 	for i, start := range starts {
-		if _, dup := c.terrRows[start]; dup {
-			continue
-		}
-		bits := make([]uint64, c.terrWords)
-		work = c.fillTerritory(start, bits, seen, int32(i), work)
-		c.terrRows[start] = bits
+		heads[i] = bits[i*words : (i+1)*words : (i+1)*words]
+		work = c.fillTerritory(start, heads[i], seen, int32(i+1), work)
+		c.rows[start].Store(&heads[i])
 	}
+	c.built = int32(len(starts))
 }
 
 // fillTerritory runs the bounded territory DFS from start, setting the
 // dense edge-index bit of every edge inside the territory. seen is an
-// epoch-stamped visited array (epoch must be unique per call for a shared
-// array); work is the reusable stack, returned for reuse.
+// epoch-stamped visited array (epoch must be nonzero, and unique per call
+// for a shared array); work is the reusable stack, returned for reuse.
 func (c *CompiledDecoder) fillTerritory(start int32, bits []uint64, seen []int32, epoch int32, work []int32) []int32 {
 	seen[start] = epoch
 	work = append(work[:0], start)
@@ -267,8 +233,9 @@ func (c *CompiledDecoder) fillTerritory(start int32, bits []uint64, seen []int32
 
 // Observe resolves the compiled decoder's metric hooks from reg (nil
 // disables), under the same names as the legacy decoder's: one
-// dp_decode_memo_hits_total per table lookup (misses stay zero — the
-// tables are precomputed) and the decoded-context size histogram.
+// dp_decode_memo_hits_total per table lookup, one
+// dp_decode_memo_misses_total per territory row built at decode time, and
+// the decoded-context size histogram.
 func (c *CompiledDecoder) Observe(reg *obs.Registry) {
 	c.memoHits = reg.Counter(obs.MetricDecodeMemoHits)
 	c.memoMisses = reg.Counter(obs.MetricDecodeMemoMisses)
@@ -477,30 +444,35 @@ func (c *CompiledDecoder) pickEdge(n callgraph.NodeID, id uint64, terr []uint64)
 }
 
 // territory returns start's territory bitset row, or nil when the spec has
-// no anchors (no restriction — the legacy contract). In sparse mode a start
-// outside the precomputed piece-start set is served by a fresh bounded DFS:
-// correct for any node, allocating, and counted as a memo miss.
+// no anchors (no restriction — the legacy contract). A start without a row
+// gets one from a fresh bounded DFS, counted as a memo miss, and publishes
+// it unless the cap is reached: the count is reserved before the row is
+// swapped in and given back on a lost race, so it never passes built.
 func (c *CompiledDecoder) territory(start callgraph.NodeID) []uint64 {
-	if c.terr != nil {
-		c.memoHits.Inc()
-		w := int32(start) * c.terrWords
-		return c.terr[w : w+c.terrWords]
-	}
-	if c.terrRows == nil {
+	if c.rows == nil {
 		return nil
 	}
-	if row, ok := c.terrRows[int32(start)]; ok {
+	slot := &c.rows[start]
+	if row := slot.Load(); row != nil {
 		c.memoHits.Inc()
-		return row
+		return *row
 	}
 	c.memoMisses.Inc()
-	bits := make([]uint64, c.terrWords)
-	seen := make([]int32, c.numNodes)
-	for i := range seen {
-		seen[i] = -1
+	row := make([]uint64, c.terrWords)
+	c.fillTerritory(int32(start), row, make([]int32, c.numNodes), 1, nil)
+	for {
+		n := c.published.Load()
+		if n >= c.built {
+			return row
+		}
+		if c.published.CompareAndSwap(n, n+1) {
+			break
+		}
 	}
-	c.fillTerritory(int32(start), bits, seen, 0, nil)
-	return bits
+	if !slot.CompareAndSwap(nil, &row) {
+		c.published.Add(-1)
+	}
+	return row
 }
 
 // Spec returns the spec the decoder was compiled from.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"deltapath/internal/callgraph"
+	"deltapath/internal/obs"
 )
 
 // anchoredSpec is a fixture whose decode exercises every compiled table:
@@ -141,26 +142,24 @@ func TestCompiledTerritoryRestriction(t *testing.T) {
 	}
 }
 
-// TestCompiledSparseTerritories forces the huge-graph territory mode (rows
-// precomputed only for anchors/entry/roots, lazy DFS elsewhere) on the small
-// fixtures and holds it differential against the legacy decoder — including
-// UCP piece starts outside the precomputed set, which exercise the fallback.
+// TestCompiledSparseTerritories pins the territory store: Compile fills rows
+// only for the known piece starts (anchors, entry, roots), and a UCP piece
+// starting anywhere else builds its row on first decode — one counted miss —
+// and serves every later decode of that start from the published row. Both
+// stay differential against the legacy decoder.
 func TestCompiledSparseTerritories(t *testing.T) {
-	defer func(old int64) { maxEagerTerritoryWords = old }(maxEagerTerritoryWords)
-	maxEagerTerritoryWords = 0
-
 	spec, ids := anchoredSpec()
 	legacy := NewDecoder(spec)
 	compiled := Compile(spec)
-	if compiled.terr != nil || compiled.terrRows == nil {
-		t.Fatal("sparse mode did not engage")
-	}
+	reg := obs.NewRegistry()
+	compiled.Observe(reg)
+	misses := reg.Counter(obs.MetricDecodeMemoMisses)
 	for _, want := range []string{"a", "b", "d"} {
-		if _, ok := compiled.terrRows[int32(ids[want])]; !ok {
+		if compiled.rows[ids[want]].Load() == nil {
 			t.Errorf("piece start %q missing a precomputed row", want)
 		}
 	}
-	if _, ok := compiled.terrRows[int32(ids["c"])]; ok {
+	if compiled.rows[ids["c"]].Load() != nil {
 		t.Error("non-piece-start c should not be precomputed")
 	}
 	for _, endName := range []string{"a", "b", "c", "d"} {
@@ -172,35 +171,118 @@ func TestCompiledSparseTerritories(t *testing.T) {
 		}
 	}
 	// Anchor piece start (precomputed row) and a UCP resume at c, which has
-	// no precomputed row and must fall back to the on-the-fly DFS.
+	// no precomputed row and must build one on first use.
 	st := NewState(ids["a"])
 	st.Add(1)
 	st.PushAnchor(ids["b"])
 	assertDifferential(t, legacy, compiled, st, ids["b"])
-	ucp := NewState(ids["a"])
-	ucp.PushUCP(callgraph.Site{Caller: ids["a"], Label: 1}, 0, ids["a"], ids["c"])
+	if got := misses.Value(); got != 0 {
+		t.Fatalf("precomputed starts counted %d misses", got)
+	}
+	ucp := ucpAtC(ids)
 	assertDifferential(t, legacy, compiled, ucp, ids["d"])
-	if compiled.memoMisses != nil && compiled.memoMisses.Value() == 0 {
-		t.Error("UCP start at c should have counted a sparse fallback miss")
+	first := misses.Value()
+	if first != 1 {
+		t.Fatalf("UCP start at c counted %d misses, want one row build", first)
 	}
+	if compiled.rows[ids["c"]].Load() == nil {
+		t.Fatal("UCP start at c did not publish its row")
+	}
+	assertDifferential(t, legacy, compiled, ucp, ids["d"])
+	if got := misses.Value(); got != first {
+		t.Errorf("second decode of the UCP start at c added %d misses", got-first)
+	}
+}
 
-	// The fallback allocates private state only — shared use stays race-free.
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf []Frame
-			for round := 0; round < 50; round++ {
-				var err error
-				if buf, err = compiled.DecodeInto(buf, ucp, ids["d"]); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
+// ucpAtC is an anchoredSpec state whose live piece is a UCP resume at c,
+// the one node of the fixture with no precomputed territory row.
+func ucpAtC(ids map[string]callgraph.NodeID) *State {
+	st := NewState(ids["a"])
+	st.PushUCP(callgraph.Site{Caller: ids["a"], Label: 1}, 0, ids["a"], ids["c"])
+	return st
+}
+
+// chainSpec is a ladder a0 → a1 → … → a(n-1) (label 0, AV 0) with skip
+// edges a(i) → a(i+2) (label 1, AV 1) and anchors at a3 and a7: three
+// precomputed rows (entry and anchors) against nine other nodes, so
+// decoding from every node overflows the cap on rows published at decode
+// time.
+func chainSpec() (*Spec, []callgraph.NodeID) {
+	const n = 12
+	g := callgraph.New()
+	nodes := make([]callgraph.NodeID, n)
+	for i := range nodes {
+		nodes[i] = g.AddNode(fmt.Sprintf("a%d", i), false)
 	}
-	wg.Wait()
+	g.SetEntry(nodes[0])
+	siteAV := map[callgraph.Site]uint64{}
+	for i := 0; i+1 < n; i++ {
+		g.AddEdge(nodes[i], 0, nodes[i+1])
+		if i+2 < n {
+			g.AddEdge(nodes[i], 1, nodes[i+2])
+			siteAV[callgraph.Site{Caller: nodes[i], Label: 1}] = 1
+		}
+	}
+	spec := &Spec{
+		Graph:   g,
+		SiteAV:  siteAV,
+		Anchors: map[callgraph.NodeID]bool{nodes[3]: true, nodes[7]: true},
+	}
+	return spec, nodes
+}
+
+// assertTerritoryCap checks the bound on the territory store: the rows
+// published at decode time never outnumber the rows Compile built.
+func assertTerritoryCap(t *testing.T, c *CompiledDecoder) {
+	t.Helper()
+	if c.rows == nil {
+		return
+	}
+	if p := c.published.Load(); p < 0 || p > c.built {
+		t.Fatalf("published %d rows at decode time, cap %d", p, c.built)
+	}
+	var filled int32
+	for i := range c.rows {
+		if c.rows[i].Load() != nil {
+			filled++
+		}
+	}
+	if filled > 2*c.built {
+		t.Fatalf("%d territory rows held, more than twice the %d compiled", filled, c.built)
+	}
+}
+
+// TestCompiledTerritoryCap decodes records starting at every node of a chain
+// with more non-start nodes than precomputed rows: every decode matches the
+// legacy decoder, the published rows stop at the cap, and starts past it
+// still decode from a row built and dropped per decode.
+func TestCompiledTerritoryCap(t *testing.T) {
+	spec, nodes := chainSpec()
+	legacy := NewDecoder(spec)
+	compiled := Compile(spec)
+	reg := obs.NewRegistry()
+	compiled.Observe(reg)
+	if compiled.built != 3 {
+		t.Fatalf("compiled %d rows, want 3 (entry and two anchors)", compiled.built)
+	}
+	for _, start := range nodes {
+		for _, end := range nodes {
+			for id := uint64(0); id < 4; id++ {
+				st := NewState(start)
+				st.ID = id
+				assertDifferential(t, legacy, compiled, st, end)
+				assertTerritoryCap(t, compiled)
+			}
+		}
+	}
+	if got := compiled.published.Load(); got != compiled.built {
+		t.Errorf("published %d rows, want the cap %d", got, compiled.built)
+	}
+	// Nine starts lack a compiled row; only three of them got a slot, so the
+	// other six rebuild their row on every decode.
+	if misses := reg.Counter(obs.MetricDecodeMemoMisses).Value(); misses <= uint64(len(nodes)-3) {
+		t.Errorf("%d misses: starts past the cap should rebuild their row per decode", misses)
+	}
 }
 
 // TestCompiledDecodeIntoReuse proves the documented buffer contract: passing
@@ -229,26 +311,34 @@ func TestCompiledDecodeIntoReuse(t *testing.T) {
 
 // TestCompiledDecodeSteadyStateAllocs asserts the headline property of the
 // compiled path: a warmed batch-decode loop performs zero allocations per
-// context.
+// context, including a UCP piece start whose row was published by its first
+// decode.
 func TestCompiledDecodeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are meaningless")
 	}
 	spec, ids := anchoredSpec()
 	compiled := Compile(spec)
-	// a → b (AV 0), anchor piece at b, then b → d inside the new piece.
+	// a → b (AV 0), anchor piece at b, then b → d inside the new piece; and
+	// a UCP resume at c, whose territory row the first decode publishes.
 	st := NewState(ids["a"])
 	st.PushAnchor(ids["b"])
+	ucp := ucpAtC(ids)
 	var buf []Frame
 	var err error
-	// Warm the scratch pool and the destination buffer.
+	// Warm the scratch pool, the destination buffer and c's row.
 	for i := 0; i < 8; i++ {
-		if buf, err = compiled.DecodeInto(buf, st, ids["d"]); err != nil {
-			t.Fatal(err)
+		for _, in := range []*State{st, ucp} {
+			if buf, err = compiled.DecodeInto(buf, in, ids["d"]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		buf, err = compiled.DecodeInto(buf, st, ids["d"])
+		if buf, err = compiled.DecodeInto(buf, st, ids["d"]); err != nil {
+			return
+		}
+		buf, err = compiled.DecodeInto(buf, ucp, ids["d"])
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,8 +350,9 @@ func TestCompiledDecodeSteadyStateAllocs(t *testing.T) {
 
 // TestCompiledDecoderConcurrent shares one compiled decoder across many
 // goroutines with per-goroutine destination buffers — the lock-free usage
-// the read-only tables promise. Run under -race, any unsynchronized write
-// would be reported.
+// the tables promise. The UCP resume at c has no compiled row, so the
+// goroutines race to publish it on first decode. Run under -race, any
+// unsynchronized write would be reported.
 func TestCompiledDecoderConcurrent(t *testing.T) {
 	spec, ids := anchoredSpec()
 	compiled := Compile(spec)
@@ -279,7 +370,7 @@ func TestCompiledDecoderConcurrent(t *testing.T) {
 	anch := NewState(ids["a"])
 	anch.Add(1)
 	anch.PushAnchor(ids["b"])
-	inputs = append(inputs, input{anch, ids["b"]})
+	inputs = append(inputs, input{anch, ids["b"]}, input{ucpAtC(ids), ids["d"]})
 	want := make([][]Frame, len(inputs))
 	for i, in := range inputs {
 		want[i], _ = legacy.Decode(in.st.Snapshot(), in.end)
@@ -319,18 +410,22 @@ func TestCompiledDecoderConcurrent(t *testing.T) {
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
+	assertTerritoryCap(t, compiled)
 }
 
 // FuzzCompiledDecode is the differential fuzzer of the compiled fast path:
 // arbitrary bytes parse into a state (or not), and whatever parses must
 // decode byte-identically — frames, error class, error message, best-effort
-// salvage — under the legacy decoder and the compiled tables, on both an
-// anchor-free and an anchored spec.
+// salvage — under the legacy decoder and the compiled tables, on an
+// anchor-free spec and two anchored ones, and no input may grow a territory
+// store past its cap.
 func FuzzCompiledDecode(f *testing.F) {
 	plain, plainIDs := diamondSpec()
 	anchored, anchIDs := anchoredSpec()
+	chain, _ := chainSpec()
 	legacyPlain, compiledPlain := NewDecoder(plain), Compile(plain)
 	legacyAnch, compiledAnch := NewDecoder(anchored), Compile(anchored)
+	legacyChain, compiledChain := NewDecoder(chain), Compile(chain)
 
 	good := NewState(plainIDs["a"])
 	good.ID = 1
@@ -356,7 +451,7 @@ func FuzzCompiledDecode(f *testing.F) {
 		for _, pair := range []struct {
 			legacy   *Decoder
 			compiled *CompiledDecoder
-		}{{legacyPlain, compiledPlain}, {legacyAnch, compiledAnch}} {
+		}{{legacyPlain, compiledPlain}, {legacyAnch, compiledAnch}, {legacyChain, compiledChain}} {
 			want, wantErr := pair.legacy.Decode(st.Snapshot(), end)
 			got, gotErr := pair.compiled.Decode(st.Snapshot(), end)
 			if !sameErrorClass(wantErr, gotErr) {
@@ -374,6 +469,7 @@ func FuzzCompiledDecode(f *testing.F) {
 				t.Fatalf("best-effort diverged:\nlegacy %+v (%v)\ncompiled %+v (%v)",
 					wantBE, wantOK, gotBE, gotOK)
 			}
+			assertTerritoryCap(t, pair.compiled)
 		}
 	})
 }

@@ -303,7 +303,7 @@ func Table2(suite []workload.Params, scale float64) ([]Table2Row, error) {
 		vm.SetProbes(enc)
 		vm.SetInstrumented(plan.InstrumentedMethods())
 		walker := &stackwalk.Walker{Filter: plan.InstrumentedMethods()}
-		dec := encoding.NewDecoder(res.Spec)
+		dec := encoding.Compile(res.Spec)
 		dpSeen := make(map[string]struct{})
 		trueSeen := make(map[string]struct{})
 		var totalDepth, totalStack, totalUCP uint64

@@ -47,7 +47,7 @@ type Analysis struct {
 	prog  *minivm.Program
 	build *cha.Result
 	plan  *instrument.Plan
-	dec   *encoding.Decoder
+	dec   *encoding.CompiledDecoder
 
 	// trunk is the set of trunk methods (excluded from DeltaPath).
 	trunk map[minivm.MethodRef]bool
@@ -161,7 +161,7 @@ func Build(prog *minivm.Program, opts Options) (*Analysis, error) {
 		prog:     prog,
 		build:    build,
 		plan:     plan,
-		dec:      encoding.NewDecoder(res.Spec),
+		dec:      encoding.Compile(res.Spec),
 		trunk:    trunk,
 		trunkCtx: make(map[vmKey][]minivm.MethodRef),
 		prefixes: make(map[vmKey][]minivm.MethodRef),

@@ -400,19 +400,22 @@ func (t *tenant) decodeRecord(rec []byte) (string, error) {
 // poison the store. The canonical re-marshal makes byte-key identity in the
 // segment store coincide with decoded-context identity (varint-padded
 // duplicates of the same context merge instead of splitting a row).
+// Validation decodes into one frame buffer reused across the batch and
+// renders no names.
 //
 // This is the CPU-heavy half of record application, and it is deliberately
 // NOT worker-owned: the ingest handler calls it from its own goroutine
 // before enqueueing, so validation of the next batches overlaps the
-// worker's fsync instead of serializing behind it. Only immutable tenant
-// state (the compiled decoder) and atomic counters are touched — safe from
-// any goroutine.
+// worker's fsync instead of serializing behind it. Only the compiled
+// decoder (lock-free, safe for concurrent use) and atomic counters are
+// touched — safe from any goroutine.
 func (t *tenant) canonicalize(recs []profile.Record) (clean []profile.Record, quarantined int) {
 	clean = recs[:0]
+	var frames []encoding.Frame
 	for _, r := range recs {
 		st, end, err := encoding.UnmarshalContext(r.Key)
 		if err == nil {
-			_, err = t.dec.DecodeNames(st, end)
+			frames, err = t.dec.DecodeInto(frames, st, end)
 		}
 		if err != nil {
 			switch {

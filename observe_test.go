@@ -172,18 +172,22 @@ func TestProfileMetrics(t *testing.T) {
 	if err := p.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := an.DecodeProfile(&buf, 2); err != nil {
+	if _, err := an.DecodeProfile(bytes.NewReader(buf.Bytes()), 2); err != nil {
 		t.Fatal(err)
 	}
 	if m.Value(obs.MetricProfileDecodeMemoMiss) == 0 {
 		t.Error("no decode memo misses counted after DecodeProfile")
 	}
-	// The compiled decoder's tables are precomputed, so every lookup is a
-	// hit and the miss counter (registered for legacy parity) stays zero.
 	if m.Value(obs.MetricDecodeMemoHits) == 0 {
 		t.Error("decoder table lookups not counted during profile decode")
 	}
-	if m.Value(obs.MetricDecodeMemoMisses) != 0 {
-		t.Error("compiled decoder reported memo misses; its tables cannot miss")
+	// A territory row built at decode time is published, so decoding the
+	// same profile again finds every row it needs and builds none.
+	misses := m.Value(obs.MetricDecodeMemoMisses)
+	if _, err := an.DecodeProfile(bytes.NewReader(buf.Bytes()), 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Value(obs.MetricDecodeMemoMisses); got != misses {
+		t.Errorf("second DecodeProfile of the same profile built %d territory rows", got-misses)
 	}
 }
