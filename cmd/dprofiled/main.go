@@ -16,8 +16,9 @@
 // persisted .dpa analysis whose graph digest routes ingest. Durable state
 // lives under DIR/<name>/ (WAL + segment manifest) and is recovered on
 // start; state recorded under a different analysis is refused, never
-// silently replayed. A legacy monolithic snapshot.dps is migrated into the
-// segment layout on first start.
+// silently replayed. A directory from before the segment layout (a DPS1
+// snapshot.dps and no manifest) is refused at start: that format is no
+// longer read.
 //
 // Endpoints:
 //
@@ -36,7 +37,7 @@
 // default; keep it on a loopback or otherwise private address).
 //
 // SIGINT/SIGTERM shut down gracefully: intake is refused, queued batches
-// drain under -drain-timeout, and every tenant flushes a final snapshot.
+// drain under -drain-timeout, and every tenant flushes its final segment.
 // SIGKILL is survivable by design — that is what the WAL is for.
 package main
 

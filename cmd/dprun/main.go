@@ -10,7 +10,8 @@
 //	      [-chaos] [-chaos-rate P] program.mv
 //
 // With -unique, each distinct context is printed once with its occurrence
-// count (a minimal context-sensitive profile). With -record, binary context
+// count (a minimal context-sensitive profile), most frequent first and equal
+// counts in context order. With -record, binary context
 // records (4-byte little-endian length + record) are written to the given
 // file for offline decoding with dpdecode — the event-logging workflow.
 //
@@ -50,12 +51,13 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -234,21 +236,40 @@ func main() {
 	}
 
 	if *unique {
-		keys := make([]string, 0, len(sample))
-		for k := range sample {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return counts[keys[i]] > counts[keys[j]] })
-		for _, k := range keys {
-			names, derr := an.Decode(sample[k])
-			if derr != nil {
-				fmt.Printf("%8d  <undecodable: %v>\n", counts[k], derr)
-				continue
+		rows := make([]uniqueRow, 0, len(sample))
+		for k, c := range sample {
+			var text string
+			if names, derr := an.Decode(c); derr != nil {
+				text = fmt.Sprintf("<undecodable: %v>", derr)
+			} else {
+				text = strings.Join(names, " > ")
 			}
-			fmt.Printf("%8d  %s\n", counts[k], strings.Join(names, " > "))
+			rows = append(rows, uniqueRow{count: counts[k], text: text})
+		}
+		sortUniqueRows(rows)
+		for _, r := range rows {
+			fmt.Printf("%8d  %s\n", r.count, r.text)
 		}
 		fmt.Printf("%d unique contexts, %d total\n", len(sample), total(counts))
 	}
+}
+
+// uniqueRow is one line of -unique output: a distinct context's occurrence
+// count and its decoded rendering.
+type uniqueRow struct {
+	count int
+	text  string
+}
+
+// sortUniqueRows orders rows as profile.Report.Top does: count descending,
+// then decoded context ascending, so equal counts print in a fixed order.
+func sortUniqueRows(rows []uniqueRow) {
+	slices.SortFunc(rows, func(a, b uniqueRow) int {
+		if c := cmp.Compare(b.count, a.count); c != 0 {
+			return c
+		}
+		return strings.Compare(a.text, b.text)
+	})
 }
 
 // runProfile is the -profile/-push path: runs concurrent sessions

@@ -1,7 +1,6 @@
 // Decode-path benchmarks: the legacy map-based decoder vs the compiled
 // flat-table decoder on identical context sets, the cost of compiling the
-// flat tables, plus the encoder's per-event cost through the ref-keyed (map)
-// and dense (slice-index) probe interfaces.
+// flat tables, plus the encoder's per-event cost on the dense probe ids.
 // `dpbench -experiment decode` measures the same ratio end to end; these
 // go-bench forms are the developer-loop spelling.
 package deltapath
@@ -165,62 +164,17 @@ func compileBenchSpec(b *testing.B, name string) *encoding.Spec {
 	return res.Spec
 }
 
-// fastEvent is one pre-resolved probe event for the dense replay.
-type fastEvent struct {
-	kind   uint8
-	site   int32
-	target int32
-	m      int32
-}
-
-// BenchmarkEncoderEvent compares the encoder's per-event cost through the
-// two probe interfaces: "map" resolves each ref through the plan's maps (the
-// legacy data path), "dense" replays the same stream through the FastProbes
-// slice-indexed tables the VM now drives by default.
+// BenchmarkEncoderEvent measures the encoder's per-event cost on the dense
+// ids the VM resolves through the plan.
 func BenchmarkEncoderEvent(b *testing.B) {
 	plan, stream := recordEventStream(b, "compress", 0.02)
-	b.Run("map", func(b *testing.B) {
+	b.Run("dense", func(b *testing.B) {
 		enc := instrument.NewEncoder(plan)
 		tokens := make([]uint8, 0, 512)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			enc.Reset()
 			tokens = replayStream(enc, stream, tokens)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(stream))), "ns/event")
-	})
-	b.Run("dense", func(b *testing.B) {
-		enc := instrument.NewEncoder(plan)
-		fast := make([]fastEvent, len(stream))
-		for i, ev := range stream {
-			fast[i] = fastEvent{
-				kind:   ev.kind,
-				site:   plan.SiteID(ev.site),
-				target: plan.MethodID(ev.target),
-				m:      plan.MethodID(ev.m),
-			}
-		}
-		tokens := make([]uint8, 0, 512)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			enc.Reset()
-			tokens = tokens[:0]
-			for j := range fast {
-				ev := &fast[j]
-				switch ev.kind {
-				case 0:
-					tokens = append(tokens, enc.FastBeforeCall(ev.site, ev.target))
-				case 2:
-					tokens = append(tokens, enc.FastEnter(ev.m))
-				case 1:
-					enc.FastAfterCall(ev.site, ev.target, tokens[len(tokens)-1])
-					tokens = tokens[:len(tokens)-1]
-				case 3:
-					enc.FastExit(ev.m, tokens[len(tokens)-1])
-					tokens = tokens[:len(tokens)-1]
-				}
-			}
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(stream))), "ns/event")

@@ -3,9 +3,10 @@
 // performs at every call site and method entry/exit.
 //
 // It records the exact probe-event stream of one instrumented run (call
-// sites, dispatch targets, entries, exits), then replays that stream
-// directly against a fresh encoder, so the measurement is the encoder's
-// hot path alone: no interpreter dispatch, no workload arithmetic. CI and
+// sites, dispatch targets, entries, exits — as the dense ids the VM
+// resolved through the plan), then replays that stream directly against a
+// fresh encoder, so the measurement is the encoder's hot path alone: no
+// interpreter dispatch, no workload arithmetic. CI and
 // `make bench-smoke` compare the ns/event metric against the baseline in
 // results/ (see EXPERIMENTS.md "Bench-smoke regression gate").
 package deltapath
@@ -21,39 +22,42 @@ import (
 	"deltapath/internal/workload"
 )
 
-// probeEvent is one recorded instrumentation event. Matching pairs
-// (BeforeCall/AfterCall, Enter/Exit) are properly nested in the stream, so
-// a replay threads tokens through a single stack.
+// probeEvent is one recorded instrumentation event, with the ids the VM
+// passed. Matching pairs (BeforeCall/AfterCall, Enter/Exit) are properly
+// nested in the stream, so a replay threads tokens through a single stack.
 type probeEvent struct {
 	kind   uint8 // 0 BeforeCall, 1 AfterCall, 2 Enter, 3 Exit
-	site   minivm.SiteRef
-	target minivm.MethodRef
-	m      minivm.MethodRef
+	site   int32
+	target int32
+	m      int32
 }
 
-// probeRecorder wraps an encoder, forwarding every event and appending it
-// to the stream.
+// probeRecorder wraps an encoder, forwarding the id resolution and every
+// event, and appending each event to the stream.
 type probeRecorder struct {
 	enc    *instrument.Encoder
 	stream []probeEvent
 }
 
-func (r *probeRecorder) BeforeCall(site minivm.SiteRef, target minivm.MethodRef) uint8 {
+func (r *probeRecorder) ResolveMethod(m minivm.MethodRef) int32 { return r.enc.ResolveMethod(m) }
+func (r *probeRecorder) ResolveSite(s minivm.SiteRef) int32     { return r.enc.ResolveSite(s) }
+
+func (r *probeRecorder) BeforeCall(site, target int32) uint8 {
 	r.stream = append(r.stream, probeEvent{kind: 0, site: site, target: target})
 	return r.enc.BeforeCall(site, target)
 }
 
-func (r *probeRecorder) AfterCall(site minivm.SiteRef, target minivm.MethodRef, token uint8) {
+func (r *probeRecorder) AfterCall(site, target int32, token uint8) {
 	r.stream = append(r.stream, probeEvent{kind: 1, site: site, target: target})
 	r.enc.AfterCall(site, target, token)
 }
 
-func (r *probeRecorder) Enter(m minivm.MethodRef) uint8 {
+func (r *probeRecorder) Enter(m int32) uint8 {
 	r.stream = append(r.stream, probeEvent{kind: 2, m: m})
 	return r.enc.Enter(m)
 }
 
-func (r *probeRecorder) Exit(m minivm.MethodRef, token uint8) {
+func (r *probeRecorder) Exit(m int32, token uint8) {
 	r.stream = append(r.stream, probeEvent{kind: 3, m: m})
 	r.enc.Exit(m, token)
 }

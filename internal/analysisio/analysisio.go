@@ -431,10 +431,13 @@ func Load(r io.Reader) (*Bundle, error) {
 
 // --- primitive readers/writers ---
 
+// putUvarint appends v's varint straight into w's buffer: a local scratch
+// array would escape through Write and cost one allocation per varint.
 func putUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
+	if w.Available() < binary.MaxVarintLen64 {
+		w.Flush() // an error sticks in w and surfaces at the final Flush
+	}
+	w.Write(binary.AppendUvarint(w.AvailableBuffer(), v))
 }
 
 func putString(w *bufio.Writer, s string) {

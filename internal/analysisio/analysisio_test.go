@@ -1,7 +1,9 @@
 package analysisio
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"maps"
 	"strings"
 	"testing"
@@ -273,5 +275,19 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		if _, err := Load(bytes.NewReader(c)); err == nil {
 			t.Errorf("case %d: corrupt analysis accepted", i)
 		}
+	}
+}
+
+// TestPutUvarintAllocs pins the writer's varint primitive to zero heap
+// allocations: a .dpa of a 50k-node graph writes over a million varints.
+func TestPutUvarintAllocs(t *testing.T) {
+	w := bufio.NewWriter(io.Discard)
+	v := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		putUvarint(w, v)
+		v = v*31 + 1<<40
+	})
+	if allocs != 0 {
+		t.Fatalf("putUvarint allocates %.2f times per call, want 0", allocs)
 	}
 }

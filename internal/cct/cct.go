@@ -31,18 +31,13 @@ type Node struct {
 	Calls uint64
 
 	parent   *Node
-	children map[minivm.SiteRef]*Node
+	children map[callKey]*Node
 }
 
-// Child returns the child reached by calling target from the given site,
-// or nil.
-func (n *Node) Child(site minivm.SiteRef, target minivm.MethodRef) *Node {
-	c := n.children[site]
-	if c != nil && c.Frame == target {
-		return c
-	}
-	return nil
-}
+// callKey identifies a child context: the call site and the dispatched
+// target, as the ids the tree resolved them to. A virtual site that reaches
+// several targets gets one child per target.
+type callKey struct{ site, target int32 }
 
 // Path returns the context from the root to n.
 func (n *Node) Path() []minivm.MethodRef {
@@ -62,12 +57,24 @@ type Tree struct {
 	nodes int
 
 	cursor *Node
+
+	// The ids handed to the VM: every call site and method the VM resolves
+	// gets the next id; methods maps a method id back to its ref.
+	siteID   map[minivm.SiteRef]int32
+	methodID map[minivm.MethodRef]int32
+	methods  []minivm.MethodRef
 }
 
 // New creates a tree rooted at the entry method.
 func New(entry minivm.MethodRef) *Tree {
-	root := &Node{Frame: entry, children: make(map[minivm.SiteRef]*Node)}
-	return &Tree{root: root, nodes: 1, cursor: root}
+	root := &Node{Frame: entry, children: make(map[callKey]*Node)}
+	return &Tree{
+		root:     root,
+		nodes:    1,
+		cursor:   root,
+		siteID:   make(map[minivm.SiteRef]int32),
+		methodID: make(map[minivm.MethodRef]int32),
+	}
 }
 
 // Root returns the root node.
@@ -98,30 +105,41 @@ func (t *Tree) MaxDepth() int {
 // analog of recording an encoding at an emit).
 func (t *Tree) Mark() { t.cursor.Count++ }
 
+// ResolveMethod implements minivm.Probes.
+func (t *Tree) ResolveMethod(m minivm.MethodRef) int32 {
+	id, ok := t.methodID[m]
+	if !ok {
+		id = int32(len(t.methods))
+		t.methodID[m] = id
+		t.methods = append(t.methods, m)
+	}
+	return id
+}
+
+// ResolveSite implements minivm.Probes.
+func (t *Tree) ResolveSite(s minivm.SiteRef) int32 {
+	id, ok := t.siteID[s]
+	if !ok {
+		id = int32(len(t.siteID))
+		t.siteID[s] = id
+	}
+	return id
+}
+
 // BeforeCall implements minivm.Probes: descend, creating the child if this
 // context is new. This is the eager maintenance cost the paper's encodings
 // avoid: a map access and possible allocation at every call.
-func (t *Tree) BeforeCall(site minivm.SiteRef, target minivm.MethodRef) uint8 {
-	child := t.cursor.children[site]
-	if child == nil || child.Frame != target {
-		// Virtual sites can reach different targets from one site; keep
-		// one child per (site, target). For the common monomorphic case
-		// the single map entry suffices; otherwise chain by synthetic
-		// site labels derived from the target.
-		key := site
-		if child != nil {
-			key = minivm.SiteRef{In: site.In, Site: site.Site ^ int32(hashRef(target))}
-			child = t.cursor.children[key]
+func (t *Tree) BeforeCall(site, target int32) uint8 {
+	k := callKey{site, target}
+	child := t.cursor.children[k]
+	if child == nil {
+		child = &Node{
+			Frame:    t.methods[target],
+			parent:   t.cursor,
+			children: make(map[callKey]*Node),
 		}
-		if child == nil || child.Frame != target {
-			child = &Node{
-				Frame:    target,
-				parent:   t.cursor,
-				children: make(map[minivm.SiteRef]*Node),
-			}
-			t.cursor.children[key] = child
-			t.nodes++
-		}
+		t.cursor.children[k] = child
+		t.nodes++
 	}
 	child.Calls++
 	t.cursor = child
@@ -129,29 +147,17 @@ func (t *Tree) BeforeCall(site minivm.SiteRef, target minivm.MethodRef) uint8 {
 }
 
 // AfterCall implements minivm.Probes: ascend.
-func (t *Tree) AfterCall(minivm.SiteRef, minivm.MethodRef, uint8) {
+func (t *Tree) AfterCall(int32, int32, uint8) {
 	if t.cursor.parent != nil {
 		t.cursor = t.cursor.parent
 	}
 }
 
 // Enter implements minivm.Probes (the CCT moves at calls, not entries).
-func (t *Tree) Enter(minivm.MethodRef) uint8 { return 0 }
+func (t *Tree) Enter(int32) uint8 { return 0 }
 
 // Exit implements minivm.Probes.
-func (t *Tree) Exit(minivm.MethodRef, uint8) {}
-
-// hashRef is a tiny stable hash for disambiguating dispatch targets.
-func hashRef(m minivm.MethodRef) uint32 {
-	h := uint32(2166136261)
-	for _, b := range []byte(m.Class) {
-		h = (h ^ uint32(b)) * 16777619
-	}
-	for _, b := range []byte(m.Method) {
-		h = (h ^ uint32(b)) * 16777619
-	}
-	return h | 1<<16 // never zero, keep labels distinct from real sites
-}
+func (t *Tree) Exit(int32, uint8) {}
 
 // Hot returns the n contexts with the highest Count, most frequent first.
 func (t *Tree) Hot(n int) []*Node {
@@ -211,5 +217,4 @@ func (t *Tree) Render() string {
 // the root (the tree becomes a forest rooted at the virtual root).
 func (t *Tree) BeginTask(minivm.MethodRef) { t.cursor = t.root }
 
-var _ minivm.Probes = (*Tree)(nil)
 var _ minivm.TaskProbes = (*Tree)(nil)

@@ -42,9 +42,9 @@ const (
 	FlipID
 	// TruncateStack drops the top element of the piece stack.
 	TruncateStack
-	// UnknownSite rewrites a call site's identity to one the plan has no
-	// payload for, as if the event came from code the analysis never saw:
-	// the site's instrumentation silently does not run.
+	// UnknownSite rewrites a call site's id to -1, the id of a site the
+	// plan has no payload for, as if the event came from code the analysis
+	// never saw: the site's instrumentation silently does not run.
 	UnknownSite
 
 	numFaults
@@ -237,18 +237,24 @@ func (in *Injector) corruptState(f Fault) {
 	}
 }
 
+// ResolveMethod implements minivm.Probes with the wrapped encoder's ids.
+func (in *Injector) ResolveMethod(m minivm.MethodRef) int32 { return in.enc.ResolveMethod(m) }
+
+// ResolveSite implements minivm.Probes with the wrapped encoder's ids.
+func (in *Injector) ResolveSite(s minivm.SiteRef) int32 { return in.enc.ResolveSite(s) }
+
 // BeforeCall implements minivm.Probes.
-func (in *Injector) BeforeCall(site minivm.SiteRef, target minivm.MethodRef) uint8 {
+func (in *Injector) BeforeCall(site, target int32) uint8 {
 	if f, ok := in.pick(evCall); ok {
 		switch f {
 		case DropCall:
 			in.enc.Health.DroppedEvents++
 			return tokDropped
 		case UnknownSite:
-			// A site label the plan never assigned: the encoder finds no
+			// A site the plan never modelled: the encoder finds no
 			// payload and the event silently does nothing, exactly like a
 			// call from unanalysed code.
-			site.Site += 1 << 20
+			site = -1
 		default:
 			in.corruptState(f)
 		}
@@ -257,7 +263,7 @@ func (in *Injector) BeforeCall(site minivm.SiteRef, target minivm.MethodRef) uin
 }
 
 // AfterCall implements minivm.Probes.
-func (in *Injector) AfterCall(site minivm.SiteRef, target minivm.MethodRef, token uint8) {
+func (in *Injector) AfterCall(site, target int32, token uint8) {
 	if token&tokDropped != 0 {
 		return
 	}
@@ -274,7 +280,7 @@ func (in *Injector) AfterCall(site minivm.SiteRef, target minivm.MethodRef, toke
 }
 
 // Enter implements minivm.Probes.
-func (in *Injector) Enter(m minivm.MethodRef) uint8 {
+func (in *Injector) Enter(m int32) uint8 {
 	if f, ok := in.pick(evEnter); ok {
 		switch f {
 		case DropEnter:
@@ -288,7 +294,7 @@ func (in *Injector) Enter(m minivm.MethodRef) uint8 {
 }
 
 // Exit implements minivm.Probes.
-func (in *Injector) Exit(m minivm.MethodRef, token uint8) {
+func (in *Injector) Exit(m int32, token uint8) {
 	if token&tokDropped != 0 {
 		return
 	}
@@ -308,5 +314,4 @@ func (in *Injector) Exit(m minivm.MethodRef, token uint8) {
 // injected — they are the VM's own scheduling, not probe traffic.
 func (in *Injector) BeginTask(entry minivm.MethodRef) { in.enc.BeginTask(entry) }
 
-var _ minivm.Probes = (*Injector)(nil)
 var _ minivm.TaskProbes = (*Injector)(nil)

@@ -33,16 +33,18 @@ type EncodeRow struct {
 // are normalized by.
 type countingProbes struct{ events uint64 }
 
-func (c *countingProbes) BeforeCall(minivm.SiteRef, minivm.MethodRef) uint8 {
+func (c *countingProbes) ResolveMethod(minivm.MethodRef) int32 { return -1 }
+func (c *countingProbes) ResolveSite(minivm.SiteRef) int32     { return -1 }
+func (c *countingProbes) BeforeCall(int32, int32) uint8 {
 	c.events++
 	return 0
 }
-func (c *countingProbes) AfterCall(minivm.SiteRef, minivm.MethodRef, uint8) { c.events++ }
-func (c *countingProbes) Enter(minivm.MethodRef) uint8 {
+func (c *countingProbes) AfterCall(int32, int32, uint8) { c.events++ }
+func (c *countingProbes) Enter(int32) uint8 {
 	c.events++
 	return 0
 }
-func (c *countingProbes) Exit(minivm.MethodRef, uint8) { c.events++ }
+func (c *countingProbes) Exit(int32, uint8) { c.events++ }
 
 // EncodeOverhead measures the observability layer's encode hot-path cost
 // over the suite. Each configuration reports the fastest of repeats runs —

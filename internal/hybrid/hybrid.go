@@ -21,6 +21,7 @@ package hybrid
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"deltapath/internal/cha"
@@ -58,9 +59,11 @@ type Analysis struct {
 	// prefixes maps (V, boundary method) to the trunk prefix that ran
 	// before the DeltaPath piece rooted at boundary.
 	prefixes map[vmKey][]minivm.MethodRef
-	// pccBuild carries the site constants for the whole program (the
-	// trunk PCC instrumentation).
-	pccBuild *cha.Result
+	// trunkSite resolves a call site in a trunk method (or the entry) to
+	// its index in trunkCS, the PCC site constants of the trunk
+	// instrumentation.
+	trunkSite map[minivm.SiteRef]int32
+	trunkCS   []uint64
 }
 
 // vmKey keys the trained tables: a PCC value together with the program
@@ -158,14 +161,21 @@ func Build(prog *minivm.Program, opts Options) (*Analysis, error) {
 		return nil, err
 	}
 	a := &Analysis{
-		prog:     prog,
-		build:    build,
-		plan:     plan,
-		dec:      encoding.Compile(res.Spec),
-		trunk:    trunk,
-		trunkCtx: make(map[vmKey][]minivm.MethodRef),
-		prefixes: make(map[vmKey][]minivm.MethodRef),
-		pccBuild: full,
+		prog:      prog,
+		build:     build,
+		plan:      plan,
+		dec:       encoding.Compile(res.Spec),
+		trunk:     trunk,
+		trunkCtx:  make(map[vmKey][]minivm.MethodRef),
+		prefixes:  make(map[vmKey][]minivm.MethodRef),
+		trunkSite: make(map[minivm.SiteRef]int32),
+	}
+	for _, s := range full.Graph.Sites() {
+		ref := minivm.SiteRef{In: full.RefOf[s.Caller], Site: s.Label}
+		if trunk[ref.In] || ref.In == prog.Entry {
+			a.trunkSite[ref] = int32(len(a.trunkCS))
+			a.trunkCS = append(a.trunkCS, pcc.SiteConstant(ref))
+		}
 	}
 
 	// Second training pass: run the production instrumentation and learn
@@ -242,7 +252,7 @@ func (a *Analysis) DeltaPathSites() int { return a.plan.NumInstrumentedSites() }
 
 func (a *Analysis) instrumentedMethods() map[minivm.MethodRef]bool {
 	// DeltaPath methods plus trunk methods (which carry PCC payloads).
-	out := a.plan.InstrumentedMethods()
+	out := maps.Clone(a.plan.InstrumentedMethods())
 	for f := range a.trunk {
 		out[f] = true
 	}
@@ -251,27 +261,20 @@ func (a *Analysis) instrumentedMethods() map[minivm.MethodRef]bool {
 }
 
 // Encoder is the hybrid runtime: PCC updates at trunk call sites,
-// DeltaPath payloads everywhere else.
+// DeltaPath payloads everywhere else. Its site ids form one space: the
+// DeltaPath plan's own ids, then, from pccBase on, one per trunk site.
 type Encoder struct {
 	a  *Analysis
 	dp *instrument.Encoder
 	v  uint64
 	// saved restores V across calls, as PCC's callee-local V does.
-	saved []uint64
-	cs    map[minivm.SiteRef]uint64
+	saved   []uint64
+	pccBase int32
 }
 
 // NewEncoder builds a fresh runtime encoder (one per VM).
 func (a *Analysis) NewEncoder() *Encoder {
-	cs := make(map[minivm.SiteRef]uint64)
-	g := a.pccBuild.Graph
-	for _, s := range g.Sites() {
-		ref := a.pccBuild.RefOf[s.Caller]
-		if a.trunk[ref] || ref == a.prog.Entry {
-			cs[minivm.SiteRef{In: ref, Site: s.Label}] = pcc.SiteConstant(minivm.SiteRef{In: ref, Site: s.Label})
-		}
-	}
-	return &Encoder{a: a, dp: instrument.NewEncoder(a.plan), cs: cs}
+	return &Encoder{a: a, dp: instrument.NewEncoder(a.plan), pccBase: int32(a.plan.NumInstrumentedSites())}
 }
 
 // PCCValue returns the current trunk hash V.
@@ -280,19 +283,32 @@ func (e *Encoder) PCCValue() uint64 { return e.v }
 // DeltaPath exposes the DeltaPath half (for state snapshots).
 func (e *Encoder) DeltaPath() *instrument.Encoder { return e.dp }
 
+// ResolveMethod implements minivm.Probes: method ids are DeltaPath's (trunk
+// methods carry no entry payload).
+func (e *Encoder) ResolveMethod(m minivm.MethodRef) int32 { return e.dp.ResolveMethod(m) }
+
+// ResolveSite implements minivm.Probes: a trunk site resolves to its PCC id,
+// any other site to its DeltaPath id.
+func (e *Encoder) ResolveSite(s minivm.SiteRef) int32 {
+	if k, ok := e.a.trunkSite[s]; ok {
+		return e.pccBase + k
+	}
+	return e.dp.ResolveSite(s)
+}
+
 // BeforeCall implements minivm.Probes.
-func (e *Encoder) BeforeCall(site minivm.SiteRef, target minivm.MethodRef) uint8 {
-	if c, ok := e.cs[site]; ok {
+func (e *Encoder) BeforeCall(site, target int32) uint8 {
+	if site >= e.pccBase {
 		e.saved = append(e.saved, e.v)
-		e.v = (3*e.v + c) & 0xffffffff
-		return 1 << 7
+		e.v = (3*e.v + e.a.trunkCS[site-e.pccBase]) & 0xffffffff
+		return 0
 	}
 	return e.dp.BeforeCall(site, target)
 }
 
 // AfterCall implements minivm.Probes.
-func (e *Encoder) AfterCall(site minivm.SiteRef, target minivm.MethodRef, token uint8) {
-	if token == 1<<7 {
+func (e *Encoder) AfterCall(site, target int32, token uint8) {
+	if site >= e.pccBase {
 		e.v = e.saved[len(e.saved)-1]
 		e.saved = e.saved[:len(e.saved)-1]
 		return
@@ -301,10 +317,10 @@ func (e *Encoder) AfterCall(site minivm.SiteRef, target minivm.MethodRef, token 
 }
 
 // Enter implements minivm.Probes.
-func (e *Encoder) Enter(m minivm.MethodRef) uint8 { return e.dp.Enter(m) }
+func (e *Encoder) Enter(m int32) uint8 { return e.dp.Enter(m) }
 
 // Exit implements minivm.Probes.
-func (e *Encoder) Exit(m minivm.MethodRef, token uint8) { e.dp.Exit(m, token) }
+func (e *Encoder) Exit(m int32, token uint8) { e.dp.Exit(m, token) }
 
 // BeginTask implements minivm.TaskProbes.
 func (e *Encoder) BeginTask(entry minivm.MethodRef) {
@@ -383,7 +399,6 @@ func refNames(refs []minivm.MethodRef) []string {
 func joinRefs(refs []minivm.MethodRef) string { return strings.Join(refNames(refs), ">") }
 
 var (
-	_ minivm.Probes     = (*Encoder)(nil)
 	_ minivm.TaskProbes = (*Encoder)(nil)
 	_                   = joinRefs
 )

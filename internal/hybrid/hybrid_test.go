@@ -159,3 +159,24 @@ func TestHybridUntrainedPrefixStaysHonest(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHybridSiteIDSpace: the entry method's call sites carry both a PCC
+// trunk constant and, where the callee lies outside the trunk, a DeltaPath
+// payload. The trunk side wins — the split puts the entry's calls on the
+// PCC side — so every trunk site resolves into the PCC id range.
+func TestHybridSiteIDSpace(t *testing.T) {
+	a := buildHybrid(t)
+	enc := a.NewEncoder()
+	both := 0
+	for ref, k := range a.trunkSite {
+		if enc.dp.ResolveSite(ref) >= 0 {
+			both++
+		}
+		if got := enc.ResolveSite(ref); got != enc.pccBase+k {
+			t.Errorf("trunk site %v resolved to %d, want PCC id %d", ref, got, enc.pccBase+k)
+		}
+	}
+	if both == 0 {
+		t.Fatal("no trunk site also carries a DeltaPath payload; the program no longer exercises the overlap")
+	}
+}

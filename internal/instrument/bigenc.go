@@ -2,7 +2,9 @@ package instrument
 
 import (
 	"math/big"
+	"slices"
 
+	"deltapath/internal/callgraph"
 	"deltapath/internal/cha"
 	"deltapath/internal/core"
 	"deltapath/internal/minivm"
@@ -15,9 +17,12 @@ import (
 // It exists purely as a measured ablation against the anchor-based Encoder;
 // it maintains no call path tracking and no decoder is provided.
 type BigEncoder struct {
-	sites   map[minivm.SiteRef]*bigSitePayload
-	entries map[minivm.MethodRef]bool // true = anchor entry (save/reset)
-	nodeOf  map[minivm.MethodRef]struct{}
+	build *cha.Result
+	// siteID resolves a call site to its index in sites; anchor is indexed
+	// by graph node id (true = anchor entry: save/reset).
+	siteID map[minivm.SiteRef]int32
+	sites  []bigSitePayload
+	anchor []bool
 
 	id    *big.Int
 	saved []*big.Int
@@ -27,35 +32,34 @@ type BigEncoder struct {
 
 type bigSitePayload struct {
 	av   *big.Int
-	push map[minivm.MethodRef]bool // recursive targets
+	push []callgraph.NodeID // recursive targets
 }
 
 // NewBigEncoder binds a big-int analysis to the program entities in build.
 func NewBigEncoder(build *cha.Result, res *core.BigResult) *BigEncoder {
+	g := build.Graph
 	e := &BigEncoder{
-		sites:   make(map[minivm.SiteRef]*bigSitePayload),
-		entries: make(map[minivm.MethodRef]bool),
+		build:   build,
+		siteID:  make(map[minivm.SiteRef]int32),
+		anchor:  make([]bool, g.NumNodes()),
 		id:      big.NewInt(0),
 		scratch: big.NewInt(0),
 	}
-	g := build.Graph
 	for _, s := range g.Sites() {
-		pay := &bigSitePayload{av: res.AV[s]}
+		pay := bigSitePayload{av: res.AV[s]}
 		if pay.av == nil {
 			pay.av = big.NewInt(0)
 		}
 		for _, edge := range g.SiteTargets(s) {
 			if _, pushed := res.Push[edge]; pushed {
-				if pay.push == nil {
-					pay.push = make(map[minivm.MethodRef]bool)
-				}
-				pay.push[build.RefOf[edge.Callee]] = true
+				pay.push = append(pay.push, edge.Callee)
 			}
 		}
-		e.sites[minivm.SiteRef{In: build.RefOf[s.Caller], Site: s.Label}] = pay
+		e.siteID[minivm.SiteRef{In: build.RefOf[s.Caller], Site: s.Label}] = int32(len(e.sites))
+		e.sites = append(e.sites, pay)
 	}
-	for ref, node := range build.NodeOf {
-		e.entries[ref] = res.Anchors[node]
+	for node, anchor := range res.Anchors {
+		e.anchor[node] = anchor
 	}
 	return e
 }
@@ -69,13 +73,26 @@ func (e *BigEncoder) Reset() {
 	e.saved = e.saved[:0]
 }
 
+// ResolveMethod implements minivm.Probes: the method's graph node id, or
+// -1 outside the analysed graph.
+func (e *BigEncoder) ResolveMethod(m minivm.MethodRef) int32 { return int32(e.build.Node(m)) }
+
+// ResolveSite implements minivm.Probes: an index into the site payloads,
+// or -1 for a site the analysis never modelled.
+func (e *BigEncoder) ResolveSite(s minivm.SiteRef) int32 {
+	if id, ok := e.siteID[s]; ok {
+		return id
+	}
+	return -1
+}
+
 // BeforeCall implements minivm.Probes.
-func (e *BigEncoder) BeforeCall(site minivm.SiteRef, target minivm.MethodRef) uint8 {
-	pay := e.sites[site]
-	if pay == nil {
+func (e *BigEncoder) BeforeCall(site, target int32) uint8 {
+	if site < 0 {
 		return 0
 	}
-	if pay.push != nil && pay.push[target] {
+	pay := &e.sites[site]
+	if target >= 0 && slices.Contains(pay.push, callgraph.NodeID(target)) {
 		e.saved = append(e.saved, e.id)
 		e.id = big.NewInt(0)
 		return tokPushedEdge
@@ -85,7 +102,7 @@ func (e *BigEncoder) BeforeCall(site minivm.SiteRef, target minivm.MethodRef) ui
 }
 
 // AfterCall implements minivm.Probes.
-func (e *BigEncoder) AfterCall(site minivm.SiteRef, _ minivm.MethodRef, token uint8) {
+func (e *BigEncoder) AfterCall(site, _ int32, token uint8) {
 	switch {
 	case token&tokPushedEdge != 0:
 		e.id = e.saved[len(e.saved)-1]
@@ -96,9 +113,8 @@ func (e *BigEncoder) AfterCall(site minivm.SiteRef, _ minivm.MethodRef, token ui
 }
 
 // Enter implements minivm.Probes.
-func (e *BigEncoder) Enter(m minivm.MethodRef) uint8 {
-	anchor, known := e.entries[m]
-	if !known || !anchor {
+func (e *BigEncoder) Enter(m int32) uint8 {
+	if m < 0 || !e.anchor[m] {
 		return 0
 	}
 	e.saved = append(e.saved, e.id)
@@ -107,7 +123,7 @@ func (e *BigEncoder) Enter(m minivm.MethodRef) uint8 {
 }
 
 // Exit implements minivm.Probes.
-func (e *BigEncoder) Exit(_ minivm.MethodRef, token uint8) {
+func (e *BigEncoder) Exit(_ int32, token uint8) {
 	if token&tokPushedAnchor != 0 {
 		e.id = e.saved[len(e.saved)-1]
 		e.saved = e.saved[:len(e.saved)-1]
@@ -117,5 +133,4 @@ func (e *BigEncoder) Exit(_ minivm.MethodRef, token uint8) {
 // BeginTask implements minivm.TaskProbes.
 func (e *BigEncoder) BeginTask(minivm.MethodRef) { e.Reset() }
 
-var _ minivm.Probes = (*BigEncoder)(nil)
 var _ minivm.TaskProbes = (*BigEncoder)(nil)

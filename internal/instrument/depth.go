@@ -63,17 +63,24 @@ func (e *DepthEncoder) Reset() {
 	e.Hazards = 0
 }
 
+// ResolveMethod implements minivm.Probes: the method's graph node id, or
+// -1 outside the analysed graph.
+func (e *DepthEncoder) ResolveMethod(m minivm.MethodRef) int32 { return e.plan.MethodID(m) }
+
+// ResolveSite implements minivm.Probes.
+func (e *DepthEncoder) ResolveSite(s minivm.SiteRef) int32 { return e.plan.SiteID(s) }
+
 // BeforeCall implements minivm.Probes (identical arithmetic to Encoder,
 // minus the SID save).
-func (e *DepthEncoder) BeforeCall(site minivm.SiteRef, target minivm.MethodRef) uint8 {
-	pay := e.plan.sites[site]
-	if pay == nil {
+func (e *DepthEncoder) BeforeCall(site, target int32) uint8 {
+	if site < 0 {
 		return 0
 	}
-	if node, known := e.plan.Build.NodeOf[target]; known {
-		if kind, pushed := pay.push[node]; pushed {
-			e.st.PushCallEdge(kind, pay.site, node)
-			e.pendingRecTarget = node
+	pay := &e.plan.fastSites[site]
+	if pay.hasPush && target >= 0 {
+		if t := pay.lookup(callgraph.NodeID(target)); t != nil && t.push {
+			e.st.PushCallEdge(t.kind, pay.site, t.node)
+			e.pendingRecTarget = t.node
 			return tokPushedEdge
 		}
 	}
@@ -82,11 +89,11 @@ func (e *DepthEncoder) BeforeCall(site minivm.SiteRef, target minivm.MethodRef) 
 }
 
 // AfterCall implements minivm.Probes.
-func (e *DepthEncoder) AfterCall(site minivm.SiteRef, _ minivm.MethodRef, token uint8) {
+func (e *DepthEncoder) AfterCall(site, _ int32, token uint8) {
 	if token == 0 {
 		return
 	}
-	pay := e.plan.sites[site]
+	pay := &e.plan.fastSites[site]
 	if token&tokPushedEdge != 0 {
 		e.st.Pop()
 	} else {
@@ -98,38 +105,38 @@ func (e *DepthEncoder) AfterCall(site minivm.SiteRef, _ minivm.MethodRef, token 
 
 // Enter implements minivm.Probes. Dynamic methods (no payload) bump the
 // depth counter; static methods detect a UCP when the counter is non-zero.
-func (e *DepthEncoder) Enter(m minivm.MethodRef) uint8 {
-	pay := e.plan.entries[m]
-	if pay == nil {
+func (e *DepthEncoder) Enter(m int32) uint8 {
+	if m < 0 {
 		// Dynamically loaded (or otherwise unanalysed) method: this is
 		// the instrumentation DeltaPath's call path tracking avoids.
 		e.depth++
 		return 0
 	}
+	node := callgraph.NodeID(m)
 	pendingRec := e.pendingRecTarget
 	e.pendingRecTarget = callgraph.InvalidNode
 	var tok uint8
 	if e.depth != 0 {
 		// Unanalysed frames are on the stack below us: unexpected call
 		// path. Save the depth, push, and restart the encoding.
-		e.st.PushUCP(callgraph.Site{Caller: e.lastNode}, e.lastID, e.lastNode, pay.node)
+		e.st.PushUCP(callgraph.Site{Caller: e.lastNode}, e.lastID, e.lastNode, node)
 		e.savedDepth = append(e.savedDepth, e.depth)
 		e.depth = 0
 		e.Hazards++
 		tok |= tokPushedUCP
 	}
-	if pay.anchor && pendingRec != pay.node {
-		e.st.PushAnchor(pay.node)
+	if e.plan.fastNodes[m].anchor && pendingRec != node {
+		e.st.PushAnchor(node)
 		tok |= tokPushedAnchor
 	}
-	e.lastNode = pay.node
+	e.lastNode = node
 	e.lastID = e.st.ID
 	return tok
 }
 
 // Exit implements minivm.Probes.
-func (e *DepthEncoder) Exit(m minivm.MethodRef, token uint8) {
-	if e.plan.entries[m] == nil {
+func (e *DepthEncoder) Exit(m int32, token uint8) {
+	if m < 0 {
 		e.depth--
 		return
 	}
@@ -149,8 +156,8 @@ func (e *DepthEncoder) Exit(m minivm.MethodRef, token uint8) {
 		// in-flight addition of the call site that led here.
 		e.lastNode = popped.OuterEnd
 		e.lastID = popped.DecodeID
-	} else if pay := e.plan.entries[m]; pay != nil {
-		e.lastNode = pay.node
+	} else {
+		e.lastNode = callgraph.NodeID(m)
 		e.lastID = e.st.ID
 	}
 }
@@ -169,5 +176,4 @@ func (e *DepthEncoder) BeginTask(entry minivm.MethodRef) {
 	e.lastID = 0
 }
 
-var _ minivm.Probes = (*DepthEncoder)(nil)
 var _ minivm.TaskProbes = (*DepthEncoder)(nil)

@@ -129,19 +129,11 @@ func (e *Encoder) Reset() {
 	e.seedEntry()
 }
 
-// BeforeCall implements minivm.Probes: the ref-keyed spelling of
-// FastBeforeCall, for probe wrappers (internal/chaos) and VMs that have not
-// resolved dense ids. The plan's maps stay the source of truth for the
-// ref→id translation; all encoding logic lives in the Fast path.
-func (e *Encoder) BeforeCall(site minivm.SiteRef, target minivm.MethodRef) uint8 {
-	return e.FastBeforeCall(e.plan.SiteID(site), e.plan.MethodID(target))
-}
-
-// FastBeforeCall implements minivm.FastProbes: one dense slice index
-// instead of two map lookups. site < 0 marks a call site the static
-// analysis never modelled (its only targets are dynamic classes) — no
-// payload was inserted there. target < 0 marks a dynamically loaded callee.
-func (e *Encoder) FastBeforeCall(site, target int32) uint8 {
+// BeforeCall implements minivm.Probes: one dense slice index per event.
+// site < 0 marks a call site the static analysis never modelled (its only
+// targets are dynamic classes) — no payload was inserted there. target < 0
+// marks a dynamically loaded callee.
+func (e *Encoder) BeforeCall(site, target int32) uint8 {
 	if site < 0 {
 		return 0
 	}
@@ -182,16 +174,8 @@ func (e *Encoder) FastBeforeCall(site, target int32) uint8 {
 	return tokAdded
 }
 
-// AfterCall implements minivm.Probes (see BeforeCall).
-func (e *Encoder) AfterCall(site minivm.SiteRef, target minivm.MethodRef, token uint8) {
-	if token == 0 {
-		return
-	}
-	e.FastAfterCall(e.plan.SiteID(site), e.plan.MethodID(target), token)
-}
-
-// FastAfterCall implements minivm.FastProbes.
-func (e *Encoder) FastAfterCall(site, target int32, token uint8) {
+// AfterCall implements minivm.Probes.
+func (e *Encoder) AfterCall(site, target int32, token uint8) {
 	if token == 0 || site < 0 {
 		return
 	}
@@ -219,14 +203,9 @@ func (e *Encoder) FastAfterCall(site, target int32, token uint8) {
 	}
 }
 
-// Enter implements minivm.Probes (see BeforeCall).
-func (e *Encoder) Enter(m minivm.MethodRef) uint8 {
-	return e.FastEnter(e.plan.MethodID(m))
-}
-
-// FastEnter implements minivm.FastProbes. m is the method's graph node id;
-// m < 0 marks a method outside the analysed graph.
-func (e *Encoder) FastEnter(m int32) uint8 {
+// Enter implements minivm.Probes. m is the method's graph node id; m < 0
+// marks a method outside the analysed graph.
+func (e *Encoder) Enter(m int32) uint8 {
 	if m < 0 {
 		return 0
 	}
@@ -279,13 +258,8 @@ func (e *Encoder) FastEnter(m int32) uint8 {
 	return tok
 }
 
-// Exit implements minivm.Probes (see BeforeCall).
-func (e *Encoder) Exit(m minivm.MethodRef, token uint8) {
-	e.FastExit(e.plan.MethodID(m), token)
-}
-
-// FastExit implements minivm.FastProbes.
-func (e *Encoder) FastExit(m int32, token uint8) {
+// Exit implements minivm.Probes.
+func (e *Encoder) Exit(m int32, token uint8) {
 	var popped *encoding.Element
 	if token&tokPushedAnchor != 0 {
 		if el, ok := e.st.TryPop(); ok {
@@ -325,11 +299,11 @@ func (e *Encoder) FastExit(m int32, token uint8) {
 	}
 }
 
-// ResolveMethod implements minivm.FastProbes: the dense id FastEnter/
-// FastExit expect, resolved once per loaded method by the VM.
+// ResolveMethod implements minivm.Probes: the dense id Enter/Exit expect,
+// resolved once per loaded method by the VM.
 func (e *Encoder) ResolveMethod(m minivm.MethodRef) int32 { return e.plan.MethodID(m) }
 
-// ResolveSite implements minivm.FastProbes.
+// ResolveSite implements minivm.Probes.
 func (e *Encoder) ResolveSite(s minivm.SiteRef) int32 { return e.plan.SiteID(s) }
 
 // noteUnderflow records a pop with no matching push: the piece stack has
@@ -374,6 +348,4 @@ func (e *Encoder) BeginTask(entry minivm.MethodRef) {
 	}
 }
 
-var _ minivm.Probes = (*Encoder)(nil)
 var _ minivm.TaskProbes = (*Encoder)(nil)
-var _ minivm.FastProbes = (*Encoder)(nil)

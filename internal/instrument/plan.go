@@ -18,40 +18,22 @@ import (
 	"deltapath/internal/minivm"
 )
 
-// sitePayload is the instrumentation attached to one call site.
-type sitePayload struct {
+// fastSite is the instrumentation attached to one call site, as the encoder
+// hot path reads it by dense site id. The common monomorphic case (no
+// pushes, no per-target values) is just the single av — one unconditional
+// add, no target resolution at all.
+type fastSite struct {
+	// av is the site's single addition value (DeltaPath). In per-edge
+	// mode (PCCE), targets holds the dispatch switch instead.
+	av   uint64
 	site callgraph.Site
-	// av is the single addition value (DeltaPath). In per-edge mode
-	// (PCCE), perTarget holds the dispatch switch instead.
-	av        uint64
-	perTarget map[callgraph.NodeID]uint64
-	// push lists dispatch targets whose edge starts a new piece
-	// (recursive or pruned edges), with the piece kind.
-	push map[callgraph.NodeID]encoding.PieceKind
 	// expectedSID is saved before the call when call path tracking is on.
 	expectedSID int32
-}
-
-// nodePayload is the instrumentation attached to one method entry/exit.
-type nodePayload struct {
-	node   callgraph.NodeID
-	sid    int32
-	anchor bool
-}
-
-// fastSite is the dense-indexed compilation of one sitePayload: the runtime
-// payload the encoder hot path reads by slice index instead of map lookup.
-// The common monomorphic case (no pushes, no per-target values) is just the
-// single av — one unconditional add, no target resolution at all.
-type fastSite struct {
-	// av is the site's single addition value.
-	av          uint64
-	site        callgraph.Site
-	expectedSID int32
 	// perEdge marks per-edge mode (PCCE): known targets read their
-	// override from targets (0 when absent, like the legacy map miss).
+	// override from targets (0 when absent: no edge, no addition).
 	perEdge bool
-	// hasPush marks a site with at least one push target.
+	// hasPush marks a site with at least one push target: a recursive or
+	// pruned edge that starts a new piece.
 	hasPush bool
 	// targets holds the per-target overrides (push edges and per-edge
 	// AVs), ascending by node for a short early-exit scan. Empty for
@@ -81,8 +63,8 @@ func (f *fastSite) lookup(node callgraph.NodeID) *fastTarget {
 	return nil
 }
 
-// fastNode is the dense-indexed entry/exit payload of the method whose
-// graph node id is the slice index.
+// fastNode is the instrumentation attached to the entry and exit of the
+// method whose graph node id is the slice index.
 type fastNode struct {
 	sid    int32
 	anchor bool
@@ -94,14 +76,11 @@ type Plan struct {
 	Spec  *encoding.Spec
 	CPT   *cpt.Plan // nil disables call path tracking
 
-	sites   map[minivm.SiteRef]*sitePayload
-	entries map[minivm.MethodRef]*nodePayload
-	entry   callgraph.NodeID
+	entry callgraph.NodeID
 
-	// Dense runtime tables, compiled once by NewPlan from the maps above
-	// (which stay the build-time source of truth and the resolver the VM
-	// consults once per loaded method): fastSites is indexed by the dense
-	// site id siteID assigns, fastNodes by callgraph.NodeID.
+	// The payload tables the encoders index on every probe event:
+	// fastSites by the dense site id siteID assigns (the resolver the VM
+	// consults once per loaded method), fastNodes by callgraph.NodeID.
 	siteID    map[minivm.SiteRef]int32
 	fastSites []fastSite
 	fastNodes []fastNode
@@ -145,13 +124,11 @@ func newPlan(build *cha.Result, spec *encoding.Spec, cptPlan *cpt.Plan, prev *Pl
 		return nil, fmt.Errorf("instrument: graph has no entry")
 	}
 	p := &Plan{
-		Build:   build,
-		Spec:    spec,
-		CPT:     cptPlan,
-		sites:   make(map[minivm.SiteRef]*sitePayload),
-		entries: make(map[minivm.MethodRef]*nodePayload),
-		entry:   entry,
-		siteID:  make(map[minivm.SiteRef]int32),
+		Build:  build,
+		Spec:   spec,
+		CPT:    cptPlan,
+		entry:  entry,
+		siteID: make(map[minivm.SiteRef]int32),
 	}
 	g := build.Graph
 	// Dense site ids follow g.Sites() order (deterministic: caller, label).
@@ -178,58 +155,41 @@ func newPlan(build *cha.Result, spec *encoding.Spec, cptPlan *cpt.Plan, prev *Pl
 		}
 		order = ordered
 	}
-	// compiling each payload into its flat fastSites slot as we go.
 	for _, s := range order {
-		pay := &sitePayload{site: s, av: spec.SiteAV[s]}
-		if spec.PerEdge {
-			pay.perTarget = make(map[callgraph.NodeID]uint64)
-		}
-		fast := fastSite{av: pay.av, site: s, perEdge: spec.PerEdge}
+		fast := fastSite{av: spec.SiteAV[s], site: s, perEdge: spec.PerEdge}
 		for _, e := range g.SiteTargets(s) {
 			if kind, pushed := spec.Push[e]; pushed {
-				if pay.push == nil {
-					pay.push = make(map[callgraph.NodeID]encoding.PieceKind)
-				}
-				pay.push[e.Callee] = kind
 				fast.hasPush = true
 				fast.targets = append(fast.targets, fastTarget{node: e.Callee, kind: kind, push: true})
 			} else if spec.PerEdge {
-				pay.perTarget[e.Callee] = spec.EdgeAV[e]
 				fast.targets = append(fast.targets, fastTarget{node: e.Callee, av: spec.EdgeAV[e]})
 			}
 		}
 		slices.SortFunc(fast.targets, func(a, b fastTarget) int { return cmp.Compare(a.node, b.node) })
 		if cptPlan != nil {
-			pay.expectedSID = cptPlan.Expected[s]
-			fast.expectedSID = pay.expectedSID
+			fast.expectedSID = cptPlan.Expected[s]
 		}
-		ref := minivm.SiteRef{In: build.RefOf[s.Caller], Site: s.Label}
-		p.sites[ref] = pay
-		p.siteID[ref] = int32(len(p.fastSites))
+		p.siteID[minivm.SiteRef{In: build.RefOf[s.Caller], Site: s.Label}] = int32(len(p.fastSites))
 		p.fastSites = append(p.fastSites, fast)
 	}
 	// Dense method ids are the graph node ids themselves (already 0..N-1).
 	p.fastNodes = make([]fastNode, g.NumNodes())
+	p.instrumented = make(map[minivm.MethodRef]bool, len(build.NodeOf))
 	for ref, node := range build.NodeOf {
-		pay := &nodePayload{node: node, anchor: spec.Anchors[node]}
+		p.fastNodes[node].anchor = spec.Anchors[node]
 		if cptPlan != nil {
-			pay.sid = cptPlan.SID[node]
+			p.fastNodes[node].sid = cptPlan.SID[node]
 		}
-		p.entries[ref] = pay
-		p.fastNodes[node] = fastNode{sid: pay.sid, anchor: pay.anchor}
-	}
-	// Cache the fixed query results the accessors used to rebuild per call.
-	p.instrumented = make(map[minivm.MethodRef]bool, len(p.entries))
-	for ref := range p.entries {
 		p.instrumented[ref] = true
 	}
-	p.active = make(map[minivm.SiteRef]bool, len(p.sites))
-	for ref, pay := range p.sites {
-		if p.CPT != nil || pay.av != 0 || len(pay.push) > 0 || pay.perTarget != nil {
+	// Cache the fixed query results the accessors used to rebuild per call.
+	p.active = make(map[minivm.SiteRef]bool, len(p.siteID))
+	for ref, id := range p.siteID {
+		if f := &p.fastSites[id]; p.CPT != nil || f.av != 0 || f.hasPush || f.perEdge {
 			p.active[ref] = true
 		}
 	}
-	p.freeSites = len(p.sites) - len(p.active)
+	p.freeSites = len(p.fastSites) - len(p.active)
 	return p, nil
 }
 
@@ -245,12 +205,7 @@ func (p *Plan) SiteID(s minivm.SiteRef) int32 {
 
 // MethodID returns the dense id of a method — its call-graph node id — or
 // -1 when the method is outside the analysed graph (dynamic classes).
-func (p *Plan) MethodID(m minivm.MethodRef) int32 {
-	if n, ok := p.Build.NodeOf[m]; ok {
-		return int32(n)
-	}
-	return -1
-}
+func (p *Plan) MethodID(m minivm.MethodRef) int32 { return int32(p.Build.Node(m)) }
 
 // InstrumentedMethods returns the set of methods that carry instrumentation,
 // for VM.SetInstrumented: exactly the nodes of the analysed call graph.
@@ -262,7 +217,7 @@ func (p *Plan) Entry() callgraph.NodeID { return p.entry }
 
 // NumInstrumentedSites reports how many call sites carry payloads
 // (Table 1's CS column).
-func (p *Plan) NumInstrumentedSites() int { return len(p.sites) }
+func (p *Plan) NumInstrumentedSites() int { return len(p.fastSites) }
 
 // ActiveSites returns the call sites that actually need instrumentation:
 // with call path tracking every site saves an expectation, but without it a

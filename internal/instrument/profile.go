@@ -13,35 +13,60 @@ import (
 type EdgeProfiler struct {
 	build  *cha.Result
 	Counts map[callgraph.Edge]uint64
+
+	// siteID and sites resolve a call site of an analysed caller to its
+	// graph site, once per loaded method.
+	siteID map[minivm.SiteRef]int32
+	sites  []callgraph.Site
 }
 
 // NewEdgeProfiler builds a profiler over the analysed program in build.
 func NewEdgeProfiler(build *cha.Result) *EdgeProfiler {
-	return &EdgeProfiler{build: build, Counts: make(map[callgraph.Edge]uint64)}
+	return &EdgeProfiler{
+		build:  build,
+		Counts: make(map[callgraph.Edge]uint64),
+		siteID: make(map[minivm.SiteRef]int32),
+	}
+}
+
+// ResolveMethod implements minivm.Probes: the method's graph node id, or
+// -1 outside the analysed graph.
+func (p *EdgeProfiler) ResolveMethod(m minivm.MethodRef) int32 { return int32(p.build.Node(m)) }
+
+// ResolveSite implements minivm.Probes: -1 for a site whose caller is
+// outside the analysed graph.
+func (p *EdgeProfiler) ResolveSite(s minivm.SiteRef) int32 {
+	caller, ok := p.build.NodeOf[s.In]
+	if !ok {
+		return -1
+	}
+	id, ok := p.siteID[s]
+	if !ok {
+		id = int32(len(p.sites))
+		p.siteID[s] = id
+		p.sites = append(p.sites, callgraph.Site{Caller: caller, Label: s.Site})
+	}
+	return id
 }
 
 // BeforeCall implements minivm.Probes.
-func (p *EdgeProfiler) BeforeCall(site minivm.SiteRef, target minivm.MethodRef) uint8 {
-	caller, ok := p.build.NodeOf[site.In]
-	if !ok {
+func (p *EdgeProfiler) BeforeCall(site, target int32) uint8 {
+	if site < 0 || target < 0 {
 		return 0
 	}
-	callee, ok := p.build.NodeOf[target]
-	if !ok {
-		return 0
-	}
-	p.Counts[callgraph.Edge{Caller: caller, Callee: callee, Label: site.Site}]++
+	s := p.sites[site]
+	p.Counts[callgraph.Edge{Caller: s.Caller, Callee: callgraph.NodeID(target), Label: s.Label}]++
 	return 0
 }
 
 // AfterCall implements minivm.Probes.
-func (p *EdgeProfiler) AfterCall(minivm.SiteRef, minivm.MethodRef, uint8) {}
+func (p *EdgeProfiler) AfterCall(int32, int32, uint8) {}
 
 // Enter implements minivm.Probes.
-func (p *EdgeProfiler) Enter(minivm.MethodRef) uint8 { return 0 }
+func (p *EdgeProfiler) Enter(int32) uint8 { return 0 }
 
 // Exit implements minivm.Probes.
-func (p *EdgeProfiler) Exit(minivm.MethodRef, uint8) {}
+func (p *EdgeProfiler) Exit(int32, uint8) {}
 
 // Profile runs the program once under the profiler and returns the edge
 // counts.

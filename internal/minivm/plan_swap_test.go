@@ -6,17 +6,17 @@ import (
 )
 
 // Regression tests for probe-id freshness across plan swaps. An incremental
-// analysis (Analysis.Extend) swaps the installed FastProbes and calls
+// analysis (Analysis.Extend) swaps the installed Probes and calls
 // MarkAnalyzed mid-run; the dense per-method id tables (methodID, siteIDs)
 // are caches against the previous resolver and must be rebuilt, including
 // for calls already in flight: the id fields are re-read from the
 // loadedMethod at fire time, so a frame entered under the old plan exits
 // with ids the new resolver assigned.
 
-// fastRec is a FastProbes fake that assigns ids from a per-generation base
-// (so stale ids from another generation are detectable) and records every
-// fast-path event as a readable string.
-type fastRec struct {
+// idRec is a Probes fake that assigns ids from a per-generation base (so
+// stale ids from another generation are detectable) and records every event
+// as a readable string.
+type idRec struct {
 	gen     string
 	base    int32
 	next    int32
@@ -25,12 +25,12 @@ type fastRec struct {
 	events  []string
 }
 
-func newFastRec(gen string, base int32) *fastRec {
-	return &fastRec{gen: gen, base: base, next: base,
+func newIDRec(gen string, base int32) *idRec {
+	return &idRec{gen: gen, base: base, next: base,
 		methods: make(map[MethodRef]int32), sites: make(map[SiteRef]int32)}
 }
 
-func (r *fastRec) ResolveMethod(m MethodRef) int32 {
+func (r *idRec) ResolveMethod(m MethodRef) int32 {
 	id, ok := r.methods[m]
 	if !ok {
 		id = r.next
@@ -40,7 +40,7 @@ func (r *fastRec) ResolveMethod(m MethodRef) int32 {
 	return id
 }
 
-func (r *fastRec) ResolveSite(s SiteRef) int32 {
+func (r *idRec) ResolveSite(s SiteRef) int32 {
 	id, ok := r.sites[s]
 	if !ok {
 		id = r.next
@@ -50,31 +50,23 @@ func (r *fastRec) ResolveSite(s SiteRef) int32 {
 	return id
 }
 
-func (r *fastRec) rec(format string, args ...any) {
+func (r *idRec) rec(format string, args ...any) {
 	r.events = append(r.events, fmt.Sprintf(format, args...))
 }
 
-func (r *fastRec) FastBeforeCall(site, target int32) uint8 {
+func (r *idRec) BeforeCall(site, target int32) uint8 {
 	r.rec("%s before site=%d target=%d", r.gen, site, target)
 	return 1
 }
 
-func (r *fastRec) FastAfterCall(site, target int32, token uint8) {
+func (r *idRec) AfterCall(site, target int32, token uint8) {
 	r.rec("%s after site=%d target=%d", r.gen, site, target)
 }
 
-func (r *fastRec) FastEnter(m int32) uint8 { r.rec("%s enter m=%d", r.gen, m); return 1 }
-func (r *fastRec) FastExit(m int32, token uint8) {
+func (r *idRec) Enter(m int32) uint8 { r.rec("%s enter m=%d", r.gen, m); return 1 }
+func (r *idRec) Exit(m int32, token uint8) {
 	r.rec("%s exit m=%d", r.gen, m)
 }
-
-// Ref-path half of Probes; unused on the fast path but required by the
-// interface.
-func (r *fastRec) BeforeCall(site SiteRef, target MethodRef) uint8 { return 0 }
-func (r *fastRec) AfterCall(site SiteRef, target MethodRef, token uint8) {
-}
-func (r *fastRec) Enter(m MethodRef) uint8       { return 0 }
-func (r *fastRec) Exit(m MethodRef, token uint8) {}
 
 // swapProgram drives the plan-swap scenario:
 //
@@ -111,7 +103,7 @@ func swapProgram() *Program {
 
 // TestPlanSwapRefreshesProbeIDs swaps probes and absorbs a dynamic class
 // while a call into that class is in flight, then checks every subsequent
-// fast-path event fires on the new probes with the new resolver's ids —
+// event fires on the new probes with the new resolver's ids —
 // no event may carry an id from the old generation's range.
 func TestPlanSwapRefreshesProbeIDs(t *testing.T) {
 	prog := swapProgram()
@@ -119,8 +111,8 @@ func TestPlanSwapRefreshesProbeIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := newFastRec("old", 0)
-	next := newFastRec("new", 100)
+	old := newIDRec("old", 0)
+	next := newIDRec("new", 100)
 	vm.SetProbes(old)
 
 	dyn := MethodRef{Class: "Dyn", Method: "op"}
@@ -215,7 +207,7 @@ func TestMarkAnalyzedBeforeRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := newFastRec("new", 100)
+	rec := newIDRec("new", 100)
 	vm.SetProbes(rec)
 	vm.MarkAnalyzed("Dyn")
 	if err := vm.Run(); err != nil {

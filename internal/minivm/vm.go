@@ -11,6 +11,14 @@ import (
 // payloads to call sites and method entries; the resulting encoder
 // implements Probes and the VM invokes it at the corresponding events.
 //
+// Probes are driven by dense integer ids: the VM resolves every method and
+// call site to an id once per loaded method (ResolveMethod, ResolveSite) and
+// the interpreter hot path passes those ids to the event methods — a slice
+// index in the probe instead of a map lookup per event, the minivm analog of
+// an agent baking constant operands into rewritten bytecode. Ids are
+// probe-defined and must be stable for a ref across resolutions; a negative
+// id means "no payload here", which the VM passes through unchanged.
+//
 // Tokens let an instrumentation site communicate with its matching
 // counterpart (BeforeCall→AfterCall around one invocation, Enter→Exit around
 // one activation). They model the local variables an instrumenting agent
@@ -19,53 +27,34 @@ import (
 //
 // A nil Probes means the program runs natively (no instrumentation at all).
 type Probes interface {
+	// ResolveMethod returns the id Enter/Exit and the call events' target
+	// take for m.
+	ResolveMethod(m MethodRef) int32
+	// ResolveSite returns the id BeforeCall/AfterCall take for s.
+	ResolveSite(s SiteRef) int32
 	// BeforeCall fires immediately before an invocation at the given call
 	// site transfers control to target. For a virtual site, target is the
 	// dynamically chosen method — which may belong to a dynamically
 	// loaded class the static analysis never saw.
-	BeforeCall(site SiteRef, target MethodRef) (token uint8)
+	BeforeCall(site, target int32) (token uint8)
 	// AfterCall fires immediately after the invocation returns.
-	AfterCall(site SiteRef, target MethodRef, token uint8)
+	AfterCall(site, target int32, token uint8)
 	// Enter fires at the entry of method m, but only if m was statically
 	// loaded: dynamically loaded classes are never instrumented
 	// (Section 4.1 — "instrumentation of dynamically loaded classes is
 	// completely avoided").
-	Enter(m MethodRef) (token uint8)
+	Enter(m int32) (token uint8)
 	// Exit fires at the exit of a statically loaded method m, with the
 	// token its Enter returned.
-	Exit(m MethodRef, token uint8)
+	Exit(m int32, token uint8)
 }
 
-// FastProbes is an optional extension of Probes for probe implementations
-// that can be driven by dense integer ids instead of structured refs. When
-// the installed probes implement it, the VM resolves every call site and
-// method to an id once per loaded method (via ResolveMethod/ResolveSite) and
-// the interpreter hot path fires the Fast variants — two slice indexes
-// instead of a map lookup per event, the minivm analog of an agent baking
-// constant operands into rewritten bytecode.
-//
-// Ids are probe-defined. A negative id means "no payload here"; the VM
-// passes it through unchanged and the probe implementation ignores it.
-type FastProbes interface {
-	Probes
-	// ResolveMethod returns the dense id FastEnter/FastExit expect for m,
-	// or a negative id if m carries no entry payload.
-	ResolveMethod(m MethodRef) int32
-	// ResolveSite returns the dense id FastBeforeCall/FastAfterCall expect
-	// for s, or a negative id if s carries no payload.
-	ResolveSite(s SiteRef) int32
-	FastBeforeCall(site, target int32) (token uint8)
-	FastAfterCall(site, target int32, token uint8)
-	FastEnter(m int32) (token uint8)
-	FastExit(m int32, token uint8)
-}
-
-// Sentinel site ids the VM stores in a loaded method's siteIDs table.
-// fastSiteSkip marks an encoding-free site (excluded by SetInstrumentedSites):
-// the VM skips the probe calls entirely, exactly as the ref path's set check
-// does. Unmodelled sites keep the probe's own negative id (the probe fires
-// and ignores it, matching the ref path's nil-payload behaviour).
-const fastSiteSkip int32 = -2
+// siteSkip is the sentinel site id the VM stores in a loaded method's
+// siteIDs table for an encoding-free site (excluded by
+// SetInstrumentedSites): the VM skips the probe calls entirely. Sites the
+// probe has no payload for keep the probe's own negative id; the probe
+// fires and ignores it.
+const siteSkip int32 = -2
 
 // EmitFunc receives emit events: the method containing the OpEmit, its tag,
 // and the VM (whose Stack method gives the ground-truth calling context).
@@ -86,7 +75,7 @@ type loadedMethod struct {
 	library bool
 	dynamic bool // belongs to a dynamically loaded class
 
-	// Dense probe ids, resolved once per method when FastProbes are
+	// Dense probe ids, resolved once per method while probes are
 	// installed: methodID for Enter/Exit, siteIDs indexed by site label
 	// (labels are dense per method after Normalize) for call probes.
 	methodID int32
@@ -116,9 +105,6 @@ type VM struct {
 	dtables map[dispatchKey][]*loadedMethod
 
 	probes Probes
-	// fast is probes when it implements FastProbes, else nil. Non-nil
-	// switches the interpreter's call/enter/exit hot path to dense ids.
-	fast FastProbes
 	// instrumented, when non-nil, restricts probes to the listed methods:
 	// only their entries/exits and the call sites inside them fire. This
 	// models selective bytecode rewriting (Section 4.2): a method the
@@ -241,13 +227,12 @@ func NewVM(prog *Program, seed uint64) (*VM, error) {
 	return vm, nil
 }
 
-// SetProbes installs (or clears, with nil) the instrumentation probes.
-// Probes that implement FastProbes get the dense-id hot path: the VM
-// resolves ids for every loaded method now and for each later dynamic load.
+// SetProbes installs (or clears, with nil) the instrumentation probes. The
+// VM resolves ids for every loaded method now and for each later dynamic
+// load.
 func (vm *VM) SetProbes(p Probes) {
 	vm.probes = p
-	vm.fast, _ = p.(FastProbes)
-	vm.resolveFast()
+	vm.resolveIDs()
 }
 
 // SetInstrumented restricts probes to the given methods; nil means every
@@ -275,30 +260,30 @@ func (vm *VM) MarkAnalyzed(names ...string) {
 			lm.dynamic = false
 		}
 	}
-	vm.resolveFast()
+	vm.resolveIDs()
 }
 
 // SetInstrumentedSites restricts call-site probes to the given sites; nil
-// means every site within instrumented methods fires. The fast-path site
-// tables bake the exclusion in, so the set must be installed before Run.
+// means every site within instrumented methods fires. The site-id tables
+// bake the exclusion in, so the set must be installed before Run.
 func (vm *VM) SetInstrumentedSites(set map[SiteRef]bool) {
 	vm.instrumentedSites = set
-	vm.resolveFast()
+	vm.resolveIDs()
 }
 
-// resolveFast (re)builds every loaded method's dense probe-id tables.
-func (vm *VM) resolveFast() {
-	if vm.fast == nil {
+// resolveIDs (re)builds every loaded method's dense probe-id tables.
+func (vm *VM) resolveIDs() {
+	if vm.probes == nil {
 		return
 	}
 	for _, lm := range vm.methods {
-		vm.resolveMethodFast(lm)
+		vm.resolveMethod(lm)
 	}
 }
 
-// resolveMethodFast resolves one method's dense ids against vm.fast.
-func (vm *VM) resolveMethodFast(lm *loadedMethod) {
-	lm.methodID = vm.fast.ResolveMethod(lm.ref)
+// resolveMethod resolves one method's dense ids against the probes.
+func (vm *VM) resolveMethod(lm *loadedMethod) {
+	lm.methodID = vm.probes.ResolveMethod(lm.ref)
 	n := countSites(lm.body)
 	if n == 0 {
 		lm.siteIDs = nil
@@ -342,9 +327,9 @@ func (vm *VM) fillSiteIDs(lm *loadedMethod, body []Instr) {
 		case OpCall, OpVCall:
 			s := SiteRef{In: lm.ref, Site: in.Site}
 			if vm.instrumentedSites != nil && !vm.instrumentedSites[s] {
-				lm.siteIDs[in.Site] = fastSiteSkip
+				lm.siteIDs[in.Site] = siteSkip
 			} else {
-				lm.siteIDs[in.Site] = vm.fast.ResolveSite(s)
+				lm.siteIDs[in.Site] = vm.probes.ResolveSite(s)
 			}
 		case OpLoop:
 			vm.fillSiteIDs(lm, in.Body)
@@ -404,8 +389,8 @@ func (vm *VM) load(name string) error {
 			dynamic: dynamic,
 		}
 		vm.methods[ref] = lm
-		if vm.fast != nil {
-			vm.resolveMethodFast(lm)
+		if vm.probes != nil {
+			vm.resolveMethod(lm)
 		}
 		// Register in the dispatch table of every ancestor (and self):
 		// a vcall on any ancestor type can now dispatch here.
@@ -497,17 +482,12 @@ func (vm *VM) invoke(m *loadedMethod) error {
 	}
 	var tok uint8
 	probed := vm.hasProbes(m)
-	fast := probed && vm.fast != nil
-	if fast {
-		tok = vm.fast.FastEnter(m.methodID)
-	} else if probed {
-		tok = vm.probes.Enter(m.ref)
+	if probed {
+		tok = vm.probes.Enter(m.methodID)
 	}
 	err := vm.exec(m, m.body)
-	if fast {
-		vm.fast.FastExit(m.methodID, tok)
-	} else if probed {
-		vm.probes.Exit(m.ref, tok)
+	if probed {
+		vm.probes.Exit(m.methodID, tok)
 	}
 	vm.obs.returns.Inc()
 	if vm.obs.tracer != nil {
@@ -597,23 +577,13 @@ func (vm *VM) call(caller *loadedMethod, site int32, target *loadedMethod) error
 	if !vm.hasCallProbes(caller) {
 		return vm.invoke(target)
 	}
-	if vm.fast != nil && int(site) < len(caller.siteIDs) {
-		sid := caller.siteIDs[site]
-		if sid == fastSiteSkip {
-			return vm.invoke(target) // encoding-free site: nothing inserted
-		}
-		tok := vm.fast.FastBeforeCall(sid, target.methodID)
-		err := vm.invoke(target)
-		vm.fast.FastAfterCall(sid, target.methodID, tok)
-		return err
-	}
-	s := SiteRef{In: caller.ref, Site: site}
-	if vm.instrumentedSites != nil && !vm.instrumentedSites[s] {
+	sid := caller.siteIDs[site]
+	if sid == siteSkip {
 		return vm.invoke(target) // encoding-free site: nothing inserted
 	}
-	tok := vm.probes.BeforeCall(s, target.ref)
+	tok := vm.probes.BeforeCall(sid, target.methodID)
 	err := vm.invoke(target)
-	vm.probes.AfterCall(s, target.ref, tok)
+	vm.probes.AfterCall(sid, target.methodID, tok)
 	return err
 }
 

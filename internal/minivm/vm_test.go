@@ -284,32 +284,37 @@ func TestVCallNoImplementation(t *testing.T) {
 	}
 }
 
-// countingProbes records probe events for assertions.
+// countingProbes records probe events for assertions. Method ids index
+// methods; every site resolves to 0.
 type countingProbes struct {
 	before, after, enter, exit int
 	dynamicEnters              int
-	lastTarget                 MethodRef
+	methods                    []MethodRef
 }
 
-func (c *countingProbes) BeforeCall(_ SiteRef, target MethodRef) uint8 {
+func (c *countingProbes) ResolveMethod(m MethodRef) int32 {
+	c.methods = append(c.methods, m)
+	return int32(len(c.methods) - 1)
+}
+func (c *countingProbes) ResolveSite(SiteRef) int32 { return 0 }
+func (c *countingProbes) BeforeCall(_, _ int32) uint8 {
 	c.before++
-	c.lastTarget = target
 	return 7
 }
-func (c *countingProbes) AfterCall(_ SiteRef, _ MethodRef, tok uint8) {
+func (c *countingProbes) AfterCall(_, _ int32, tok uint8) {
 	if tok != 7 {
 		panic("token not threaded")
 	}
 	c.after++
 }
-func (c *countingProbes) Enter(m MethodRef) uint8 {
+func (c *countingProbes) Enter(m int32) uint8 {
 	c.enter++
-	if m.Class == "Dyn" {
+	if c.methods[m].Class == "Dyn" {
 		c.dynamicEnters++
 	}
 	return 9
 }
-func (c *countingProbes) Exit(_ MethodRef, tok uint8) {
+func (c *countingProbes) Exit(_ int32, tok uint8) {
 	if tok != 9 {
 		panic("token not threaded")
 	}

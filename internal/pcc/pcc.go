@@ -11,9 +11,9 @@
 // decoding — the critical difference from DeltaPath.
 //
 // As in the paper's head-to-head setup, the Encoder here is implemented on
-// the same instrumentation substrate as DeltaPath (minivm probes over the
-// same instrumented method set), so the overhead comparison isolates the
-// encoding arithmetic.
+// the same instrumentation substrate as DeltaPath — the same dense-id minivm
+// probes, resolved once per loaded method, over the same instrumented method
+// set — so the overhead comparison isolates the encoding arithmetic.
 package pcc
 
 import (
@@ -32,20 +32,22 @@ import (
 type Encoder struct {
 	v     uint64
 	saved []uint64
-	sites map[minivm.SiteRef]uint64
+	// siteID resolves an instrumented call site to its index in cs, the
+	// per-site constants.
+	siteID map[minivm.SiteRef]int32
+	cs     []uint64
 }
 
 // New builds a PCC encoder instrumenting exactly the call sites of the
 // analysed call graph in build — the same set DeltaPath instruments.
 func New(build *cha.Result) *Encoder {
-	sites := make(map[minivm.SiteRef]uint64)
-	g := build.Graph
-	for _, s := range g.Sites() {
-		ref := build.RefOf[s.Caller]
-		key := minivm.SiteRef{In: ref, Site: s.Label}
-		sites[key] = SiteConstant(key)
+	e := &Encoder{siteID: make(map[minivm.SiteRef]int32), saved: make([]uint64, 0, 64)}
+	for _, s := range build.Graph.Sites() {
+		key := minivm.SiteRef{In: build.RefOf[s.Caller], Site: s.Label}
+		e.siteID[key] = int32(len(e.cs))
+		e.cs = append(e.cs, SiteConstant(key))
 	}
-	return &Encoder{sites: sites, saved: make([]uint64, 0, 64)}
+	return e
 }
 
 // SiteConstant derives the per-site constant cs: a stable FNV-1a hash of
@@ -80,19 +82,30 @@ func (e *Encoder) Reset() {
 	e.saved = e.saved[:0]
 }
 
+// ResolveMethod implements minivm.Probes (PCC keys nothing by method).
+func (e *Encoder) ResolveMethod(minivm.MethodRef) int32 { return -1 }
+
+// ResolveSite implements minivm.Probes: an index into the site constants,
+// or -1 for a site outside the instrumented set.
+func (e *Encoder) ResolveSite(s minivm.SiteRef) int32 {
+	if id, ok := e.siteID[s]; ok {
+		return id
+	}
+	return -1
+}
+
 // BeforeCall implements minivm.Probes: V' = 3V + cs.
-func (e *Encoder) BeforeCall(site minivm.SiteRef, _ minivm.MethodRef) uint8 {
-	cs, ok := e.sites[site]
-	if !ok {
+func (e *Encoder) BeforeCall(site, _ int32) uint8 {
+	if site < 0 {
 		return 0
 	}
 	e.saved = append(e.saved, e.v)
-	e.v = (3*e.v + cs) & 0xffffffff
+	e.v = (3*e.v + e.cs[site]) & 0xffffffff
 	return 1
 }
 
 // AfterCall implements minivm.Probes: restore the caller's V.
-func (e *Encoder) AfterCall(_ minivm.SiteRef, _ minivm.MethodRef, token uint8) {
+func (e *Encoder) AfterCall(_, _ int32, token uint8) {
 	if token == 0 {
 		return
 	}
@@ -101,13 +114,12 @@ func (e *Encoder) AfterCall(_ minivm.SiteRef, _ minivm.MethodRef, token uint8) {
 }
 
 // Enter implements minivm.Probes (PCC does nothing at method entries).
-func (e *Encoder) Enter(minivm.MethodRef) uint8 { return 0 }
+func (e *Encoder) Enter(int32) uint8 { return 0 }
 
 // Exit implements minivm.Probes.
-func (e *Encoder) Exit(minivm.MethodRef, uint8) {}
+func (e *Encoder) Exit(int32, uint8) {}
 
 // BeginTask implements minivm.TaskProbes: V is per-thread state.
 func (e *Encoder) BeginTask(minivm.MethodRef) { e.Reset() }
 
-var _ minivm.Probes = (*Encoder)(nil)
 var _ minivm.TaskProbes = (*Encoder)(nil)

@@ -76,7 +76,7 @@ func TestPCC32Bit(t *testing.T) {
 	prog := lang.MustParse(src)
 	build, _ := cha.Build(prog, cha.Options{})
 	enc := New(build)
-	for _, cs := range enc.sites {
+	for _, cs := range enc.cs {
 		if cs > 0xffffffff {
 			t.Fatalf("site constant %d exceeds 32 bits", cs)
 		}

@@ -492,7 +492,8 @@ func writeManifest(dir string, digest analysisio.GraphDigest, m *manifest) error
 }
 
 // readManifest loads dir's manifest. ok=false (no error) when none exists
-// — a fresh tenant or one still on the legacy DPS1 snapshot layout.
+// — a fresh tenant, or one still on the DPS1 snapshot layout, which
+// newTenant refuses.
 func readManifest(dir string, want analysisio.GraphDigest) (*manifest, bool, error) {
 	path := filepath.Join(dir, manifestName)
 	f, err := os.Open(path)

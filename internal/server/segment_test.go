@@ -384,6 +384,35 @@ func TestTenantRecoversTornWALHeader(t *testing.T) {
 	}
 }
 
+// TestTenantRefusesLegacySnapshot: a tenant directory still on the
+// pre-segment layout (a DPS1 snapshot.dps and no MANIFEST) is refused with
+// an error naming the file. Nothing reads that format any more, and
+// starting empty would silently drop the records it holds.
+func TestTenantRefusesLegacySnapshot(t *testing.T) {
+	fx := loadFixture(t)
+	dataDir := t.TempDir()
+	legacy := filepath.Join(dataDir, "app", "snapshot.dps")
+	if err := os.MkdirAll(filepath.Dir(legacy), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// A valid, empty DPS1 snapshot: magic, digest, no applied IDs, no
+	// records.
+	var dps bytes.Buffer
+	dps.WriteString("DPS1\n")
+	if err := profile.WriteDigest(&dps, fx.digest); err != nil {
+		t.Fatal(err)
+	}
+	dps.Write([]byte{0, 0})
+	if err := os.WriteFile(legacy, dps.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, dataDir, Config{QueueDepth: 8})
+	defer s.Close(context.Background())
+	if _, err := s.AddTenant("app", bytes.NewReader(fx.dpa)); err == nil || !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("AddTenant = %v, want a refusal naming %s", err, legacy)
+	}
+}
+
 // TestCompactionMergesSegments: once the live list reaches the threshold
 // the background compactor folds it into one segment without changing any
 // observable count, and the compacted store recovers identically.

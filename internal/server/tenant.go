@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -179,12 +178,13 @@ type tenant struct {
 }
 
 // newTenant opens (or creates) a tenant's durable state under dir and
-// recovers it: the segment manifest first (migrating a legacy DPS1
-// snapshot into the segment layout if that is what is on disk), then
-// orphaned segment files are discarded, then committed WAL entries not in
-// the manifest's applied set are replayed into a fresh memtable, and the
-// WAL is reopened for appends past its committed prefix. Every file is
-// refused on a digest mismatch.
+// recovers it: the segment manifest first, then orphaned segment files are
+// discarded, then committed WAL entries not in the manifest's applied set
+// are replayed into a fresh memtable, and the WAL is reopened for appends
+// past its committed prefix. Every file is refused on a digest mismatch,
+// and a directory still on the pre-segment DPS1 snapshot layout is refused
+// outright: nothing reads that format any more, and starting empty would
+// silently drop its records.
 func newTenant(name string, bundle *analysisio.Bundle, dir string, cfg Config, reg *obs.Registry) (*tenant, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -220,16 +220,10 @@ func newTenant(name string, bundle *analysisio.Bundle, dir string, cfg Config, r
 	if err != nil {
 		return nil, fmt.Errorf("tenant %s: %w", name, err)
 	}
-	if !ok {
-		man, err = t.migrateLegacySnapshot()
-		if err != nil {
-			return nil, fmt.Errorf("tenant %s: %w", name, err)
-		}
-	} else {
-		// A lingering snapshot.dps next to a manifest is the leftover of
-		// a crash between manifest install and snapshot delete during
-		// migration — the manifest is authoritative.
-		os.Remove(t.snapshotPath())
+	legacy := filepath.Join(dir, "snapshot.dps")
+	if _, err := os.Stat(legacy); err == nil && !ok {
+		return nil, fmt.Errorf("tenant %s: %s is a DPS1 snapshot, a format no longer read; "+
+			"start from a fresh directory", name, legacy)
 	}
 	if man != nil {
 		t.segs.nextSeq = man.NextSeq
@@ -290,39 +284,7 @@ func newTenant(name string, bundle *analysisio.Bundle, dir string, cfg Config, r
 	return t, nil
 }
 
-// migrateLegacySnapshot converts a pre-segment DPS1 monolith into the
-// segment layout: its records become segment 0, its applied set the
-// manifest's. Returns nil when there is nothing on disk. Crash-safe: the
-// snapshot is deleted only after the manifest is durable, and a re-run
-// overwrites the same segment 0.
-func (t *tenant) migrateLegacySnapshot() (*manifest, error) {
-	snap, err := ReadSnapshot(t.snapshotPath(), t.digest)
-	if err != nil {
-		return nil, err
-	}
-	if len(snap.AppliedIDs) == 0 && len(snap.Records) == 0 {
-		return nil, nil
-	}
-	man := &manifest{NextSeq: 1, AppliedIDs: snap.AppliedIDs}
-	if len(snap.Records) > 0 {
-		recs := snap.Records
-		sort.Slice(recs, func(i, j int) bool {
-			return string(recs[i].Key) < string(recs[j].Key)
-		})
-		if _, err := writeSegment(t.dir, t.digest, 0, recs); err != nil {
-			return nil, err
-		}
-		man.Segments = []uint64{0}
-	}
-	if err := writeManifest(t.dir, t.digest, man); err != nil {
-		return nil, err
-	}
-	os.Remove(t.snapshotPath())
-	return man, nil
-}
-
-func (t *tenant) walPath() string      { return filepath.Join(t.dir, "wal.log") }
-func (t *tenant) snapshotPath() string { return filepath.Join(t.dir, "snapshot.dps") }
+func (t *tenant) walPath() string { return filepath.Join(t.dir, "wal.log") }
 
 // records reports the tenant's aggregate hit count: everything in
 // segments plus the memtable.

@@ -1,4 +1,4 @@
-// WAL and snapshot persistence for one ingestion tenant.
+// WAL persistence for one ingestion tenant.
 //
 // Durability contract: a batch is acknowledged to the agent only after its
 // WAL entry — batch ID, every record, and a commit marker — has been
@@ -11,21 +11,12 @@
 // the one the WAL was recorded under — the same stale/tampered-analysis
 // refusal .dpa and .dpp files enforce.
 //
-// On-disk layout per tenant directory:
+// On-disk layout per tenant directory (segments and MANIFEST: segment.go):
 //
 //	wal.log       "DPW1\n" + digest, then batch entries:
 //	              'B' uvarint(len(id)) id uvarint(n)
 //	              n × DPP1 record framing (uvarint len, bytes, uvarint count)
 //	              'C'
-//	snapshot.dps  "DPS1\n" + digest,
-//	              uvarint(nIDs) + nIDs × (uvarint len, id bytes),
-//	              uvarint(nRecs) + nRecs × DPP1 record framing
-//
-// The snapshot is written to a temporary file, fsynced, and renamed into
-// place, so it is atomically either the old or the new state; the WAL is
-// truncated (recreated) only after the snapshot rename. A crash between
-// the two leaves snapshot + full WAL, and the applied-batch set in the
-// snapshot deduplicates the re-replay.
 package server
 
 import (
@@ -36,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 
 	"deltapath/internal/analysisio"
@@ -44,14 +34,13 @@ import (
 )
 
 const (
-	walMagic      = "DPW1\n"
-	snapshotMagic = "DPS1\n"
+	walMagic = "DPW1\n"
 
 	walBatchBegin  = 'B'
 	walBatchCommit = 'C'
 )
 
-// ErrDigestMismatch marks a WAL or snapshot recorded under a different
+// ErrDigestMismatch marks a WAL or segment recorded under a different
 // analysis than the one the tenant is being opened with. Replaying it
 // would aggregate counts for contexts the analysis cannot decode — the
 // server refuses, exactly as .dpa/.dpp loading refuses. Match with
@@ -67,7 +56,7 @@ type WALBatch struct {
 // ErrWALFailed marks a WAL whose partial entry could not be rolled back
 // after a failed append: the file may be structurally corrupt past its
 // committed prefix, so further appends (and therefore acknowledgements)
-// are refused until a snapshot Reset recreates it. Match with errors.Is.
+// are refused until a flush's Reset recreates it. Match with errors.Is.
 var ErrWALFailed = errors.New("wal failed, awaiting snapshot reset")
 
 // WAL is the append-only durability log of one tenant. Appends are owned
@@ -205,9 +194,9 @@ func (w *WAL) Size() int64 { return w.size.Load() }
 // Close closes the underlying file.
 func (w *WAL) Close() error { return w.f.Close() }
 
-// Reset truncates the WAL back to a bare header — called after a snapshot
-// has been atomically installed, so every entry it drops is already
-// persisted in the snapshot.
+// Reset truncates the WAL back to a bare header — called after a memtable
+// flush has atomically installed its segment and manifest, so every entry
+// it drops is already persisted in a segment.
 func (w *WAL) Reset() error {
 	if err := w.f.Close(); err != nil && !w.failed {
 		return err
@@ -366,121 +355,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // offset is the file position of the next unread byte.
 func offset(cr *countingReader, br *bufio.Reader) int64 {
 	return cr.n - int64(br.Buffered())
-}
-
-// Snapshot is a tenant's durable state at one instant: the applied-batch
-// set plus every interned record with its count.
-type Snapshot struct {
-	AppliedIDs []string
-	Records    []profile.Record
-}
-
-// WriteSnapshot atomically installs snap at path: temp file, fsync,
-// rename, directory fsync.
-func WriteSnapshot(path string, digest analysisio.GraphDigest, snap *Snapshot) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	bw.WriteString(snapshotMagic)
-	if err := profile.WriteDigest(bw, digest); err != nil {
-		f.Close()
-		return err
-	}
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(snap.AppliedIDs)))
-	for _, id := range snap.AppliedIDs {
-		buf = binary.AppendUvarint(buf, uint64(len(id)))
-		buf = append(buf, id...)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(snap.Records)))
-	for _, r := range snap.Records {
-		buf = profile.AppendRecord(buf, r.Key, r.Count)
-	}
-	if _, err := bw.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// ReadSnapshot loads the snapshot at path, verifying its digest against
-// want. A missing file returns an empty snapshot.
-func ReadSnapshot(path string, want analysisio.GraphDigest) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return &Snapshot{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	head := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("snapshot %s: truncated header: %w", path, err)
-	}
-	if string(head) != snapshotMagic {
-		return nil, fmt.Errorf("snapshot %s: bad magic %q", path, head)
-	}
-	digest, err := profile.ReadDigest(br)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot %s: %w", path, err)
-	}
-	if digest != want {
-		return nil, fmt.Errorf("snapshot %s: recorded under %s, analysis graph is %s: %w",
-			path, digest, want, ErrDigestMismatch)
-	}
-	snap := &Snapshot{}
-	nIDs, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot %s: applied-ID count: %w", path, err)
-	}
-	if nIDs > 1<<24 {
-		return nil, fmt.Errorf("snapshot %s: implausible applied-ID count %d", path, nIDs)
-	}
-	for i := uint64(0); i < nIDs; i++ {
-		idLen, err := binary.ReadUvarint(br)
-		if err != nil || idLen == 0 || idLen > 1024 {
-			return nil, fmt.Errorf("snapshot %s: applied ID %d: bad length (%v)", path, i, err)
-		}
-		id := make([]byte, idLen)
-		if _, err := io.ReadFull(br, id); err != nil {
-			return nil, fmt.Errorf("snapshot %s: applied ID %d: %w", path, i, err)
-		}
-		snap.AppliedIDs = append(snap.AppliedIDs, string(id))
-	}
-	nRecs, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot %s: record count: %w", path, err)
-	}
-	if nRecs > 1<<30 {
-		return nil, fmt.Errorf("snapshot %s: implausible record count %d", path, nRecs)
-	}
-	for i := uint64(0); i < nRecs; i++ {
-		rec, count, err := profile.ReadRecord(br)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot %s: record %d: %w", path, i, err)
-		}
-		snap.Records = append(snap.Records, profile.Record{Key: rec, Count: count})
-	}
-	return snap, nil
 }
 
 // syncDir fsyncs a directory so a rename within it is durable.

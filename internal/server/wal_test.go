@@ -368,100 +368,3 @@ func TestWALFailedRefusesAppends(t *testing.T) {
 	}
 	sameBatches(t, rep.Batches, []WALBatch{{ID: "new", Records: []profile.Record{{Key: []byte{3}, Count: 3}}}})
 }
-
-// TestSnapshotRoundTrip: write/read round-trips applied IDs and records in
-// order; a missing file is an empty snapshot; a digest mismatch refuses;
-// the temp file never survives a successful install.
-func TestSnapshotRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snapshot.dps")
-
-	empty, err := ReadSnapshot(path, walDigest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(empty.AppliedIDs) != 0 || len(empty.Records) != 0 {
-		t.Fatalf("missing snapshot read as %+v", empty)
-	}
-
-	snap := &Snapshot{
-		AppliedIDs: []string{"a", "bb", strings.Repeat("c", 100)},
-		Records: []profile.Record{
-			{Key: []byte{1, 2}, Count: 3},
-			{Key: bytes.Repeat([]byte{7}, 500), Count: 1 << 33},
-		},
-	}
-	if err := WriteSnapshot(path, walDigest(), snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("temp file survived install: %v", err)
-	}
-	got, err := ReadSnapshot(path, walDigest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.AppliedIDs) != len(snap.AppliedIDs) {
-		t.Fatalf("applied IDs: got %d, want %d", len(got.AppliedIDs), len(snap.AppliedIDs))
-	}
-	for i, id := range snap.AppliedIDs {
-		if got.AppliedIDs[i] != id {
-			t.Fatalf("applied ID %d: %q, want %q", i, got.AppliedIDs[i], id)
-		}
-	}
-	if len(got.Records) != len(snap.Records) {
-		t.Fatalf("records: got %d, want %d", len(got.Records), len(snap.Records))
-	}
-	for i, r := range snap.Records {
-		if !bytes.Equal(got.Records[i].Key, r.Key) || got.Records[i].Count != r.Count {
-			t.Fatalf("record %d drifted", i)
-		}
-	}
-
-	other := walDigest()
-	other.Nodes++
-	if _, err := ReadSnapshot(path, other); !errors.Is(err, ErrDigestMismatch) {
-		t.Fatalf("err = %v, want ErrDigestMismatch", err)
-	}
-
-	// Overwrite is atomic: a second snapshot replaces the first whole.
-	if err := WriteSnapshot(path, walDigest(), &Snapshot{AppliedIDs: []string{"z"}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadSnapshot(path, walDigest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.AppliedIDs) != 1 || got.AppliedIDs[0] != "z" || len(got.Records) != 0 {
-		t.Fatalf("overwritten snapshot read as %+v", got)
-	}
-}
-
-// TestSnapshotTruncationRefused: every truncation of a snapshot is an
-// error — a half-written snapshot must never load as partial state. (The
-// atomic rename makes this unreachable in practice; the reader still
-// refuses defensively.)
-func TestSnapshotTruncationRefused(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snapshot.dps")
-	snap := &Snapshot{
-		AppliedIDs: []string{"abc", "def"},
-		Records:    []profile.Record{{Key: []byte{1, 2, 3}, Count: 9}},
-	}
-	if err := WriteSnapshot(path, walDigest(), snap); err != nil {
-		t.Fatal(err)
-	}
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cutPath := filepath.Join(dir, "cut.dps")
-	for cut := 0; cut < len(full); cut++ {
-		if err := os.WriteFile(cutPath, full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadSnapshot(cutPath, walDigest()); err == nil {
-			t.Fatalf("truncation at %d loaded without error", cut)
-		}
-	}
-}
