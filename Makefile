@@ -53,9 +53,11 @@ serve-smoke:
 
 # Concurrent-ingest stress under the race detector: 8 agents hammering a
 # deliberately tiny queue with a retry storm; exactly-once delivery and
-# visible backpressure sheds are asserted (internal/server).
+# visible backpressure sheds are asserted. Then agents ingesting fresh keys
+# into the intern table while /query?top, the full stream and /top read it
+# (internal/server).
 ingest-stress:
-	$(GO) test -race -count=1 -run TestServerIngestStress ./internal/server -v
+	$(GO) test -race -count=1 -run 'TestServerIngestStress|TestInternRace' ./internal/server -v
 
 # Ingest fast-path smoke: the ingest-throughput experiment at a tiny
 # configuration end to end (both commit policies over real durable state),

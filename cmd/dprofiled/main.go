@@ -25,13 +25,20 @@
 //	POST /ingest                      .dpp batch in, JSON ack out
 //	                                  (429 + Retry-After under overload,
 //	                                  503 while draining)
-//	GET  /top?tenant=N&n=K            hottest K decoded contexts
+//	GET  /top?tenant=N&n=K            hottest K decoded contexts, with
+//	                                  the store's totals (a workers=
+//	                                  parameter is accepted and ignored)
 //	GET  /decode?tenant=N&record=HEX  decode one context record
 //	GET  /profile?tenant=N            aggregate streamed back as .dpp
 //	GET  /query?tenant=N[&top=K][&class=C]  decoded rows as NDJSON,
 //	                                  streamed with O(segments) memory
 //	GET  /healthz                     per-tenant counters, JSON
 //	GET  /metrics                     Prometheus text (dp_server_*)
+//
+// Each tenant keeps an intern table from record key to display context,
+// filled at ingest and capped at 32 MiB of keys and strings: /top and
+// /query?top= sum counts by context id and render only the rows they
+// return.
 //
 // -pprof-addr starts net/http/pprof on a separate listener (off by
 // default; keep it on a loopback or otherwise private address).

@@ -177,6 +177,6 @@ func BenchmarkEncoderEvent(b *testing.B) {
 			tokens = replayStream(enc, stream, tokens)
 		}
 		b.StopTimer()
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(stream))), "ns/event")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(stream.events))), "ns/event")
 	})
 }

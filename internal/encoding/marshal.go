@@ -26,6 +26,10 @@ const (
 	flagGap     = 1 << 4
 )
 
+// minElementBytes is the smallest marshalled stack element: seven varints
+// of one byte each.
+const minElementBytes = 7
+
 // MarshalContext serializes the state together with the node at which it
 // was captured.
 func MarshalContext(s *State, end callgraph.NodeID) []byte {
@@ -71,7 +75,13 @@ func UnmarshalContext(data []byte) (*State, callgraph.NodeID, error) {
 	if r.err == nil && n > uint64(len(data)) {
 		return nil, 0, fmt.Errorf("encoding: corrupt record: %d stack elements in %d bytes", n, len(data))
 	}
+	// Every element is at least seven one-byte varints, so the bytes left
+	// bound how many can follow: size the stack once, never past what the
+	// record can hold, however large a count it claims.
 	st := &State{ID: id, Start: start}
+	if size := min(n, uint64(len(r.data)/minElementBytes)); size > 0 {
+		st.Stack = make([]Element, 0, size)
+	}
 	for i := uint64(0); i < n && r.err == nil; i++ {
 		head := r.uvarint()
 		el := Element{
@@ -85,6 +95,9 @@ func UnmarshalContext(data []byte) (*State, callgraph.NodeID, error) {
 		}
 		el.Site.Caller = r.node()
 		el.Site.Label = int32(r.uvarint())
+		if r.err != nil {
+			break
+		}
 		st.Stack = append(st.Stack, el)
 	}
 	if r.err != nil {

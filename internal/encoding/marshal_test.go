@@ -1,9 +1,13 @@
 package encoding
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"deltapath/internal/callgraph"
 )
@@ -140,5 +144,64 @@ func TestMarshalDecodeIntegration(t *testing.T) {
 	}
 	if FormatContext(names) != "a > b > c" {
 		t.Fatalf("decoded %v", names)
+	}
+}
+
+// TestUnmarshalAllocs: a record is parsed with its stack sized once — the
+// State and, when the record has elements, one stack allocation — instead
+// of growing the stack element by element.
+func TestUnmarshalAllocs(t *testing.T) {
+	st := NewState(3)
+	st.ID = 42
+	for i := 0; i < 5; i++ {
+		st.Stack = append(st.Stack, Element{Kind: PieceAnchor, DecodeID: uint64(i), ResumeID: uint64(i), OuterEnd: 7, OuterStart: 2})
+	}
+	withStack := MarshalContext(st, 9)
+	stackless := MarshalContext(NewState(3), 9)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want float64
+	}{{"stackless", stackless, 1}, {"five elements", withStack, 2}} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, _, err := UnmarshalContext(tc.data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.want {
+			t.Errorf("%s: %.0f allocations per call, want at most %.0f", tc.name, allocs, tc.want)
+		}
+	}
+}
+
+// TestUnmarshalHostileCount: a record whose element count claims as many
+// elements as the record has bytes passes the count check but cannot hold
+// them. It must fail as truncated, having sized its stack by the bytes
+// actually left rather than by the claim.
+func TestUnmarshalHostileCount(t *testing.T) {
+	const size = 4096
+	data := make([]byte, size) // zero bytes are valid one-byte varints
+	data[0] = marshalVersion
+	head := binary.AppendUvarint([]byte{1, 1, 1}, size) // ID, start, end, count
+	copy(data[1:], head)
+	left := size - 1 - len(head)
+	_, _, err := UnmarshalContext(data)
+	if err == nil || !strings.Contains(err.Error(), "corrupt record: truncated varint") {
+		t.Fatalf("err = %v, want a truncated-varint corruption", err)
+	}
+	var before, after runtime.MemStats
+	const runs = 50
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		UnmarshalContext(data)
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+	// A quarter over the stack's own size covers the allocator's size
+	// classes; the State and the error take the rest.
+	bound := uint64(left/minElementBytes)*uint64(unsafe.Sizeof(Element{}))*5/4 + 1024
+	if perCall > bound {
+		t.Fatalf("hostile count allocates %d B per call, bound %d B (%d bytes left hold at most %d elements)",
+			perCall, bound, left, left/minElementBytes)
 	}
 }

@@ -71,8 +71,8 @@ func DecodeObserved(r *Reader, workers int, decode func(record []byte) (string, 
 // the reader stops feeding the pool, workers drain the queue without
 // decoding, and the call returns ctx.Err() promptly — between records, not
 // mid-record, so an in-flight batch decode aborts within one record's
-// decode time. This is the hook a long-running server's shutdown path uses
-// to cut short /top and /decode work it no longer needs.
+// decode time, so a long-running caller can cut short a decode it no
+// longer needs.
 func DecodeContext(ctx context.Context, r *Reader, workers int, decode func(record []byte) (string, error), reg *obs.Registry) (*Report, error) {
 	memoHits := reg.Counter(obs.MetricProfileDecodeMemoHits)
 	memoMisses := reg.Counter(obs.MetricProfileDecodeMemoMiss)

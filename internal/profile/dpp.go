@@ -279,8 +279,17 @@ func (r *Reader) Next() (record []byte, count uint64, err error) {
 // uvarint count — from br. It returns io.EOF when the input ends cleanly at
 // a record boundary and an error wrapping ErrTruncatedRecord when the input
 // ends anywhere inside a record. Exported so WAL replayers share the exact
-// framing (and its corruption contract) with the .dpp reader.
+// framing (and its corruption contract) with the .dpp reader. The returned
+// slice is freshly allocated and owned by the caller.
 func ReadRecord(br *bufio.Reader) (record []byte, count uint64, err error) {
+	return ReadRecordInto(br, nil)
+}
+
+// ReadRecordInto is ReadRecord reading the record into buf's storage when
+// it is large enough, so a scan that drops each record before reading the
+// next allocates only when a record outgrows the buffer. The returned
+// slice aliases buf (or its replacement); pass it back as the next buf.
+func ReadRecordInto(br *bufio.Reader, buf []byte) (record []byte, count uint64, err error) {
 	size, err := binary.ReadUvarint(br)
 	if err != nil {
 		if err == io.EOF {
@@ -296,7 +305,11 @@ func ReadRecord(br *bufio.Reader) (record []byte, count uint64, err error) {
 	if size == 0 || size > MaxRecordBytes {
 		return nil, 0, fmt.Errorf("implausible length %d", size)
 	}
-	record = make([]byte, size)
+	if uint64(cap(buf)) >= size {
+		record = buf[:size]
+	} else {
+		record = make([]byte, size)
+	}
 	if _, err := io.ReadFull(br, record); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, 0, fmt.Errorf("%w (mid-record body, want %d bytes)", ErrTruncatedRecord, size)

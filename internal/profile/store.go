@@ -174,6 +174,25 @@ type Record struct {
 	Count uint64
 }
 
+// Range calls fn with every interned record and its count, in no
+// particular order. It visits one shard at a time under that shard's lock,
+// so concurrent writers are delayed only briefly, and like Snapshot it may
+// or may not see counts interned while it runs. The key is the store's own
+// immutable string: fn may keep it without copying, but must not call
+// back into the store.
+func (s *Store) Range(fn func(key string, count uint64)) {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		// Range reads shards off the hot path, as Snapshot does.
+		//dplint:coldpath
+		sh.mu.Lock()
+		for k, e := range sh.m {
+			fn(k, e.count)
+		}
+		sh.mu.Unlock()
+	}
+}
+
 // Snapshot returns every interned record with its count, sorted by record
 // bytes — a deterministic order independent of interning interleaving.
 // Snapshot locks one shard at a time, so concurrent writers are delayed

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -214,5 +215,59 @@ func TestReaderErrorSticks(t *testing.T) {
 	_, _, err2 := r.Next()
 	if err1 == nil || err2 == nil || err1 != err2 {
 		t.Fatalf("errors do not stick: %v then %v", err1, err2)
+	}
+}
+
+// TestStoreRangeMatchesSnapshot: Range visits every record once with its
+// count, the same set Snapshot returns sorted.
+func TestStoreRangeMatchesSnapshot(t *testing.T) {
+	s := NewStore(4)
+	for i := 0; i < 100; i++ {
+		s.AddCount([]byte{byte(i), byte(i * 7)}, uint64(1+i%5))
+	}
+	got := map[string]uint64{}
+	s.Range(func(key string, count uint64) {
+		if _, dup := got[key]; dup {
+			t.Fatalf("Range visited %x twice", key)
+		}
+		got[key] = count
+	})
+	snap := s.Snapshot()
+	if len(got) != len(snap) {
+		t.Fatalf("Range visited %d records, Snapshot holds %d", len(got), len(snap))
+	}
+	for _, r := range snap {
+		if got[string(r.Key)] != r.Count {
+			t.Fatalf("record %x: Range count %d, Snapshot %d", r.Key, got[string(r.Key)], r.Count)
+		}
+	}
+}
+
+// TestReadRecordIntoReusesBuffer: ReadRecordInto reads each record into
+// the buffer it is handed while the record fits, and reads the same
+// records and counts ReadRecord does.
+func TestReadRecordIntoReusesBuffer(t *testing.T) {
+	var data []byte
+	recs := [][]byte{{1, 2, 3}, {4}, bytes.Repeat([]byte{5}, 40), {6, 7}}
+	for i, r := range recs {
+		data = AppendRecord(data, r, uint64(i+1))
+	}
+	br := bufio.NewReader(bytes.NewReader(data))
+	buf := make([]byte, 0, 8)
+	for i, want := range recs {
+		rec, count, err := ReadRecordInto(br, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec, want) || count != uint64(i+1) {
+			t.Fatalf("record %d: got %x×%d, want %x×%d", i, rec, count, want, i+1)
+		}
+		if fits := len(want) <= cap(buf); fits != (&rec[:1][0] == &buf[:1][0]) {
+			t.Fatalf("record %d of %d bytes: reused buffer of cap %d = %v", i, len(want), cap(buf), !fits)
+		}
+		buf = rec
+	}
+	if _, _, err := ReadRecordInto(br, buf); err != io.EOF {
+		t.Fatalf("after the last record: %v, want io.EOF", err)
 	}
 }

@@ -274,12 +274,14 @@ type pairIter interface {
 	close() error
 }
 
-// segmentIter streams one segment file.
+// segmentIter streams one segment file. Every key is read into one buffer
+// the iterator reuses, which the pairIter contract allows.
 type segmentIter struct {
 	f         *os.File
 	br        *bufio.Reader
 	path      string
 	remaining uint64
+	buf       []byte
 }
 
 // iter opens a streaming reader over the segment's pairs.
@@ -305,10 +307,11 @@ func (it *segmentIter) next() ([]byte, uint64, error) {
 		}
 		return nil, 0, io.EOF
 	}
-	key, count, err := profile.ReadRecord(it.br)
+	key, count, err := profile.ReadRecordInto(it.br, it.buf)
 	if err != nil {
 		return nil, 0, fmt.Errorf("segment %s: %w", it.path, err)
 	}
+	it.buf = key
 	it.remaining--
 	return key, count, nil
 }

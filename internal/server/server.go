@@ -193,7 +193,7 @@ type Server struct {
 	// draining flips once Close begins: ingest returns 503 from then on.
 	draining atomic.Bool
 	// queryCtx is cancelled first thing in Close, aborting in-flight /top
-	// decodes promptly (profile.DecodeContext stops between records).
+	// and /query reads promptly (they stop between chunks of pairs).
 	queryCtx    context.Context
 	cancelQuery context.CancelFunc
 
@@ -480,11 +480,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// TopRow is one /top row.
-type TopRow struct {
-	Context string `json:"context"`
-	Count   uint64 `json:"count"`
-}
+// TopRow is one /top row, the same shape as a /query row.
+type TopRow = QueryRow
 
 // TopResponse is the /top payload.
 type TopResponse struct {
@@ -495,10 +492,12 @@ type TopResponse struct {
 	Rows    []TopRow `json:"rows"`
 }
 
-// handleTop renders the tenant's hottest contexts by streaming the store
-// snapshot through the parallel profile decoder. The decode runs under
-// both the request context and the server's query context, so a client
-// disconnect or a server shutdown aborts it between records.
+// handleTop renders the tenant's hottest contexts through the top-K read
+// /query?top= uses (query.go), with the store's totals. The read runs
+// under both the request context and the server's query context, so a
+// client disconnect or a server shutdown aborts it between chunks of
+// pairs, answered 503 + Retry-After. A workers parameter is accepted and
+// ignored: nothing is decoded in parallel any more.
 func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 	t := s.tenantByName(r.URL.Query().Get("tenant"))
 	if t == nil {
@@ -514,52 +513,20 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 		}
 		n = parsed
 	}
-	workers := 4
-	if v := r.URL.Query().Get("workers"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed < 1 || parsed > 64 {
-			httpError(w, http.StatusBadRequest, "bad workers %q", v)
-			return
-		}
-		workers = parsed
-	}
-
-	var buf bytes.Buffer
-	pw, err := profile.NewWriter(&buf, t.digest)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	if err := writeMerged(pw, t); err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	if err := pw.Flush(); err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	pr, err := profile.NewReader(&buf)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
 
 	ctx, cancel := mergeContexts(r.Context(), s.queryCtx)
 	defer cancel()
-	rep, err := profile.DecodeContext(ctx, pr, workers, t.decodeRecord, s.reg)
+	resp, err := t.topContexts(ctx, n, "")
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
+		if ctx.Err() != nil {
 			s.retryAfter(w)
-			httpError(w, http.StatusServiceUnavailable, "decode aborted: %v", err)
+			httpError(w, http.StatusServiceUnavailable, "read aborted: %v", ctx.Err())
 			return
 		}
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	resp := TopResponse{Tenant: t.name, Total: rep.Total, Unique: uint64(len(rep.Rows)), Records: rep.Records}
-	for _, row := range rep.Top(n) {
-		resp.Rows = append(resp.Rows, TopRow{Context: row.Context, Count: row.Count})
-	}
+	resp.Tenant = t.name
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }
@@ -576,7 +543,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "record must be non-empty hex")
 		return
 	}
-	ctxStr, err := t.decodeRecord(rec)
+	ctxStr, _, err := t.decodeInto(nil, rec)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
@@ -660,9 +627,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.WritePrometheus(w)
 }
 
-// mergeContexts returns a context cancelled when either parent is.
+// mergeContexts returns a context cancelled when either parent is. A
+// parent already cancelled cancels it before it is returned: AfterFunc
+// would only do so on a goroutine of its own, after a short read may have
+// finished.
 func mergeContexts(a, b context.Context) (context.Context, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(a)
+	if b.Err() != nil {
+		cancel()
+	}
 	stop := context.AfterFunc(b, cancel)
 	return ctx, func() { stop(); cancel() }
 }

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,6 +107,7 @@ type tenant struct {
 	graph  *callgraph.Graph
 	dir    string
 	reg    *obs.Registry
+	intern *internTable
 
 	queue chan *batch
 	// mem is the hot memtable. Only the worker swaps it (at flush);
@@ -211,6 +211,7 @@ func newTenant(name string, bundle *analysisio.Bundle, dir string, cfg Config, r
 		compactKick: make(chan struct{}, 1),
 		applied:     make(map[string]struct{}),
 		segs:        &segmentSet{dir: dir, digest: bundle.Digest},
+		intern:      newInternTable(),
 	}
 	mem := profile.NewStore(0)
 	mem.Observe(reg)
@@ -290,10 +291,12 @@ func (t *tenant) walPath() string { return filepath.Join(t.dir, "wal.log") }
 // segments plus the memtable.
 func (t *tenant) records() uint64 { return t.totalRecords.Load() }
 
-// openMerge opens a k-way merge over the tenant's segments plus the
+// openSources opens an iterator over every live segment and loads the
 // memtable, capturing both under the segment-set mutex so the view is one
-// instant's. The caller must close the iterator.
-func (t *tenant) openMerge() (*mergeIter, error) {
+// instant's: a flush swaps the memtable under the same mutex, so no record
+// is both in a captured segment and in the captured memtable. The caller
+// must close the iterators.
+func (t *tenant) openSources() ([]pairIter, *profile.Store, error) {
 	t.segs.mu.Lock()
 	defer t.segs.mu.Unlock()
 	iters := make([]pairIter, 0, len(t.segs.segs)+1)
@@ -303,12 +306,21 @@ func (t *tenant) openMerge() (*mergeIter, error) {
 			for _, o := range iters {
 				o.close()
 			}
-			return nil, err
+			return nil, nil, err
 		}
 		iters = append(iters, it)
 	}
-	iters = append(iters, &memPairs{recs: t.mem.Load().Snapshot()})
-	return newMergeIter(iters)
+	return iters, t.mem.Load(), nil
+}
+
+// openMerge opens a k-way merge over the tenant's segments plus a sorted
+// snapshot of the memtable. The caller must close the iterator.
+func (t *tenant) openMerge() (*mergeIter, error) {
+	iters, mem, err := t.openSources()
+	if err != nil {
+		return nil, err
+	}
+	return newMergeIter(append(iters, &memPairs{recs: mem.Snapshot()}))
 }
 
 // uniqueContexts counts distinct records across segments + memtable. With
@@ -343,38 +355,44 @@ func (t *tenant) uniqueContexts() uint64 {
 	}
 }
 
-// decodeRecord renders one context record through the compiled decoder.
-func (t *tenant) decodeRecord(rec []byte) (string, error) {
-	st, end, err := encoding.UnmarshalContext(rec)
-	if err != nil {
-		return "", err
-	}
-	names, err := t.dec.DecodeNames(st, end)
-	if err != nil {
-		return "", err
-	}
-	return strings.Join(names, " > "), nil
-}
-
 // canonicalize validates a batch's records and rewrites the survivors into
 // canonical bytes. Records that fail to decode are quarantined — counted by
 // error class and dropped — so one corrupt agent cannot fail a batch or
 // poison the store. The canonical re-marshal makes byte-key identity in the
 // segment store coincide with decoded-context identity (varint-padded
 // duplicates of the same context merge instead of splitting a row).
-// Validation decodes into one frame buffer reused across the batch and
-// renders no names.
+//
+// A record whose bytes are already a key of the intern table is known
+// valid and canonical, and passes untouched: one hold of the table's read
+// lock finds them for the whole batch. Any other record is decoded into
+// one frame buffer reused across the batch, re-marshalled, and rendered
+// from the same frames for the table, which takes the batch's new keys in
+// one insert while it is under its cap.
 //
 // This is the CPU-heavy half of record application, and it is deliberately
 // NOT worker-owned: the ingest handler calls it from its own goroutine
 // before enqueueing, so validation of the next batches overlaps the
 // worker's fsync instead of serializing behind it. Only the compiled
-// decoder (lock-free, safe for concurrent use) and atomic counters are
-// touched — safe from any goroutine.
+// decoder (lock-free, safe for concurrent use), the intern table and
+// atomic counters are touched — safe from any goroutine.
 func (t *tenant) canonicalize(recs []profile.Record) (clean []profile.Record, quarantined int) {
+	known := make([]bool, len(recs))
+	tab := t.intern
+	tab.mu.RLock()
+	for i, r := range recs {
+		_, known[i] = tab.keys[string(r.Key)]
+	}
+	fill := !tab.full
+	tab.mu.RUnlock()
+
 	clean = recs[:0]
 	var frames []encoding.Frame
-	for _, r := range recs {
+	var fresh []internEntry
+	for i, r := range recs {
+		if known[i] {
+			clean = append(clean, r)
+			continue
+		}
 		st, end, err := encoding.UnmarshalContext(r.Key)
 		if err == nil {
 			frames, err = t.dec.DecodeInto(frames, st, end)
@@ -393,8 +411,13 @@ func (t *tenant) canonicalize(recs []profile.Record) (clean []profile.Record, qu
 			quarantined++
 			continue
 		}
-		clean = append(clean, profile.Record{Key: encoding.MarshalContext(st, end), Count: r.Count})
+		key := encoding.MarshalContext(st, end)
+		clean = append(clean, profile.Record{Key: key, Count: r.Count})
+		if fill {
+			fresh = append(fresh, internEntry{key: string(key), ctx: t.render(frames)})
+		}
 	}
+	tab.insert(fresh)
 	return clean, quarantined
 }
 
