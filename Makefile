@@ -92,13 +92,14 @@ profile-baseline:
 	$(GO) run ./cmd/dpbench -experiment profile -scale 0.1 \
 		-bench compress,sunflow,xml.validation -json | tee results/BENCH_0002.json
 
-# Short fuzz smoke over the byte-level parsers and the .dpa verifier
-# (also run in CI).
+# Short fuzz smoke over the byte-level parsers, the .dpa loader and the
+# .dpa verifier (also run in CI).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalContext -fuzztime 10s ./internal/encoding
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/encoding
 	$(GO) test -run '^$$' -fuzz FuzzCompiledDecode -fuzztime 10s ./internal/encoding
 	$(GO) test -run '^$$' -fuzz FuzzProfileReader -fuzztime 10s ./internal/profile
+	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s ./internal/analysisio
 	$(GO) test -run '^$$' -fuzz FuzzVerify -fuzztime 10s ./internal/verify
 	$(GO) test -run '^$$' -fuzz FuzzCheckDelta -fuzztime 10s ./internal/verify
 	$(GO) test -run '^$$' -fuzz FuzzExtend -fuzztime 10s .
@@ -187,6 +188,7 @@ ci-local: lint lint-invariants build test-shuffle race verify-encodings serve-sm
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 5s ./internal/encoding
 	$(GO) test -run '^$$' -fuzz FuzzCompiledDecode -fuzztime 5s ./internal/encoding
 	$(GO) test -run '^$$' -fuzz FuzzProfileReader -fuzztime 5s ./internal/profile
+	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 5s ./internal/analysisio
 	$(GO) test -run '^$$' -fuzz FuzzVerify -fuzztime 5s ./internal/verify
 	$(GO) test -run '^$$' -fuzz FuzzCheckDelta -fuzztime 5s ./internal/verify
 	$(GO) test -run '^$$' -fuzz FuzzExtend -fuzztime 5s .

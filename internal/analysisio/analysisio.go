@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"strings"
 
 	"deltapath/internal/callgraph"
@@ -92,16 +93,14 @@ func DigestGraph(g *callgraph.Graph) GraphDigest {
 	for _, r := range g.ContextRoots() {
 		put(uint64(r))
 	}
-	var edges uint64
-	for _, s := range g.Sites() {
-		for _, e := range g.SiteTargets(s) {
-			put(uint64(e.Caller))
-			put(uint64(e.Label))
-			put(uint64(e.Callee))
-			edges++
-		}
+	// Edges in site order: the numbering's site target lists, concatenated.
+	nb := g.Numbering()
+	for _, e := range nb.SiteEdges {
+		put(uint64(nb.Caller[e]))
+		put(uint64(nb.Label[e]))
+		put(uint64(nb.Callee[e]))
 	}
-	return GraphDigest{Nodes: uint64(g.NumNodes()), Edges: edges, Hash: h.Sum64()}
+	return GraphDigest{Nodes: uint64(g.NumNodes()), Edges: uint64(len(nb.SiteEdges)), Hash: h.Sum64()}
 }
 
 // Bundle is a restored analysis: everything needed to decode context
@@ -186,19 +185,12 @@ func SaveEpoch(w io.Writer, spec *encoding.Spec, cptPlan *cpt.Plan, epoch uint64
 	for _, r := range roots {
 		putUvarint(bw, uint64(r))
 	}
-	// Edges in deterministic site order.
-	sites := g.Sites()
-	var edgeCount uint64
-	for _, s := range sites {
-		edgeCount += uint64(len(g.SiteTargets(s)))
-	}
-	putUvarint(bw, edgeCount)
-	for _, s := range sites {
-		for _, e := range g.SiteTargets(s) {
-			putUvarint(bw, uint64(e.Caller))
-			putUvarint(bw, uint64(e.Label))
-			putUvarint(bw, uint64(e.Callee))
-		}
+	// Edges in deterministic site order: the numbering's site target
+	// lists, concatenated.
+	nb := g.Numbering()
+	putUvarint(bw, uint64(len(nb.SiteEdges)))
+	for _, e := range nb.SiteEdges {
+		putEdge(bw, nb, e)
 	}
 
 	// Spec. Each keyed section is its map's length followed by the keys met
@@ -208,7 +200,8 @@ func SaveEpoch(w io.Writer, spec *encoding.Spec, cptPlan *cpt.Plan, epoch uint64
 	putBool(bw, spec.PerEdge)
 	putUvarint(bw, uint64(len(spec.SiteAV)))
 	written := 0
-	for _, s := range sites {
+	for k := int32(0); int(k) < nb.NumSites(); k++ {
+		s := nb.Site(k)
 		if av, ok := spec.SiteAV[s]; ok {
 			putUvarint(bw, uint64(s.Caller))
 			putUvarint(bw, uint64(s.Label))
@@ -222,15 +215,11 @@ func SaveEpoch(w io.Writer, spec *encoding.Spec, cptPlan *cpt.Plan, epoch uint64
 	// Per-edge AVs (PCCE mode).
 	putUvarint(bw, uint64(len(spec.EdgeAV)))
 	written = 0
-	for _, s := range sites {
-		for _, e := range g.SiteTargets(s) {
-			if av, ok := spec.EdgeAV[e]; ok {
-				putUvarint(bw, uint64(e.Caller))
-				putUvarint(bw, uint64(e.Label))
-				putUvarint(bw, uint64(e.Callee))
-				putUvarint(bw, av)
-				written++
-			}
+	for _, e := range nb.SiteEdges {
+		if av, ok := spec.EdgeAV[nb.Edge(e)]; ok {
+			putEdge(bw, nb, e)
+			putUvarint(bw, av)
+			written++
 		}
 	}
 	if written != len(spec.EdgeAV) {
@@ -238,15 +227,11 @@ func SaveEpoch(w io.Writer, spec *encoding.Spec, cptPlan *cpt.Plan, epoch uint64
 	}
 	putUvarint(bw, uint64(len(spec.Push)))
 	written = 0
-	for _, s := range sites {
-		for _, e := range g.SiteTargets(s) {
-			if kind, ok := spec.Push[e]; ok {
-				putUvarint(bw, uint64(e.Caller))
-				putUvarint(bw, uint64(e.Label))
-				putUvarint(bw, uint64(e.Callee))
-				putUvarint(bw, uint64(kind))
-				written++
-			}
+	for _, e := range nb.SiteEdges {
+		if kind, ok := spec.Push[nb.Edge(e)]; ok {
+			putEdge(bw, nb, e)
+			putUvarint(bw, uint64(kind))
+			written++
 		}
 	}
 	if written != len(spec.Push) {
@@ -271,7 +256,8 @@ func SaveEpoch(w io.Writer, spec *encoding.Spec, cptPlan *cpt.Plan, epoch uint64
 		putUvarint(bw, uint64(cptPlan.NumSets))
 		putUvarint(bw, uint64(len(cptPlan.Expected)))
 		written = 0
-		for _, s := range sites {
+		for k := int32(0); int(k) < nb.NumSites(); k++ {
+			s := nb.Site(k)
 			if sid, ok := cptPlan.Expected[s]; ok {
 				putUvarint(bw, uint64(s.Caller))
 				putUvarint(bw, uint64(s.Label))
@@ -345,6 +331,10 @@ func Load(r io.Reader) (*Bundle, error) {
 		lib := d.boolean()
 		g.AddNode(name, lib)
 	}
+	// Save writes distinct names, so every id below nodes is now a node.
+	if d.err == nil && uint64(g.NumNodes()) != nodes {
+		return nil, fmt.Errorf("analysisio: corrupt file: %d node names, %d distinct", nodes, g.NumNodes())
+	}
 	g.SetEntry(d.node(nodes))
 	nroots := d.uvarint()
 	for i := uint64(0); i < nroots && d.err == nil; i++ {
@@ -361,20 +351,19 @@ func Load(r io.Reader) (*Bundle, error) {
 		g.AddEdge(caller, label, callee)
 	}
 
-	spec := &encoding.Spec{
-		Graph:   g,
-		SiteAV:  make(map[callgraph.Site]uint64),
-		EdgeAV:  make(map[callgraph.Edge]uint64),
-		Push:    make(map[callgraph.Edge]encoding.PieceKind),
-		Anchors: make(map[callgraph.NodeID]bool),
-	}
+	// Each keyed section holds at most one key per site, edge or node of
+	// the graph already read, so its map is sized by the smaller of that
+	// and the count the file declares.
+	spec := &encoding.Spec{Graph: g}
 	spec.PerEdge = d.boolean()
 	nav := d.uvarint()
+	spec.SiteAV = make(map[callgraph.Site]uint64, sized(nav, g.NumSites()))
 	for i := uint64(0); i < nav && d.err == nil; i++ {
 		s := callgraph.Site{Caller: d.node(nodes), Label: int32(d.uvarint())}
 		spec.SiteAV[s] = d.uvarint()
 	}
 	neav := d.uvarint()
+	spec.EdgeAV = make(map[callgraph.Edge]uint64, sized(neav, g.NumEdges()))
 	for i := uint64(0); i < neav && d.err == nil; i++ {
 		e := callgraph.Edge{Caller: d.node(nodes)}
 		e.Label = int32(d.uvarint())
@@ -382,6 +371,7 @@ func Load(r io.Reader) (*Bundle, error) {
 		spec.EdgeAV[e] = d.uvarint()
 	}
 	npush := d.uvarint()
+	spec.Push = make(map[callgraph.Edge]encoding.PieceKind, sized(npush, g.NumEdges()))
 	for i := uint64(0); i < npush && d.err == nil; i++ {
 		e := callgraph.Edge{Caller: d.node(nodes)}
 		e.Label = int32(d.uvarint())
@@ -389,22 +379,25 @@ func Load(r io.Reader) (*Bundle, error) {
 		spec.Push[e] = encoding.PieceKind(d.uvarint())
 	}
 	nanch := d.uvarint()
+	spec.Anchors = make(map[callgraph.NodeID]bool, sized(nanch, g.NumNodes()))
 	for i := uint64(0); i < nanch && d.err == nil; i++ {
 		spec.Anchors[d.node(nodes)] = true
 	}
 
 	bundle := &Bundle{Graph: g, Spec: spec}
 	if d.boolean() {
-		plan := &cpt.Plan{Expected: make(map[callgraph.Site]int32)}
+		plan := &cpt.Plan{}
 		nsid := d.uvarint()
 		if d.err == nil && nsid != nodes {
 			return nil, fmt.Errorf("analysisio: SID count %d != node count %d", nsid, nodes)
 		}
+		plan.SID = make([]int32, 0, sized(nsid, g.NumNodes()))
 		for i := uint64(0); i < nsid && d.err == nil; i++ {
 			plan.SID = append(plan.SID, int32(d.uvarint()))
 		}
 		plan.NumSets = int(d.uvarint())
 		nexp := d.uvarint()
+		plan.Expected = make(map[callgraph.Site]int32, sized(nexp, g.NumSites()))
 		for i := uint64(0); i < nexp && d.err == nil; i++ {
 			s := callgraph.Site{Caller: d.node(nodes), Label: int32(d.uvarint())}
 			plan.Expected[s] = int32(d.uvarint())
@@ -429,6 +422,10 @@ func Load(r io.Reader) (*Bundle, error) {
 	return bundle, nil
 }
 
+// sized caps a count read from the file at bound, the most the graph
+// already read allows.
+func sized(n uint64, bound int) int { return int(min(n, uint64(bound))) }
+
 // --- primitive readers/writers ---
 
 // putUvarint appends v's varint straight into w's buffer: a local scratch
@@ -438,6 +435,13 @@ func putUvarint(w *bufio.Writer, v uint64) {
 		w.Flush() // an error sticks in w and surfaces at the final Flush
 	}
 	w.Write(binary.AppendUvarint(w.AvailableBuffer(), v))
+}
+
+// putEdge writes edge e of nb as caller, label, callee.
+func putEdge(w *bufio.Writer, nb *callgraph.Numbering, e int32) {
+	putUvarint(w, uint64(nb.Caller[e]))
+	putUvarint(w, uint64(nb.Label[e]))
+	putUvarint(w, uint64(nb.Callee[e]))
 }
 
 func putString(w *bufio.Writer, s string) {
@@ -487,13 +491,24 @@ func (d *decoder) str() string {
 		d.err = fmt.Errorf("implausible string length %d", n)
 		return ""
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		d.err = err
-		return ""
+	// The declared length is only a claim until the bytes arrive, so the
+	// buffer grows with what has been read, one chunk ahead at most.
+	buf := make([]byte, 0, min(n, strChunk))
+	for uint64(len(buf)) < n {
+		k := int(min(n-uint64(len(buf)), strChunk))
+		buf = slices.Grow(buf, k)
+		m, err := io.ReadFull(d.r, buf[len(buf):len(buf)+k])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			d.err = err
+			return ""
+		}
 	}
 	return string(buf)
 }
+
+// strChunk is how far str reads, and allocates, ahead of the bytes it has.
+const strChunk = 4 << 10
 
 func (d *decoder) boolean() bool {
 	if d.err != nil {

@@ -1,0 +1,62 @@
+package analysisio
+
+import (
+	"bytes"
+	"testing"
+
+	"deltapath/internal/callgraph"
+	"deltapath/internal/cha"
+	"deltapath/internal/core"
+	"deltapath/internal/cpt"
+	"deltapath/internal/workload"
+)
+
+// saveGraph analyses g and returns its saved analysis.
+func saveGraph(tb testing.TB, g *callgraph.Graph) []byte {
+	tb.Helper()
+	res, err := core.Encode(g, core.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, res.Spec, cpt.Compute(g)); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkLoad times Load on the saved analysis of sunflow, built with the
+// settings Analyze uses, and of the 50k-node huge smoke tier.
+func BenchmarkLoad(b *testing.B) {
+	p, ok := workload.ByName("sunflow")
+	if !ok {
+		b.Fatal("missing benchmark sunflow")
+	}
+	prog, err := p.Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	build, err := cha.Build(prog, cha.Options{Setting: cha.EncodingAll, KeepUnreachable: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	huge, err := workload.HugeSmoke(50_000).Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *callgraph.Graph
+	}{{"sunflow", build.Graph}, {"huge-50k", huge}} {
+		data := saveGraph(b, c.g)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := Load(bytes.NewReader(data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

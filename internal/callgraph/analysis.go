@@ -45,9 +45,10 @@ func (g *Graph) SCC() []int {
 		for len(call) > 0 {
 			f := &call[len(call)-1]
 			v := f.v
+			out := g.rows[v].out
 			advanced := false
-			for f.ei < len(g.out[v]) {
-				w := g.out[v][f.ei].Callee
+			for f.ei < len(out) {
+				w := out[f.ei].Callee
 				f.ei++
 				if index[w] == -1 {
 					index[w] = next
@@ -101,9 +102,11 @@ func (g *Graph) SCC() []int {
 func (g *Graph) RecursiveEdges() map[Edge]bool {
 	comp := g.SCC()
 	rec := make(map[Edge]bool)
-	for e := range g.edgeSet {
-		if comp[e.Caller] == comp[e.Callee] {
-			rec[e] = true
+	for n := range g.rows {
+		for _, e := range g.rows[n].out {
+			if comp[n] == comp[e.Callee] {
+				rec[e] = true
+			}
 		}
 	}
 	return rec
@@ -112,7 +115,7 @@ func (g *Graph) RecursiveEdges() map[Edge]bool {
 // ForwardIn returns the incoming edges of n that are not in the rec set,
 // in insertion order.
 func (g *Graph) ForwardIn(n NodeID, rec map[Edge]bool) []Edge {
-	in := g.in[n]
+	in := g.In(n)
 	if len(rec) == 0 {
 		return in
 	}
@@ -135,12 +138,20 @@ func (g *Graph) ForwardIn(n NodeID, rec map[Edge]bool) []Edge {
 // indicates rec was not a valid recursive-edge set.
 func (g *Graph) TopoOrder(rec map[Edge]bool) ([]NodeID, error) {
 	n := len(g.nodes)
-	indeg := make([]int, n)
-	for e := range g.edgeSet {
-		if rec[e] {
-			continue
+	// The removed edges are marked by edge id, so the walk below probes no
+	// map.
+	nb := g.Numbering()
+	skip := make([]bool, nb.NumEdges())
+	for e, on := range rec {
+		if i := nb.EdgeIndex(e); on && i >= 0 {
+			skip[i] = true
 		}
-		indeg[e.Callee]++
+	}
+	indeg := make([]int32, n)
+	for i, c := range nb.Callee {
+		if !skip[i] {
+			indeg[c]++
+		}
 	}
 	// Min-heap of ready nodes, keyed by NodeID for determinism.
 	var heap nodeHeap
@@ -153,13 +164,13 @@ func (g *Graph) TopoOrder(rec map[Edge]bool) ([]NodeID, error) {
 	for heap.len() > 0 {
 		v := heap.pop()
 		order = append(order, v)
-		for _, e := range g.out[v] {
-			if rec[e] {
+		for i := nb.OutStart[v]; i < nb.OutStart[v+1]; i++ {
+			if skip[i] {
 				continue
 			}
-			indeg[e.Callee]--
-			if indeg[e.Callee] == 0 {
-				heap.push(e.Callee)
+			c := nb.Callee[i]
+			if indeg[c]--; indeg[c] == 0 {
+				heap.push(NodeID(c))
 			}
 		}
 	}
@@ -177,7 +188,7 @@ func (g *Graph) ReachableFrom(start NodeID) map[NodeID]bool {
 	for len(work) > 0 {
 		v := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, e := range g.out[v] {
+		for _, e := range g.Out(v) {
 			if !seen[e.Callee] {
 				seen[e.Callee] = true
 				work = append(work, e.Callee)

@@ -16,8 +16,9 @@ package callgraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // NodeID identifies a node (a function or method) within one Graph.
@@ -61,21 +62,40 @@ func (e Edge) Site() Site { return Site{Caller: e.Caller, Label: e.Label} }
 
 // Graph is a call graph. The zero value is not usable; call New.
 //
-// Edge insertion order is preserved and is significant: the encoding
-// algorithms process a node's incoming edges in insertion order, which is the
-// order the static analyser discovered them, mirroring the deterministic
-// traversal the paper assumes.
+// Storage is dense: every per-node row is a slice indexed by NodeID, and the
+// only map is the name index.
+//   - Out(n) and In(n) are n's out- and in-edges in insertion order. Edge
+//     insertion order is significant: the encoding algorithms process a
+//     node's incoming edges in insertion order, which is the order the static
+//     analyser discovered them, mirroring the deterministic traversal the
+//     paper assumes.
+//   - Each caller keeps its call sites sorted by label, and each site keeps
+//     its dispatch targets in insertion order. Sites walks the callers in
+//     NodeID order, so it yields (caller, label) order without sorting, and
+//     SiteTargets, HasEdge and AddEdge's duplicate check find a site by
+//     binary search within its caller.
+//   - Numbering derives the dense edge and site ids the analysis layers
+//     share (see Numbering).
+//
+// An edge whose caller or callee is not a node when it is added joins no
+// row: it is recorded only so that NumEdges and HasEdge count it and
+// Validate names it.
+//
+// A Graph is safe for concurrent readers as long as nobody mutates it.
+// Clone shares the edge arrays of the rows with the original, capped at
+// their current length, so an append on either side writes only where the
+// other does not read; everything else a mutation writes is copied.
 type Graph struct {
 	nodes  []Node
 	byName map[string]NodeID
 
-	out map[NodeID][]Edge
-	in  map[NodeID][]Edge
+	rows []nodeRow
 
-	// sites maps a call site to its dispatch target edges, in insertion
-	// order. A monomorphic (static) site has one entry; a virtual site has
-	// one per possible dispatch target.
-	sites map[Site][]Edge
+	numEdges, numSites int
+
+	// invalid lists, in insertion order, the edges with an endpoint that
+	// was not a node when they were added.
+	invalid []Edge
 
 	entry    NodeID
 	hasEntry bool
@@ -85,19 +105,29 @@ type Graph struct {
 	// algorithms treat them as piece-start anchors.
 	roots []NodeID
 
-	edgeSet map[Edge]struct{}
+	// num caches the numbering of the current rows; every mutation clears
+	// it. It is published atomically for concurrent readers.
+	num atomic.Pointer[Numbering]
+}
+
+// nodeRow is one node's adjacency: its out- and in-edges in insertion
+// order, and the call sites it is the caller of, sorted by label.
+type nodeRow struct {
+	out, in []Edge
+	sites   []siteRow
+}
+
+// siteRow is one call site of a caller: its label and its dispatch target
+// edges in insertion order. A monomorphic (static) site has one target; a
+// virtual site has one per possible dispatch target.
+type siteRow struct {
+	label   int32
+	targets []Edge
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{
-		byName:  make(map[string]NodeID),
-		out:     make(map[NodeID][]Edge),
-		in:      make(map[NodeID][]Edge),
-		sites:   make(map[Site][]Edge),
-		entry:   InvalidNode,
-		edgeSet: make(map[Edge]struct{}),
-	}
+	return &Graph{byName: make(map[string]NodeID), entry: InvalidNode}
 }
 
 // AddNode inserts a node with the given name and returns its ID.
@@ -110,6 +140,8 @@ func (g *Graph) AddNode(name string, library bool) NodeID {
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Library: library})
 	g.byName[name] = id
+	g.rows = append(g.rows, nodeRow{})
+	g.num.Store(nil)
 	return id
 }
 
@@ -136,7 +168,7 @@ func (g *Graph) Name(id NodeID) string {
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // NumEdges reports the number of edges.
-func (g *Graph) NumEdges() int { return len(g.edgeSet) }
+func (g *Graph) NumEdges() int { return g.numEdges + len(g.invalid) }
 
 // SetEntry declares the program entry node (the paper's "main").
 func (g *Graph) SetEntry(id NodeID) {
@@ -161,65 +193,123 @@ func (g *Graph) MarkContextRoot(n NodeID) {
 // ContextRoots returns the additional context roots in marking order.
 func (g *Graph) ContextRoots() []NodeID { return g.roots }
 
+// isNode reports whether n names a node.
+func (g *Graph) isNode(n NodeID) bool { return n >= 0 && int(n) < len(g.nodes) }
+
+// findSite returns the position of label in a caller's site row, or where
+// it would be inserted, and whether it is there.
+func findSite(row []siteRow, label int32) (int, bool) {
+	lo, hi := 0, len(row)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if row[m].label < label {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(row) && row[lo].label == label
+}
+
 // AddEdge inserts the edge ⟨caller, callee, label⟩. Duplicate edges are
 // ignored. It returns the edge.
 func (g *Graph) AddEdge(caller NodeID, label int32, callee NodeID) Edge {
 	e := Edge{Caller: caller, Callee: callee, Label: label}
-	if _, dup := g.edgeSet[e]; dup {
+	if len(g.invalid) > 0 && slices.Contains(g.invalid, e) {
 		return e
 	}
-	g.edgeSet[e] = struct{}{}
-	g.out[caller] = append(g.out[caller], e)
-	g.in[callee] = append(g.in[callee], e)
-	s := e.Site()
-	g.sites[s] = append(g.sites[s], e)
+	if !g.isNode(caller) || !g.isNode(callee) {
+		g.invalid = append(g.invalid, e)
+		return e
+	}
+	from := &g.rows[caller]
+	row := from.sites
+	i, found := findSite(row, label)
+	if found {
+		site := &row[i]
+		for _, t := range site.targets {
+			if t.Callee == callee {
+				return e
+			}
+		}
+		site.targets = append(site.targets, e)
+	} else {
+		from.sites = slices.Insert(row, i, siteRow{label: label, targets: []Edge{e}})
+		g.numSites++
+	}
+	from.out = append(from.out, e)
+	to := &g.rows[callee]
+	to.in = append(to.in, e)
+	g.numEdges++
+	g.num.Store(nil)
 	return e
 }
 
 // HasEdge reports whether the exact edge exists.
 func (g *Graph) HasEdge(e Edge) bool {
-	_, ok := g.edgeSet[e]
-	return ok
+	for _, t := range g.SiteTargets(e.Site()) {
+		if t.Callee == e.Callee {
+			return true
+		}
+	}
+	return len(g.invalid) > 0 && slices.Contains(g.invalid, e)
 }
 
 // Out returns the outgoing edges of n in insertion order.
 // The returned slice must not be modified.
-func (g *Graph) Out(n NodeID) []Edge { return g.out[n] }
+func (g *Graph) Out(n NodeID) []Edge {
+	if !g.isNode(n) {
+		return nil
+	}
+	return g.rows[n].out
+}
 
 // In returns the incoming edges of n in insertion order.
 // The returned slice must not be modified.
-func (g *Graph) In(n NodeID) []Edge { return g.in[n] }
+func (g *Graph) In(n NodeID) []Edge {
+	if !g.isNode(n) {
+		return nil
+	}
+	return g.rows[n].in
+}
 
 // SiteTargets returns the dispatch target edges of a call site, in insertion
 // order. The returned slice must not be modified.
-func (g *Graph) SiteTargets(s Site) []Edge { return g.sites[s] }
+func (g *Graph) SiteTargets(s Site) []Edge {
+	if !g.isNode(s.Caller) {
+		return nil
+	}
+	row := g.rows[s.Caller].sites
+	if i, ok := findSite(row, s.Label); ok {
+		return row[i].targets
+	}
+	return nil
+}
 
 // Sites returns every call site in the graph in a deterministic order
 // (by caller ID, then label).
 func (g *Graph) Sites() []Site {
-	out := make([]Site, 0, len(g.sites))
-	for s := range g.sites {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Caller != out[j].Caller {
-			return out[i].Caller < out[j].Caller
+	out := make([]Site, 0, g.numSites)
+	for n := range g.rows {
+		for _, s := range g.rows[n].sites {
+			out = append(out, Site{Caller: NodeID(n), Label: s.label})
 		}
-		return out[i].Label < out[j].Label
-	})
+	}
 	return out
 }
 
 // NumSites reports the number of distinct call sites.
-func (g *Graph) NumSites() int { return len(g.sites) }
+func (g *Graph) NumSites() int { return g.numSites }
 
 // NumVirtualSites reports the number of call sites with more than one
 // dispatch target (the paper's VCS column in Table 1).
 func (g *Graph) NumVirtualSites() int {
 	n := 0
-	for _, targets := range g.sites {
-		if len(targets) > 1 {
-			n++
+	for _, r := range g.rows {
+		for _, s := range r.sites {
+			if len(s.targets) > 1 {
+				n++
+			}
 		}
 	}
 	return n
@@ -236,7 +326,8 @@ func (g *Graph) Nodes() []NodeID {
 
 // Validate checks structural invariants: an entry is set, the entry has no
 // incoming edges is NOT required (recursion to main is legal), but every
-// edge endpoint must be a valid node.
+// edge endpoint must be a valid node. Of several bad edges it names the
+// first added.
 func (g *Graph) Validate() error {
 	if !g.hasEntry {
 		return fmt.Errorf("callgraph: no entry node set")
@@ -244,47 +335,49 @@ func (g *Graph) Validate() error {
 	if int(g.entry) >= len(g.nodes) || g.entry < 0 {
 		return fmt.Errorf("callgraph: entry node %d out of range", g.entry)
 	}
-	for e := range g.edgeSet {
-		if e.Caller < 0 || int(e.Caller) >= len(g.nodes) {
+	if len(g.invalid) > 0 {
+		e := g.invalid[0]
+		switch {
+		case !g.isNode(e.Caller):
 			return fmt.Errorf("callgraph: edge %v has invalid caller", e)
-		}
-		if e.Callee < 0 || int(e.Callee) >= len(g.nodes) {
+		case !g.isNode(e.Callee):
 			return fmt.Errorf("callgraph: edge %v has invalid callee", e)
+		default:
+			return fmt.Errorf("callgraph: edge %v was added before its endpoints were nodes", e)
 		}
 	}
 	return nil
 }
 
-// Clone returns a deep copy of the graph. The copy shares no mutable state
-// with the original, so incremental builders (cha.Extend) can append nodes
-// and edges to the clone while readers of the original — decoders pinned to
-// an older analysis epoch — keep traversing it concurrently.
+// Clone returns a copy of the graph that shares no mutable state with the
+// original, so incremental builders (cha.Extend) can append nodes and edges
+// to the clone while readers of the original — decoders pinned to an older
+// analysis epoch — keep traversing it concurrently. The copy shares the
+// rows' edge arrays, capped at their length (see Graph).
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		nodes:    append([]Node(nil), g.nodes...),
+		nodes:    slices.Clip(g.nodes),
 		byName:   make(map[string]NodeID, len(g.byName)),
-		out:      make(map[NodeID][]Edge, len(g.out)),
-		in:       make(map[NodeID][]Edge, len(g.in)),
-		sites:    make(map[Site][]Edge, len(g.sites)),
+		rows:     make([]nodeRow, len(g.rows)),
+		numEdges: g.numEdges,
+		numSites: g.numSites,
+		invalid:  slices.Clip(g.invalid),
 		entry:    g.entry,
 		hasEntry: g.hasEntry,
-		roots:    append([]NodeID(nil), g.roots...),
-		edgeSet:  make(map[Edge]struct{}, len(g.edgeSet)),
+		roots:    slices.Clip(g.roots),
 	}
 	for name, id := range g.byName {
 		c.byName[name] = id
 	}
-	for n, edges := range g.out {
-		c.out[n] = append([]Edge(nil), edges...)
-	}
-	for n, edges := range g.in {
-		c.in[n] = append([]Edge(nil), edges...)
-	}
-	for s, edges := range g.sites {
-		c.sites[s] = append([]Edge(nil), edges...)
-	}
-	for e := range g.edgeSet {
-		c.edgeSet[e] = struct{}{}
+	for n, r := range g.rows {
+		cr := &c.rows[n]
+		cr.out, cr.in = slices.Clip(r.out), slices.Clip(r.in)
+		if len(r.sites) > 0 {
+			cr.sites = make([]siteRow, len(r.sites))
+			for i, s := range r.sites {
+				cr.sites[i] = siteRow{label: s.label, targets: slices.Clip(s.targets)}
+			}
+		}
 	}
 	return c
 }
@@ -304,15 +397,16 @@ func (g *Graph) DOT() string {
 		}
 		fmt.Fprintf(&b, "  %q%s;\n", n.Name, attr)
 	}
-	for _, s := range g.Sites() {
-		targets := g.sites[s]
-		style := ""
-		if len(targets) > 1 {
-			style = " [style=dashed]"
-		}
-		for _, e := range targets {
-			fmt.Fprintf(&b, "  %q -> %q%s; // label %d\n",
-				g.Name(e.Caller), g.Name(e.Callee), style, e.Label)
+	for _, r := range g.rows {
+		for _, s := range r.sites {
+			style := ""
+			if len(s.targets) > 1 {
+				style = " [style=dashed]"
+			}
+			for _, e := range s.targets {
+				fmt.Fprintf(&b, "  %q -> %q%s; // label %d\n",
+					g.Name(e.Caller), g.Name(e.Callee), style, e.Label)
+			}
 		}
 	}
 	b.WriteString("}\n")

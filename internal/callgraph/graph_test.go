@@ -3,6 +3,7 @@ package callgraph
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -140,9 +141,11 @@ func TestTopoOrderFigure1(t *testing.T) {
 	for i, n := range order {
 		pos[n] = i
 	}
-	for e := range g.edgeSet {
-		if pos[e.Caller] >= pos[e.Callee] {
-			t.Errorf("edge %s->%s violates topo order", g.Name(e.Caller), g.Name(e.Callee))
+	for _, n := range g.Nodes() {
+		for _, e := range g.Out(n) {
+			if pos[e.Caller] >= pos[e.Callee] {
+				t.Errorf("edge %s->%s violates topo order", g.Name(e.Caller), g.Name(e.Callee))
+			}
 		}
 	}
 	if order[0] != ids["A"] {
@@ -305,9 +308,11 @@ func TestTopoOrderPropertyRandomDAGs(t *testing.T) {
 		for i, n := range order {
 			pos[n] = i
 		}
-		for e := range g.edgeSet {
-			if pos[e.Caller] >= pos[e.Callee] {
-				return false
+		for _, n := range g.Nodes() {
+			for _, e := range g.Out(n) {
+				if pos[e.Caller] >= pos[e.Callee] {
+					return false
+				}
 			}
 		}
 		return len(order) == g.NumNodes()
@@ -336,5 +341,47 @@ func TestSCCPropertyRecursiveRemovalAcyclic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNumberingSharedAcrossReaders: goroutines reading one graph — taking
+// its numbering, walking its rows — while others clone it and grow their
+// clones all see one numbering and the original's rows unchanged. Run under
+// -race (make race) this also checks the numbering's publication.
+func TestNumberingSharedAcrossReaders(t *testing.T) {
+	g := randomDAG(rand.New(rand.NewSource(7)), 300)
+	want := g.DOT()
+	const readers = 4
+	got := make([]*Numbering, readers)
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(2)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = g.Numbering()
+			for _, n := range g.Nodes() {
+				_ = g.Out(n)
+				_ = g.In(n)
+			}
+		}(i)
+		go func(i int) {
+			defer wg.Done()
+			c := g.Clone()
+			a := c.AddNode("clone-only", false)
+			for _, n := range c.Nodes()[:50] {
+				c.AddEdge(n, int32(i), a)
+				c.AddEdge(n, 0, a) // joins an existing site of n
+			}
+			c.Numbering()
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != got[0] {
+			t.Fatalf("reader %d got a different numbering", i)
+		}
+	}
+	if g.DOT() != want || g.Numbering() != got[0] {
+		t.Fatalf("growing clones changed the original")
 	}
 }

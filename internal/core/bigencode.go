@@ -37,7 +37,7 @@ func EncodeBig(g *callgraph.Graph) (*BigResult, error) {
 		return nil, err
 	}
 	entry, _ := g.Entry()
-	rec := g.RecursiveEdges()
+	comp, rec := recursiveEdges(g)
 	topo, err := g.TopoOrder(rec)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -56,7 +56,7 @@ func EncodeBig(g *callgraph.Graph) (*BigResult, error) {
 		eanchors: make(map[callgraph.Edge][]callgraph.NodeID),
 	}
 	identifyTerritories(g, rec, an, resets, p)
-	addBigOrphans(g, rec, an, resets, p)
+	addBigOrphans(g, comp, rec, an, resets, p)
 
 	one := big.NewInt(1)
 	cav := make(map[callgraph.NodeID]map[callgraph.NodeID]*big.Int)
@@ -142,10 +142,10 @@ func EncodeBig(g *callgraph.Graph) (*BigResult, error) {
 
 // addBigOrphans mirrors addOrphanAnchors for the big-int pass: nodes with
 // no forward in-edges still need a territory of their own.
-func addBigOrphans(g *callgraph.Graph, rec map[callgraph.Edge]bool,
+func addBigOrphans(g *callgraph.Graph, comp []int, rec map[callgraph.Edge]bool,
 	an, resets map[callgraph.NodeID]bool, p *pass) {
 	before := len(an)
-	addOrphanAnchors(g, rec, an)
+	addOrphanAnchors(g, comp, an)
 	if len(an) != before {
 		for n := range an {
 			if !resets[n] && n != mustEntry(g) {

@@ -153,7 +153,7 @@ func Encode(g *callgraph.Graph, opts Options) (*Result, error) {
 	workers := effectiveWorkers(opts)
 	mem := &memPeak{enabled: opts.MeasureMemory}
 	mem.sample()
-	eng := newParEngine(g, st.topo, st.rec, opts.EdgeProfile, workers)
+	eng := newParEngine(g, st.topo, st.comp, opts.EdgeProfile, workers)
 	mem.sample()
 
 	res := &Result{}
@@ -191,6 +191,7 @@ func Encode(g *callgraph.Graph, opts Options) (*Result, error) {
 // resetting ones.
 type restartState struct {
 	maxID      uint64
+	comp       []int // g.SCC()
 	rec        map[callgraph.Edge]bool
 	topo       []callgraph.NodeID
 	an, resets map[callgraph.NodeID]bool
@@ -206,7 +207,7 @@ func newRestartState(g *callgraph.Graph, opts Options) (*restartState, error) {
 		maxID = math.MaxInt64
 	}
 	entry, _ := g.Entry()
-	rec := g.RecursiveEdges()
+	comp, rec := recursiveEdges(g)
 	topo, err := g.TopoOrder(rec)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -226,12 +227,26 @@ func newRestartState(g *callgraph.Graph, opts Options) (*restartState, error) {
 	for _, n := range g.ContextRoots() {
 		an[n] = true
 	}
-	addOrphanAnchors(g, rec, an)
+	addOrphanAnchors(g, comp, an)
 	resets := resetAnchors(an, entry, recTargets[entry])
 	for _, n := range opts.ForceAnchors {
 		resets[n] = true
 	}
-	return &restartState{maxID: maxID, rec: rec, topo: topo, an: an, resets: resets}, nil
+	return &restartState{maxID: maxID, comp: comp, rec: rec, topo: topo, an: an, resets: resets}, nil
+}
+
+// recursiveEdges returns g.SCC() and g.RecursiveEdges(), the second read
+// off the first so Tarjan runs once for callers that need both.
+func recursiveEdges(g *callgraph.Graph) ([]int, map[callgraph.Edge]bool) {
+	comp := g.SCC()
+	nb := g.Numbering()
+	rec := make(map[callgraph.Edge]bool)
+	for i, c := range nb.Callee {
+		if comp[nb.Caller[i]] == comp[c] {
+			rec[nb.Edge(int32(i))] = true
+		}
+	}
+	return comp, rec
 }
 
 // promote turns the overflowing callers of a failed pass into resetting
@@ -384,9 +399,9 @@ func calculateIncrement(g *callgraph.Graph, rec map[callgraph.Edge]bool,
 // other range. Only the roots of the uncovered region (nodes all of whose
 // forward predecessors are also uncovered — in a DAG, ultimately nodes
 // with no forward in-edges at all) need to be added: their territories
-// cover the rest.
-func addOrphanAnchors(g *callgraph.Graph, rec map[callgraph.Edge]bool, an map[callgraph.NodeID]bool) {
-	covered := make(map[callgraph.NodeID]bool, g.NumNodes())
+// cover the rest. comp is g.SCC(): an edge inside a component is recursive.
+func addOrphanAnchors(g *callgraph.Graph, comp []int, an map[callgraph.NodeID]bool) {
+	covered := make([]bool, g.NumNodes())
 	var work []callgraph.NodeID
 	for r := range an {
 		covered[r] = true
@@ -397,7 +412,7 @@ func addOrphanAnchors(g *callgraph.Graph, rec map[callgraph.Edge]bool, an map[ca
 			v := work[len(work)-1]
 			work = work[:len(work)-1]
 			for _, e := range g.Out(v) {
-				if rec[e] || covered[e.Callee] {
+				if comp[v] == comp[e.Callee] || covered[e.Callee] {
 					continue
 				}
 				covered[e.Callee] = true
@@ -406,8 +421,16 @@ func addOrphanAnchors(g *callgraph.Graph, rec map[callgraph.Edge]bool, an map[ca
 		}
 	}
 	expand()
+	forwardIn := func(n callgraph.NodeID) bool {
+		for _, e := range g.In(n) {
+			if comp[e.Caller] != comp[n] {
+				return true
+			}
+		}
+		return false
+	}
 	for _, n := range g.Nodes() {
-		if covered[n] || len(g.ForwardIn(n, rec)) > 0 {
+		if covered[n] || forwardIn(n) {
 			continue
 		}
 		an[n] = true

@@ -128,7 +128,7 @@ func Extend(prev *Result, g *callgraph.Graph, opts Options) (*Result, *ExtendSta
 		}
 	}
 
-	rec2 := g.RecursiveEdges()
+	comp2, rec2 := recursiveEdges(g)
 	topo, err := g.TopoOrder(rec2)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
@@ -164,7 +164,7 @@ func Extend(prev *Result, g *callgraph.Graph, opts Options) (*Result, *ExtendSta
 	for _, n := range g.ContextRoots() {
 		an[n] = true
 	}
-	addOrphanAnchors(g, rec2, an)
+	addOrphanAnchors(g, comp2, an)
 	// The resetting subset carries over the previous choice for the entry
 	// (it may have been overflow-promoted) and adds it when the delta made
 	// the entry a recursive target.

@@ -103,29 +103,20 @@ func (m *memPeak) sample() {
 	}
 }
 
-// parEngine holds everything that depends only on the graph, the recursive
-// edge set and the (optional) edge profile — built once and reused across
-// Algorithm 2's restarts. Anchor-dependent state lives in parRun.
+// parEngine holds everything that depends only on the graph, its SCCs and
+// the (optional) edge profile — built once and reused across Algorithm 2's
+// restarts. Anchor-dependent state lives in parRun.
 type parEngine struct {
-	g       *callgraph.Graph
-	rec     map[callgraph.Edge]bool
 	workers int
 
 	numNodes int
 	numEdges int
 
-	// Out-edge CSR in AddEdge order: the dense edge index space every
-	// other array is keyed by. The caller of edge ei is the row it lies
-	// in; only callee/label/rec need explicit storage.
-	outStart   []int32
-	edgeCallee []int32
-	edgeLabel  []int32
-	edgeRec    []bool
-
-	// Dense site table in callgraph.Sites() order.
-	siteList  []callgraph.Site
-	siteOff   []int32 // site -> span in siteEdges (targets, insertion order)
-	siteEdges []int32
+	// nb is the graph's numbering: edge ids are out-row slots in AddEdge
+	// order, site ids follow callgraph.Sites() order, and every other array
+	// is keyed by them. edgeRec marks the recursive (intra-SCC) edges.
+	nb      *callgraph.Numbering
+	edgeRec []bool
 
 	// Schedule: the serial sweep's site-to-node assignment. taskBuf holds
 	// dense site IDs in global serial processing order (so a site's index
@@ -141,71 +132,41 @@ type parEngine struct {
 	levels int
 }
 
-// newParEngine flattens the graph and computes the wave schedule.
-func newParEngine(g *callgraph.Graph, topo []callgraph.NodeID, rec map[callgraph.Edge]bool,
+// newParEngine reads the graph's numbering and computes the wave schedule.
+// comp is g.SCC(): an edge is recursive iff it stays inside a component.
+func newParEngine(g *callgraph.Graph, topo []callgraph.NodeID, comp []int,
 	profile map[callgraph.Edge]uint64, workers int) *parEngine {
 
-	nn := g.NumNodes()
-	ne := g.NumEdges()
+	nb := g.Numbering()
+	nn, ne, ns := g.NumNodes(), nb.NumEdges(), nb.NumSites()
 	eng := &parEngine{
-		g: g, rec: rec, workers: workers,
-		numNodes:   nn,
-		numEdges:   ne,
-		outStart:   make([]int32, nn+1),
-		edgeCallee: make([]int32, ne),
-		edgeLabel:  make([]int32, ne),
-		edgeRec:    make([]bool, ne),
+		workers:  workers,
+		numNodes: nn,
+		numEdges: ne,
+		nb:       nb,
+		edgeRec:  make([]bool, ne),
 	}
-
-	// Out-edge CSR + transient edge-to-index map (released after build).
-	edgeIdx := make(map[callgraph.Edge]int32, ne)
-	pos := int32(0)
-	for n := 0; n < nn; n++ {
-		eng.outStart[n] = pos
-		for _, e := range g.Out(callgraph.NodeID(n)) {
-			eng.edgeCallee[pos] = int32(e.Callee)
-			eng.edgeLabel[pos] = e.Label
-			eng.edgeRec[pos] = rec[e]
-			edgeIdx[e] = pos
-			pos++
-		}
-	}
-	eng.outStart[nn] = pos
-
-	// Dense site table.
-	sites := g.Sites()
-	eng.siteList = sites
-	sid := make(map[callgraph.Site]int32, len(sites))
-	eng.siteOff = make([]int32, len(sites)+1)
-	total := int32(0)
-	for i, s := range sites {
-		sid[s] = int32(i)
-		eng.siteOff[i] = total
-		total += int32(len(g.SiteTargets(s)))
-	}
-	eng.siteOff[len(sites)] = total
-	eng.siteEdges = make([]int32, total)
-	pos = 0
-	for _, s := range sites {
-		for _, e := range g.SiteTargets(s) {
-			eng.siteEdges[pos] = edgeIdx[e]
-			pos++
-		}
+	for i, c := range nb.Callee {
+		eng.edgeRec[i] = comp[nb.Caller[i]] == comp[c]
 	}
 
 	// Schedule: replicate the serial sweep's site assignment exactly —
-	// first-encountered target in Kahn order, in-edges in orderIn order.
+	// first-encountered target in Kahn order, forward in-edges in orderIn
+	// order.
 	eng.taskStart = make([]int32, nn)
 	eng.taskEnd = make([]int32, nn)
-	eng.taskBuf = make([]int32, 0, len(sites))
-	eng.sitePos = make([]int32, len(sites))
+	eng.taskBuf = make([]int32, 0, ns)
+	eng.sitePos = make([]int32, ns)
 	for i := range eng.sitePos {
 		eng.sitePos[i] = -1
 	}
 	for _, n := range topo {
 		eng.taskStart[n] = int32(len(eng.taskBuf))
-		for _, e := range orderIn(g.ForwardIn(n, rec), profile) {
-			s := sid[e.Site()]
+		for _, e := range orderIn(g.In(n), profile) {
+			if comp[e.Caller] == comp[e.Callee] {
+				continue // recursive
+			}
+			s := nb.SiteIndex(e.Site())
 			if eng.sitePos[s] >= 0 {
 				continue
 			}
@@ -250,19 +211,20 @@ func (eng *parEngine) buildWaves(topo []callgraph.NodeID) {
 		touched = append(touched, int32(n))
 		for _, s := range eng.taskBuf[eng.taskStart[n]:eng.taskEnd[n]] {
 			hasForward := false
-			for _, ei := range eng.siteEdges[eng.siteOff[s]:eng.siteOff[s+1]] {
+			row := eng.nb.Targets(s)
+			for _, ei := range row {
 				if eng.edgeRec[ei] {
 					continue
 				}
 				hasForward = true
-				t := eng.edgeCallee[ei]
+				t := eng.nb.Callee[ei]
 				if lt := lastTouch[t]; lt >= lvl {
 					lvl = lt + 1
 				}
 				touched = append(touched, t)
 			}
 			if hasForward {
-				if lc := level[eng.siteList[s].Caller]; lc >= lvl {
+				if lc := level[eng.nb.Caller[row[0]]]; lc >= lvl {
 					lvl = lc + 1
 				}
 			}
@@ -345,8 +307,8 @@ func (eng *parEngine) runOnce(an, resets map[callgraph.NodeID]bool, maxID uint64
 		resetsB: make([]bool, eng.numNodes),
 		maxID:   maxID,
 		batch:   batch,
-		av:      make([]uint64, len(eng.siteList)),
-		avSet:   make([]bool, len(eng.siteList)),
+		av:      make([]uint64, eng.nb.NumSites()),
+		avSet:   make([]bool, eng.nb.NumSites()),
 		maxCAV:  make([]uint64, eng.workers),
 	}
 	for n := range an {
@@ -450,8 +412,8 @@ func (run *parRun) buildTerritories(anchors []callgraph.NodeID) {
 					if !run.expands(v, r) {
 						continue // boundary anchor: in the territory, not traversed
 					}
-					for ei := eng.outStart[v]; ei < eng.outStart[v+1]; ei++ {
-						if t := eng.edgeCallee[ei]; !eng.edgeRec[ei] && visited[t] != epoch {
+					for ei := eng.nb.OutStart[v]; ei < eng.nb.OutStart[v+1]; ei++ {
+						if t := eng.nb.Callee[ei]; !eng.edgeRec[ei] && visited[t] != epoch {
 							visited[t] = epoch
 							nodes = append(nodes, t)
 							stack = append(stack, t)
@@ -471,7 +433,7 @@ func (run *parRun) buildTerritories(anchors []callgraph.NodeID) {
 		for _, n := range terrNodes[i] {
 			run.nanchOff[n+1]++
 			if run.expands(n, int32(r)) {
-				for ei := eng.outStart[n]; ei < eng.outStart[n+1]; ei++ {
+				for ei := eng.nb.OutStart[n]; ei < eng.nb.OutStart[n+1]; ei++ {
 					if !eng.edgeRec[ei] {
 						run.eanchOff[ei+1]++
 					}
@@ -502,13 +464,13 @@ func (run *parRun) buildTerritories(anchors []callgraph.NodeID) {
 			if !run.expands(c, int32(r)) {
 				continue
 			}
-			for ei := eng.outStart[c]; ei < eng.outStart[c+1]; ei++ {
+			for ei := eng.nb.OutStart[c]; ei < eng.nb.OutStart[c+1]; ei++ {
 				if eng.edgeRec[ei] {
 					continue
 				}
 				run.eanchBuf[eFill[ei]] = edgeAnchor{
 					anchor:     int32(r),
-					calleeCell: nFill[eng.edgeCallee[ei]] - 1,
+					calleeCell: nFill[eng.nb.Callee[ei]] - 1,
 					callerCell: nFill[c] - 1,
 				}
 				eFill[ei]++
@@ -594,7 +556,7 @@ func (run *parRun) task(n int32, w int) {
 // territory rows, so they contribute nothing.
 func (run *parRun) calcIncrement(s int32, w int) uint64 {
 	eng := run.eng
-	row := eng.siteEdges[eng.siteOff[s]:eng.siteOff[s+1]]
+	row := eng.nb.Targets(s)
 
 	var a uint64
 	for _, ei := range row {
@@ -609,7 +571,7 @@ func (run *parRun) calcIncrement(s int32, w int) uint64 {
 		}
 	}
 
-	caller := int32(eng.siteList[s].Caller)
+	caller := eng.nb.Caller[row[0]]
 	for _, ei := range row {
 		for _, ea := range run.eanchBuf[run.eanchOff[ei]:run.eanchOff[ei+1]] {
 			ci := ea.calleeCell
@@ -650,7 +612,7 @@ func (run *parRun) toPass() *pass {
 		eanchors: make(map[callgraph.Edge][]callgraph.NodeID),
 		cav:      make(map[callgraph.NodeID]map[callgraph.NodeID]uint64),
 		icc:      make(map[callgraph.NodeID]map[callgraph.NodeID]uint64),
-		av:       make(map[callgraph.Site]uint64, len(eng.siteList)),
+		av:       make(map[callgraph.Site]uint64, eng.nb.NumSites()),
 	}
 	for w := 0; w < eng.workers; w++ {
 		if run.maxCAV[w] > p.maxCAV {
@@ -659,7 +621,7 @@ func (run *parRun) toPass() *pass {
 	}
 	for s, set := range run.avSet {
 		if set {
-			p.av[eng.siteList[s]] = run.av[s]
+			p.av[eng.nb.Site(int32(s))] = run.av[s]
 		}
 	}
 	for n := 0; n < eng.numNodes; n++ {
@@ -696,23 +658,16 @@ func (run *parRun) toPass() *pass {
 		}
 		p.icc[id] = m
 	}
-	for n := 0; n < eng.numNodes; n++ {
-		for ei := eng.outStart[n]; ei < eng.outStart[n+1]; ei++ {
-			off, end := run.eanchOff[ei], run.eanchOff[ei+1]
-			if off == end {
-				continue
-			}
-			anchors := make([]callgraph.NodeID, end-off)
-			for k := off; k < end; k++ {
-				anchors[k-off] = callgraph.NodeID(run.eanchBuf[k].anchor)
-			}
-			e := callgraph.Edge{
-				Caller: callgraph.NodeID(n),
-				Callee: callgraph.NodeID(eng.edgeCallee[ei]),
-				Label:  eng.edgeLabel[ei],
-			}
-			p.eanchors[e] = anchors
+	for ei := int32(0); int(ei) < eng.numEdges; ei++ {
+		off, end := run.eanchOff[ei], run.eanchOff[ei+1]
+		if off == end {
+			continue
 		}
+		anchors := make([]callgraph.NodeID, end-off)
+		for k := off; k < end; k++ {
+			anchors[k-off] = callgraph.NodeID(run.eanchBuf[k].anchor)
+		}
+		p.eanchors[eng.nb.Edge(ei)] = anchors
 	}
 	return p
 }

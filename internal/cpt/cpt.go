@@ -34,39 +34,39 @@ type Plan struct {
 	NumSets int
 }
 
-// Compute runs the set-merging analysis on g.
+// Compute runs the set-merging analysis on g, over the graph's numbering.
 func Compute(g *callgraph.Graph) *Plan {
 	n := g.NumNodes()
+	nb := g.Numbering()
 	uf := newUnionFind(n)
-	for _, s := range g.Sites() {
-		targets := g.SiteTargets(s)
-		for i := 1; i < len(targets); i++ {
-			uf.union(int(targets[0].Callee), int(targets[i].Callee))
+	for k := int32(0); int(k) < nb.NumSites(); k++ {
+		targets := nb.Targets(k)
+		for _, e := range targets[1:] {
+			uf.union(int(nb.Callee[targets[0]]), int(nb.Callee[e]))
 		}
 	}
 	plan := &Plan{
 		SID:      make([]int32, n),
-		Expected: make(map[callgraph.Site]int32),
+		Expected: make(map[callgraph.Site]int32, nb.NumSites()),
 	}
-	// Densify set identifiers in node order for determinism.
+	// Densify set identifiers in node order for determinism: a root's SID
+	// is assigned when the first node of its set is met.
 	next := int32(0)
-	sidOfRoot := make(map[int]int32)
+	sidOfRoot := make([]int32, n)
+	for i := range sidOfRoot {
+		sidOfRoot[i] = -1
+	}
 	for i := 0; i < n; i++ {
 		root := uf.find(i)
-		sid, ok := sidOfRoot[root]
-		if !ok {
-			sid = next
+		if sidOfRoot[root] < 0 {
+			sidOfRoot[root] = next
 			next++
-			sidOfRoot[root] = sid
 		}
-		plan.SID[i] = sid
+		plan.SID[i] = sidOfRoot[root]
 	}
 	plan.NumSets = int(next)
-	for _, s := range g.Sites() {
-		targets := g.SiteTargets(s)
-		if len(targets) > 0 {
-			plan.Expected[s] = plan.SID[targets[0].Callee]
-		}
+	for k := int32(0); int(k) < nb.NumSites(); k++ {
+		plan.Expected[nb.Site(k)] = plan.SID[nb.Callee[nb.Targets(k)[0]]]
 	}
 	return plan
 }

@@ -286,7 +286,7 @@ func checkPushEdges(rep *Report, v *view) bool {
 	for e, kind := range spec.Push {
 		var d Diagnostic
 		switch {
-		case v.edgeIndex(e) < 0:
+		case v.nb.EdgeIndex(e) < 0:
 			d = diag("structure", "", siteName(g, e.Site()),
 				"push edge to %s does not exist in the graph", nameOf(g, e.Callee))
 			ok = false
@@ -640,8 +640,8 @@ func checkVirtualAV(rep *Report, v *view) {
 		}
 		return
 	}
-	for k := 0; k < v.numSites(); k++ {
-		targets := v.targets(k)
+	for k := int32(0); int(k) < v.nb.NumSites(); k++ {
+		targets := v.nb.Targets(k)
 		want := v.av[targets[0]]
 		for _, e := range targets[1:] {
 			if got := v.av[e]; got != want {
@@ -673,11 +673,11 @@ func checkCPT(rep *Report, v *view, plan *cpt.Plan) {
 	}
 	// Each site's expectation, located by one walk of the map; an
 	// expectation for a site the graph lacks is reported first.
-	want := make([]int32, v.numSites())
-	has := make([]bool, v.numSites())
+	want := make([]int32, v.nb.NumSites())
+	has := make([]bool, v.nb.NumSites())
 	var dangling []callgraph.Site
 	for s, sid := range plan.Expected {
-		if k := v.siteIndex(s); k >= 0 {
+		if k := v.nb.SiteIndex(s); k >= 0 {
 			want[k], has[k] = sid, true
 		} else {
 			dangling = append(dangling, s)
@@ -687,8 +687,8 @@ func checkCPT(rep *Report, v *view, plan *cpt.Plan) {
 	for _, s := range dangling {
 		rep.add("cpt-closure", "", siteName(g, s), "expectation recorded for a call site that does not exist")
 	}
-	for k := 0; k < v.numSites(); k++ {
-		targets := v.targets(k)
+	for k := int32(0); int(k) < v.nb.NumSites(); k++ {
+		targets := v.nb.Targets(k)
 		s := v.site(targets[0])
 		if !has[k] {
 			rep.add("cpt-closure", "", siteName(g, s),

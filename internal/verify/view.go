@@ -11,18 +11,21 @@ import (
 // view is the verifier's dense reading of one Spec, built once per Check or
 // CheckDelta: the graph in CSR form with every per-edge input the proofs
 // read resolved into flat arrays, so no proof hashes a map key. It is
-// derived from the Spec and graph alone — never from core's engine or the
-// compiled decoder's tables — which keeps the verifier independent of what
-// it checks.
+// derived from the Spec and the graph's own numbering alone — never from
+// core's engine or the compiled decoder's tables — which keeps the verifier
+// independent of what it checks.
 //
-// An edge's dense index is its slot in the out-CSR.
+// An edge's dense index is its slot in the out-CSR, and a call site's is its
+// position in Graph.Sites order: the ids of callgraph.Numbering.
 type view struct {
 	spec *encoding.Spec
 	g    *callgraph.Graph
 	n    int
+	nb   *callgraph.Numbering
 
 	// Node v's out-edges are slots [outStart[v], outStart[v+1]), in
 	// insertion order: the order fingerprints hash and forwardSCC walks.
+	// The four arrays are the numbering's.
 	outStart []int32
 	caller   []int32
 	callee   []int32
@@ -40,15 +43,6 @@ type view struct {
 	inEdges  []int32
 	inCaller []int32
 	inAV     []uint64
-
-	// Call site k's dispatch targets are siteEdges[siteStart[k]:siteStart[k+1]],
-	// in insertion order; sites run in (caller, label) order, as
-	// Graph.Sites returns them. Node v's sites are [nodeSites[v],
-	// nodeSites[v+1]), and siteLabel[k] is site k's label.
-	siteStart []int32
-	siteEdges []int32
-	siteLabel []int32
-	nodeSites []int32
 
 	// Keys of the spec's maps that name nothing in the graph, for the
 	// structure check.
@@ -72,28 +66,21 @@ type view struct {
 func newView(spec *encoding.Spec) *view {
 	g := spec.Graph
 	n := g.NumNodes()
-	m := g.NumEdges()
+	nb := g.Numbering()
+	m := nb.NumEdges()
 	v := &view{
 		spec:     spec,
 		g:        g,
 		n:        n,
-		outStart: make([]int32, n+1),
-		caller:   make([]int32, 0, m),
-		callee:   make([]int32, 0, m),
-		label:    make([]int32, 0, m),
+		nb:       nb,
+		outStart: nb.OutStart,
+		caller:   nb.Caller,
+		callee:   nb.Callee,
+		label:    nb.Label,
 		push:     make([]uint16, m),
 		av:       make([]uint64, m),
 		anchor:   make([]uint64, (n+63)/64),
 	}
-	for u := 0; u < n; u++ {
-		for _, e := range g.Out(callgraph.NodeID(u)) {
-			v.caller = append(v.caller, int32(u))
-			v.callee = append(v.callee, int32(e.Callee))
-			v.label = append(v.label, e.Label)
-		}
-		v.outStart[u+1] = int32(len(v.callee))
-	}
-	v.buildSites()
 	// The spec's maps are read by iterating them once, each key located in
 	// the view: sequential map walks rather than a random probe per site or
 	// edge.
@@ -105,22 +92,22 @@ func newView(spec *encoding.Spec) *view {
 		}
 	}
 	for e, kind := range spec.Push {
-		if i := v.edgeIndex(e); i >= 0 {
+		if i := nb.EdgeIndex(e); i >= 0 {
 			v.push[i] = 1 + uint16(kind)
 		}
 	}
 	for s, av := range spec.SiteAV {
-		k := v.siteIndex(s)
+		k := nb.SiteIndex(s)
 		if k < 0 {
 			v.straySiteAV = append(v.straySiteAV, s)
 		} else if !spec.PerEdge {
-			for _, e := range v.targets(k) {
+			for _, e := range nb.Targets(k) {
 				v.av[e] = av
 			}
 		}
 	}
 	for e, av := range spec.EdgeAV {
-		if i := v.edgeIndex(e); i < 0 {
+		if i := nb.EdgeIndex(e); i < 0 {
 			v.strayEdgeAV = append(v.strayEdgeAV, e)
 		} else if spec.PerEdge {
 			v.av[i] = av
@@ -128,28 +115,6 @@ func newView(spec *encoding.Spec) *view {
 	}
 	v.buildInRows()
 	return v
-}
-
-// buildSites groups every out-row's slots by label, stably, into call
-// sites.
-func (v *view) buildSites() {
-	v.siteEdges = make([]int32, len(v.callee))
-	for e := range v.siteEdges {
-		v.siteEdges[e] = int32(e)
-	}
-	v.nodeSites = make([]int32, v.n+1)
-	for u := 0; u < v.n; u++ {
-		row := v.siteEdges[v.outStart[u]:v.outStart[u+1]]
-		slices.SortStableFunc(row, func(a, b int32) int { return cmp.Compare(v.label[a], v.label[b]) })
-		for i, e := range row {
-			if i == 0 || v.label[e] != v.label[row[i-1]] {
-				v.siteStart = append(v.siteStart, v.outStart[u]+int32(i))
-				v.siteLabel = append(v.siteLabel, v.label[e])
-			}
-		}
-		v.nodeSites[u+1] = int32(len(v.siteLabel))
-	}
-	v.siteStart = append(v.siteStart, int32(len(v.siteEdges)))
 }
 
 // buildInRows regroups the forward edges by callee (counting sort) and
@@ -190,41 +155,9 @@ func (v *view) buildInRows() {
 	}
 }
 
-// siteIndex returns the number of site s, or -1 if the graph has no such
-// site.
-func (v *view) siteIndex(s callgraph.Site) int {
-	if s.Caller < 0 || int(s.Caller) >= v.n {
-		return -1
-	}
-	lo := int(v.nodeSites[s.Caller])
-	i, ok := slices.BinarySearch(v.siteLabel[lo:v.nodeSites[s.Caller+1]], s.Label)
-	if !ok {
-		return -1
-	}
-	return lo + i
-}
-
-// edgeIndex returns the slot of edge e, or -1 if the graph has no such
-// edge.
-func (v *view) edgeIndex(e callgraph.Edge) int32 {
-	if k := v.siteIndex(e.Site()); k >= 0 {
-		for _, i := range v.targets(k) {
-			if v.callee[i] == int32(e.Callee) {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
 func (v *view) site(e int32) callgraph.Site {
 	return callgraph.Site{Caller: callgraph.NodeID(v.caller[e]), Label: v.label[e]}
 }
-
-func (v *view) numSites() int { return len(v.siteStart) - 1 }
-
-// targets returns site k's dispatch target slots, in insertion order.
-func (v *view) targets(k int) []int32 { return v.siteEdges[v.siteStart[k]:v.siteStart[k+1]] }
 
 func (v *view) isAnchor(u int32) bool { return v.anchor[u>>6]&(1<<(u&63)) != 0 }
 
