@@ -185,7 +185,10 @@ func main() {
 	}
 
 	counts := make(map[string]int)
-	sample := make(map[string]deltapath.Context)
+	// texts holds each distinct context decoded at its first occurrence:
+	// a retained Context would keep a chunk of the session's capture slab
+	// reachable.
+	texts := make(map[string]string)
 	recorded, skipped := 0, 0
 	_, err = sess.Run(func(c deltapath.Context) {
 		if journal != nil {
@@ -208,8 +211,12 @@ func main() {
 		key := c.Key()
 		counts[key]++
 		if *unique {
-			if _, seen := sample[key]; !seen {
-				sample[key] = c
+			if _, seen := texts[key]; !seen {
+				if names, derr := an.Decode(c); derr != nil {
+					texts[key] = fmt.Sprintf("<undecodable: %v>", derr)
+				} else {
+					texts[key] = strings.Join(names, " > ")
+				}
 			}
 			return
 		}
@@ -236,21 +243,15 @@ func main() {
 	}
 
 	if *unique {
-		rows := make([]uniqueRow, 0, len(sample))
-		for k, c := range sample {
-			var text string
-			if names, derr := an.Decode(c); derr != nil {
-				text = fmt.Sprintf("<undecodable: %v>", derr)
-			} else {
-				text = strings.Join(names, " > ")
-			}
+		rows := make([]uniqueRow, 0, len(texts))
+		for k, text := range texts {
 			rows = append(rows, uniqueRow{count: counts[k], text: text})
 		}
 		sortUniqueRows(rows)
 		for _, r := range rows {
 			fmt.Printf("%8d  %s\n", r.count, r.text)
 		}
-		fmt.Printf("%d unique contexts, %d total\n", len(sample), total(counts))
+		fmt.Printf("%d unique contexts, %d total\n", len(texts), total(counts))
 	}
 }
 

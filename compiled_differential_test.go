@@ -75,8 +75,8 @@ func TestCompiledDecoderCorpusDifferential(t *testing.T) {
 						if !c.known {
 							continue
 						}
-						want, wantErr := legacy.Decode(c.state, c.node)
-						buf, err = compiled.DecodeInto(buf, c.state, c.node)
+						want, wantErr := legacy.Decode(&c.state, c.node)
+						buf, err = compiled.DecodeInto(buf, &c.state, c.node)
 						if !sameClass(wantErr, err) {
 							t.Fatalf("error diverged: legacy %v, compiled %v", wantErr, err)
 						}

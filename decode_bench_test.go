@@ -51,7 +51,7 @@ func collectDecodeContexts(b *testing.B, file string) (*Analysis, []benchContext
 				continue
 			}
 			seen[c.Key()] = true
-			ctxs = append(ctxs, benchContext{st: c.state, end: c.node})
+			ctxs = append(ctxs, benchContext{st: &c.state, end: c.node})
 		}
 	}
 	if len(ctxs) == 0 {

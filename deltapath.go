@@ -536,16 +536,29 @@ func (a *Analysis) NumInstrumentedSites() int { return a.epoch().plan.NumInstrum
 // the program point where it was captured. A context pins the analysis epoch
 // it was captured under, and decodes against that epoch even after later
 // extensions.
+//
+// A Session carves the piece stacks of the contexts it captures out of
+// shared chunks of 512 pieces (a larger stack gets a chunk of its own), so
+// a context kept after its emit callback returns keeps its whole chunk
+// reachable: a bounded cost, the price of captures that do not allocate
+// one by one. A caller that keeps a sparse sample of many contexts (one per
+// distinct Key, say) should keep their decoded names or MarshalBinary
+// records instead, or the samples hold nearly every chunk of the run.
 type Context struct {
 	// At is the method containing the emit point.
 	At MethodRef
 	// Tag is the emit point's tag.
 	Tag   string
-	state *encoding.State
+	state encoding.State
 	node  callgraph.NodeID
 	known bool
 	ep    *epochState
 }
+
+// captureChunk is the number of pieces in one chunk of a session's capture
+// slab: large enough that a steady-state emit rarely allocates, small
+// enough that a retained Context pins little (48 bytes a piece).
+const captureChunk = 512
 
 // Epoch reports the analysis epoch the context was captured under.
 func (c Context) Epoch() uint64 {
@@ -577,6 +590,9 @@ type Session struct {
 	// state by a bounded amount — the emit-time check repairs it before
 	// any context is captured, the same guarantee chaos runs rely on.
 	heal bool
+	// slab is the unused tail of the current capture chunk (see Context);
+	// only the goroutine running the VM touches it.
+	slab []encoding.Element
 }
 
 // ChaosOptions configures deterministic fault injection for a session.
@@ -658,8 +674,11 @@ func (a *Analysis) NewSession(seed uint64) (*Session, error) {
 		enc.Observe(reg, tr)
 		vm.Observe(reg, tr)
 	}
-	vm.SetProbes(enc)
+	// Restrict first, so installing the probes resolves every method's ids
+	// and probe bits in one pass; the fresh VM has loaded no absorbed class
+	// yet, so marking them flips nothing.
 	vm.SetInstrumented(ep.plan.InstrumentedMethods())
+	vm.SetProbes(enc)
 	vm.MarkAnalyzed(ep.absorbed...)
 	return &Session{an: a, vm: vm, ep: ep, enc: enc}, nil
 }
@@ -733,21 +752,22 @@ func (s *Session) Adopt() bool {
 	return true
 }
 
-// Capture snapshots the current encoding at an emit point. It is intended
-// to be called from an OnEmit callback.
-func (s *Session) Capture(at MethodRef, tag string) Context {
-	s.mu.Lock()
-	ep, enc := s.ep, s.enc
-	s.mu.Unlock()
-	node, known := ep.build.NodeOf[at]
-	return Context{
-		At:    at,
-		Tag:   tag,
-		state: enc.State().Snapshot(),
-		node:  node,
-		known: known,
-		ep:    ep,
+// capture snapshots the encoding at an emit point in method at, whose node
+// is id (-1 outside the analysed graph), copying the encoder's piece stack
+// into the capture slab.
+func (s *Session) capture(ep *epochState, enc *instrument.Encoder, at MethodRef, tag string, id int32) Context {
+	st := enc.State()
+	c := Context{At: at, Tag: tag, node: callgraph.NodeID(id), known: id >= 0, ep: ep}
+	c.state.ID, c.state.Start = st.ID, st.Start
+	if n := len(st.Stack); n > 0 {
+		if len(s.slab) < n {
+			s.slab = make([]encoding.Element, max(n, captureChunk))
+		}
+		c.state.Stack = s.slab[:n:n]
+		copy(c.state.Stack, st.Stack)
+		s.slab = s.slab[n:]
 	}
+	return c
 }
 
 // Run executes the program. If onEmit is non-nil it receives a captured
@@ -755,19 +775,21 @@ func (s *Session) Capture(at MethodRef, tag string) Context {
 // returned.
 func (s *Session) Run(onEmit func(Context)) ([]Context, error) {
 	var collected []Context
-	s.vm.OnEmit = func(_ *minivm.VM, m MethodRef, tag string) {
+	s.vm.OnEmit = func(v *minivm.VM, m MethodRef, tag string) {
 		s.mu.Lock()
 		ep, enc, inj, heal := s.ep, s.enc, s.inj, s.heal
 		s.mu.Unlock()
-		if inj != nil || heal {
+		// The VM resolved the emitting method through the plan (or the
+		// chaos injector, which delegates to it): its probe id is its node
+		// id, or -1 outside the analysed graph.
+		id := v.FrameID(v.Depth() - 1)
+		if id >= 0 && (inj != nil || heal) {
 			// Self-healing protocol: verify the encoding against the
 			// VM's stack before capturing, resyncing on corruption, so
 			// the captured context is exact despite injected faults.
-			if _, known := ep.build.NodeOf[m]; known {
-				enc.VerifyAndResync(s.vm)
-			}
+			enc.VerifyAndResync(v)
 		}
-		c := s.Capture(m, tag)
+		c := s.capture(ep, enc, m, tag, id)
 		if onEmit != nil {
 			onEmit(c)
 		} else {
@@ -800,7 +822,7 @@ func (a *Analysis) Decode(c Context) ([]string, error) {
 	if !c.known {
 		return nil, fmt.Errorf("deltapath: emit point %s is outside the analysed program", c.At)
 	}
-	return c.decoderOr(a).DecodeNames(c.state, c.node)
+	return c.decoderOr(a).DecodeNames(&c.state, c.node)
 }
 
 // decoderOr returns the decoder of the context's pinned epoch, or a's
@@ -823,7 +845,7 @@ func (a *Analysis) DecodeBestEffort(c Context) (names []string, complete bool, e
 		return nil, false, fmt.Errorf("deltapath: emit point %s is outside the analysed program", c.At)
 	}
 	dec := c.decoderOr(a)
-	frames, complete := dec.DecodeBestEffort(c.state, c.node)
+	frames, complete := dec.DecodeBestEffort(&c.state, c.node)
 	return dec.Names(frames), complete, nil
 }
 
@@ -865,7 +887,7 @@ func (c Context) MarshalBinary() ([]byte, error) {
 	if !c.known {
 		return nil, fmt.Errorf("deltapath: emit point %s is outside the analysed program", c.At)
 	}
-	return encoding.MarshalContext(c.state, c.node), nil
+	return encoding.MarshalContext(&c.state, c.node), nil
 }
 
 // DecodeBytes decodes a context record produced by Context.MarshalBinary
@@ -1010,18 +1032,16 @@ func (p *Profile) Epoch() uint64 { return p.ep.id }
 // Add records one hit of the captured context. Contexts that cannot join
 // the profile — captured at emit points outside the analysed program, or
 // under a different analysis epoch than the profile's — are counted as
-// skipped; Add reports whether the context was recorded.
+// skipped; Add reports whether the context was recorded. The record is
+// marshalled into a stack buffer and the store copies it only when it
+// interns a new context, so adding a known context allocates nothing.
 func (p *Profile) Add(c Context) bool {
-	if c.ep != nil && c.ep != p.ep {
+	if !c.known || c.ep != nil && c.ep != p.ep {
 		p.skipped.Add(1)
 		return false
 	}
-	rec, err := c.MarshalBinary()
-	if err != nil {
-		p.skipped.Add(1)
-		return false
-	}
-	p.store.Intern(rec)
+	var buf [128]byte
+	p.store.Intern(encoding.AppendContext(buf[:0], &c.state, c.node))
 	return true
 }
 

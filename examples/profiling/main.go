@@ -72,10 +72,12 @@ func main() {
 
 	// Accumulate a per-context metric; the context key is the profile
 	// bucket, so profiling cost per sample is one map update on an
-	// integer-derived key.
+	// integer-derived key. A new bucket decodes its context at once rather
+	// than keeping the Context, which would keep a chunk of the session's
+	// capture slab reachable.
 	type bucket struct {
-		sample deltapath.Context
-		cost   int
+		context string
+		cost    int
 	}
 	profile := make(map[string]*bucket)
 	session, err := an.NewSession(3)
@@ -89,27 +91,32 @@ func main() {
 		k := c.Key()
 		if b, ok := profile[k]; ok {
 			b.cost += 10 // synthetic cost units per sample
-		} else {
-			profile[k] = &bucket{sample: c, cost: 10}
+			return
 		}
+		names, err := an.Decode(c)
+		if err != nil {
+			log.Fatal(err)
+		}
+		profile[k] = &bucket{context: strings.Join(names, " > "), cost: 10}
 	}); err != nil {
 		log.Fatal(err)
 	}
 
-	keys := make([]string, 0, len(profile))
-	for k := range profile {
-		keys = append(keys, k)
+	rows := make([]*bucket, 0, len(profile))
+	for _, b := range profile {
+		rows = append(rows, b)
 	}
-	sort.Slice(keys, func(i, j int) bool { return profile[keys[i]].cost > profile[keys[j]].cost })
+	// Costliest first; ties in context order, so every run prints the same.
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].cost != rows[j].cost {
+			return rows[i].cost > rows[j].cost
+		}
+		return rows[i].context < rows[j].context
+	})
 
 	fmt.Println("cost  calling context ('...' = excluded library frames)")
-	for _, k := range keys {
-		b := profile[k]
-		names, err := an.Decode(b.sample)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%4d  %s\n", b.cost, strings.Join(names, " > "))
+	for _, b := range rows {
+		fmt.Printf("%4d  %s\n", b.cost, b.context)
 	}
 	fmt.Printf("\n%d contexts; %d hazardous library call-backs bridged by CPT\n",
 		len(profile), session.Hazards())

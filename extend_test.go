@@ -362,6 +362,49 @@ func TestSessionAdoptMidRun(t *testing.T) {
 	}
 }
 
+// TestAdoptMidRunInstrumentsAbsorbedClass: after a mid-run Adopt absorbs
+// Ext, Ext.op's entry and call sites fire, so its calls into analysed code
+// encode instead of costing hazard pushes. The VM caches each method's
+// probe bits, and Adopt must refresh them for the already loaded class.
+func TestAdoptMidRunInstrumentsAbsorbedClass(t *testing.T) {
+	prog := mustParse(t, dynloadSrc(t))
+	sawExt := false
+	for seed := uint64(0); seed < 8; seed++ {
+		an, err := Analyze(prog, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := an.NewSession(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adopted, extAfter := false, 0
+		if _, err := s.Run(func(c Context) {
+			if adopted && c.At.Class == "Ext" {
+				extAfter++
+			}
+			if !adopted && s.VM().Loaded("Ext") {
+				if _, err := an.Extend("Ext"); err != nil {
+					t.Fatalf("mid-run Extend: %v", err)
+				}
+				adopted = s.Adopt()
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !adopted || extAfter == 0 {
+			continue // this seed never ran Ext after the swap
+		}
+		sawExt = true
+		if h := s.Hazards(); h != 0 {
+			t.Errorf("seed %d: %d hazard pushes after Adopt over %d emits in Ext, want 0", seed, h, extAfter)
+		}
+	}
+	if !sawExt {
+		t.Fatal("no seed ran Ext after a mid-run Adopt — the scenario tests nothing")
+	}
+}
+
 // renderStack renders a ground-truth VM stack the way a decode should read:
 // analysed frames by name, each maximal run of unanalysed frames as one gap.
 func renderStack(stack []MethodRef, analysed func(MethodRef) bool) string {

@@ -2,6 +2,7 @@ package analysisio
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"deltapath/internal/callgraph"
@@ -25,8 +26,23 @@ func saveGraph(tb testing.TB, g *callgraph.Graph) []byte {
 	return buf.Bytes()
 }
 
+// rootsGraph returns a graph whose entry calls n leaves, each of them a
+// context root: a program that spawns n distinct tasks.
+func rootsGraph(n int) *callgraph.Graph {
+	g := callgraph.New()
+	entry := g.AddNode("main", false)
+	g.SetEntry(entry)
+	for i := 0; i < n; i++ {
+		leaf := g.AddNode(fmt.Sprintf("task%d", i), false)
+		g.AddEdge(entry, int32(i), leaf)
+		g.MarkContextRoot(leaf)
+	}
+	return g
+}
+
 // BenchmarkLoad times Load on the saved analysis of sunflow, built with the
-// settings Analyze uses, and of the 50k-node huge smoke tier.
+// settings Analyze uses, of the 50k-node huge smoke tier, and of a graph
+// with 40,000 context roots, which Load marks one by one.
 func BenchmarkLoad(b *testing.B) {
 	p, ok := workload.ByName("sunflow")
 	if !ok {
@@ -47,7 +63,7 @@ func BenchmarkLoad(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		g    *callgraph.Graph
-	}{{"sunflow", build.Graph}, {"huge-50k", huge}} {
+	}{{"sunflow", build.Graph}, {"huge-50k", huge}, {"roots-40k", rootsGraph(40_000)}} {
 		data := saveGraph(b, c.g)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -111,10 +111,12 @@ type Graph struct {
 }
 
 // nodeRow is one node's adjacency: its out- and in-edges in insertion
-// order, and the call sites it is the caller of, sorted by label.
+// order, and the call sites it is the caller of, sorted by label. root
+// records that the node is in roots, so marking one is O(1).
 type nodeRow struct {
 	out, in []Edge
 	sites   []siteRow
+	root    bool
 }
 
 // siteRow is one call site of a caller: its label and its dispatch target
@@ -179,14 +181,14 @@ func (g *Graph) SetEntry(id NodeID) {
 // Entry returns the entry node. The second result reports whether one was set.
 func (g *Graph) Entry() (NodeID, bool) { return g.entry, g.hasEntry }
 
-// MarkContextRoot declares n an additional context root: calling contexts
-// may begin there (an executor-task entry). Idempotent.
+// MarkContextRoot declares node n an additional context root: calling
+// contexts may begin there (an executor-task entry). Idempotent and O(1);
+// an id that names no node is ignored.
 func (g *Graph) MarkContextRoot(n NodeID) {
-	for _, r := range g.roots {
-		if r == n {
-			return
-		}
+	if !g.isNode(n) || g.rows[n].root {
+		return
 	}
+	g.rows[n].root = true
 	g.roots = append(g.roots, n)
 }
 
@@ -371,7 +373,7 @@ func (g *Graph) Clone() *Graph {
 	}
 	for n, r := range g.rows {
 		cr := &c.rows[n]
-		cr.out, cr.in = slices.Clip(r.out), slices.Clip(r.in)
+		cr.out, cr.in, cr.root = slices.Clip(r.out), slices.Clip(r.in), r.root
 		if len(r.sites) > 0 {
 			cr.sites = make([]siteRow, len(r.sites))
 			for i, s := range r.sites {

@@ -56,6 +56,9 @@ func (g *mapGraph) Name(id NodeID) string {
 func (g *mapGraph) SetEntry(id NodeID) { g.entry, g.hasEntry = id, true }
 
 func (g *mapGraph) MarkContextRoot(n NodeID) {
+	if n < 0 || int(n) >= len(g.nodes) {
+		return
+	}
 	for _, r := range g.roots {
 		if r == n {
 			return
@@ -354,7 +357,7 @@ type graphPair struct {
 // step applies one random op to both graphs: a node (names repeat, so some
 // adds return an existing id), an edge among the nodes (few labels, so sites
 // collect several targets; self-loops and cycles arise), a repeated edge,
-// the entry, or a context root.
+// the entry, or a context root (sometimes an id no node has yet).
 func (p graphPair) step(rng *rand.Rand) {
 	nn := len(p.o.nodes)
 	switch op := rng.Intn(10); {
@@ -384,6 +387,9 @@ func (p graphPair) step(rng *rand.Rand) {
 			p.g.SetEntry(n)
 			p.o.SetEntry(n)
 		} else {
+			if rng.Intn(4) == 0 {
+				n = NodeID(nn + rng.Intn(3)) // no node yet: ignored
+			}
 			p.g.MarkContextRoot(n)
 			p.o.MarkContextRoot(n)
 		}
@@ -446,6 +452,7 @@ func (p graphPair) compare(t *testing.T) {
 	}
 	same("DOT", g.DOT(), o.DOT())
 	same("Validate", fmt.Sprint(g.Validate()), fmt.Sprint(o.Validate()))
+	same("ContextRoots", append([]NodeID{}, g.ContextRoots()...), append([]NodeID{}, o.roots...))
 
 	nb, want := g.Numbering(), o.mapNumbering()
 	same("Numbering.OutStart", nb.OutStart, want.OutStart)
@@ -492,6 +499,21 @@ func TestGraphMatchesMapOracle(t *testing.T) {
 		if t.Failed() {
 			t.Fatalf("seed %d", seed)
 		}
+	}
+}
+
+// TestMarkContextRootIgnoresNonNodes: marking an id that names no node
+// leaves no trace, so a node that later takes the id is recorded once.
+func TestMarkContextRootIgnoresNonNodes(t *testing.T) {
+	g := New()
+	g.MarkContextRoot(0)
+	g.MarkContextRoot(-1)
+	a := g.AddNode("a", false)
+	g.MarkContextRoot(a)
+	g.MarkContextRoot(a)
+	g.MarkContextRoot(7)
+	if got := g.ContextRoots(); !slices.Equal(got, []NodeID{a}) {
+		t.Fatalf("ContextRoots = %v, want [%d]", got, a)
 	}
 }
 

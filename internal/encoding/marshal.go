@@ -33,8 +33,14 @@ const minElementBytes = 7
 // MarshalContext serializes the state together with the node at which it
 // was captured.
 func MarshalContext(s *State, end callgraph.NodeID) []byte {
-	buf := make([]byte, 0, 16+len(s.Stack)*12)
-	buf = append(buf, marshalVersion)
+	return AppendContext(make([]byte, 0, 16+len(s.Stack)*12), s, end)
+}
+
+// AppendContext appends MarshalContext's record to dst and returns the
+// extended slice. With a caller-owned buffer of enough capacity (a stack
+// array, a reused scratch slice) marshalling allocates nothing.
+func AppendContext(dst []byte, s *State, end callgraph.NodeID) []byte {
+	buf := append(dst, marshalVersion)
 	buf = binary.AppendUvarint(buf, s.ID)
 	buf = binary.AppendUvarint(buf, uint64(s.Start))
 	buf = binary.AppendUvarint(buf, uint64(end))

@@ -152,6 +152,10 @@ func Spawn(class, method string) Instr { return Instr{Op: OpSpawn, Class: class,
 type Method struct {
 	Name string
 	Body []Instr
+
+	// numSites is one past the largest site label in Body, set by
+	// Normalize: the size of the method's call-site table in a VM.
+	numSites int32
 }
 
 // Class is a minivm class: a name, an optional superclass, a library flag
@@ -227,6 +231,7 @@ func (p *Program) Normalize() error {
 			if err := numberSites(m.Body, &next); err != nil {
 				return fmt.Errorf("minivm: %s.%s: %w", c.Name, m.Name, err)
 			}
+			m.numSites = next
 		}
 	}
 	for _, c := range all {

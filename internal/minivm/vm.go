@@ -68,18 +68,40 @@ type TaskProbes interface {
 	BeginTask(entry MethodRef)
 }
 
-// loadedMethod is a linked, runnable method.
+// loadedMethod is a linked, runnable method. Besides the body it caches,
+// per VM (RunParallel runs many VMs over one shared Program), everything
+// the interpreter would otherwise look up by name per event.
 type loadedMethod struct {
 	ref     MethodRef
 	body    []Instr
 	library bool
 	dynamic bool // belongs to a dynamically loaded class
 
-	// Dense probe ids, resolved once per method while probes are
-	// installed: methodID for Enter/Exit, siteIDs indexed by site label
-	// (labels are dense per method after Normalize) for call probes.
+	// entryProbed and callProbed cache whether the method's entry/exit and
+	// the call sites inside it fire probes: the per-call answer to the
+	// probes, instrumented, probeDynamic and analyzed settings, refreshed
+	// by every setter that changes one of them (see setProbed).
+	entryProbed bool
+	callProbed  bool
+
+	// methodID is the dense probe id for Enter/Exit and the call events'
+	// target, resolved while probes are installed; -1 without probes.
 	methodID int32
-	siteIDs  []int32
+	// sites is indexed by site label (labels are dense per method after
+	// Normalize, which counts them).
+	sites []callSite
+}
+
+// callSite is one call site's cached resolution.
+type callSite struct {
+	// id is the dense probe id for BeforeCall/AfterCall, or siteSkip for
+	// an encoding-free site; resolved only while probes are installed.
+	id int32
+	// target is a static call's callee, cached on the first execution
+	// that finds it loaded; loaded methods are never unloaded.
+	target *loadedMethod
+	// set is a virtual call's dispatch set, cached on first execution.
+	set *dispatchSet
 }
 
 // dispatchKey identifies a virtual dispatch set: all loaded declarations of
@@ -87,6 +109,13 @@ type loadedMethod struct {
 type dispatchKey struct {
 	Class  string
 	Method string
+}
+
+// dispatchSet is one virtual dispatch set's candidates in load order. The
+// object is shared: load appends to it in place, so every call site that
+// cached the set sees a class loaded after the site first dispatched.
+type dispatchSet struct {
+	cands []*loadedMethod
 }
 
 // VM executes a minivm program.
@@ -102,7 +131,7 @@ type VM struct {
 	loaded  map[string]bool             // currently loaded class names
 	methods map[MethodRef]*loadedMethod // loaded methods
 	supers  map[string]string           // class -> super
-	dtables map[dispatchKey][]*loadedMethod
+	dtables map[dispatchKey]*dispatchSet
 
 	probes Probes
 	// instrumented, when non-nil, restricts probes to the listed methods:
@@ -124,7 +153,7 @@ type VM struct {
 	OnEmit       EmitFunc
 
 	rng   uint64
-	stack []MethodRef
+	stack []*loadedMethod
 
 	// Steps counts executed instructions plus work units: the throughput
 	// measure used by the Figure 8 experiment ("operations per minute").
@@ -204,7 +233,7 @@ func NewVM(prog *Program, seed uint64) (*VM, error) {
 		loaded:   make(map[string]bool),
 		methods:  make(map[MethodRef]*loadedMethod),
 		supers:   make(map[string]string),
-		dtables:  make(map[dispatchKey][]*loadedMethod),
+		dtables:  make(map[dispatchKey]*dispatchSet),
 		rng:      seed*2654435769 + 0x9e3779b97f4a7c15,
 		MaxDepth: 512,
 	}
@@ -237,20 +266,24 @@ func (vm *VM) SetProbes(p Probes) {
 
 // SetInstrumented restricts probes to the given methods; nil means every
 // statically loaded method is instrumented.
-func (vm *VM) SetInstrumented(set map[MethodRef]bool) { vm.instrumented = set }
+func (vm *VM) SetInstrumented(set map[MethodRef]bool) {
+	vm.instrumented = set
+	vm.refreshProbed()
+}
 
 // SetProbeDynamic makes Enter/Exit probes fire for dynamically loaded
 // methods too (depth-tracking ablation only).
-func (vm *VM) SetProbeDynamic(on bool) { vm.probeDynamic = on }
+func (vm *VM) SetProbeDynamic(on bool) {
+	vm.probeDynamic = on
+	vm.refreshProbed()
+}
 
 // MarkAnalyzed flips the named dynamically loaded classes into the analysed
 // world, after an incremental analysis (Analysis.Extend) absorbed them:
 // their methods — already loaded or loaded later — are instrumented exactly
 // like static ones from now on. Call it after installing the extended
-// analysis's probes: it re-resolves every loaded method's dense probe-id
-// tables, because ids cached against the previous plan are stale for newly
-// analysed methods (their entries and call sites resolved to "no payload"
-// when the class was outside the graph).
+// analysis's probes, which resolve every loaded method's ids whether it is
+// dynamic or not; a flip changes only the flipped methods' probe bits.
 func (vm *VM) MarkAnalyzed(names ...string) {
 	for _, n := range names {
 		vm.analyzed[n] = true
@@ -258,9 +291,9 @@ func (vm *VM) MarkAnalyzed(names ...string) {
 	for _, lm := range vm.methods {
 		if lm.dynamic && vm.analyzed[lm.ref.Class] {
 			lm.dynamic = false
+			vm.setProbed(lm)
 		}
 	}
-	vm.resolveIDs()
 }
 
 // SetInstrumentedSites restricts call-site probes to the given sites; nil
@@ -271,53 +304,46 @@ func (vm *VM) SetInstrumentedSites(set map[SiteRef]bool) {
 	vm.resolveIDs()
 }
 
-// resolveIDs (re)builds every loaded method's dense probe-id tables.
+// resolveIDs (re)builds every loaded method's dense probe-id tables and
+// probe bits.
 func (vm *VM) resolveIDs() {
-	if vm.probes == nil {
-		return
-	}
 	for _, lm := range vm.methods {
 		vm.resolveMethod(lm)
 	}
 }
 
-// resolveMethod resolves one method's dense ids against the probes.
-func (vm *VM) resolveMethod(lm *loadedMethod) {
-	lm.methodID = vm.probes.ResolveMethod(lm.ref)
-	n := countSites(lm.body)
-	if n == 0 {
-		lm.siteIDs = nil
-		return
+// refreshProbed recomputes every loaded method's probe bits.
+func (vm *VM) refreshProbed() {
+	for _, lm := range vm.methods {
+		vm.setProbed(lm)
 	}
-	lm.siteIDs = make([]int32, n)
-	vm.fillSiteIDs(lm, lm.body)
 }
 
-// countSites returns one past the largest site label in body, mirroring
-// numberSites's recursion into loop and try blocks.
-func countSites(body []Instr) int32 {
-	var n int32
-	for i := range body {
-		in := &body[i]
-		switch in.Op {
-		case OpCall, OpVCall:
-			if in.Site+1 > n {
-				n = in.Site + 1
-			}
-		case OpLoop:
-			if k := countSites(in.Body); k > n {
-				n = k
-			}
-		case OpTry:
-			if k := countSites(in.Body); k > n {
-				n = k
-			}
-			if k := countSites(in.Handler); k > n {
-				n = k
-			}
-		}
+// setProbed caches whether lm's entry/exit and its call sites fire probes.
+// Entries of dynamically loaded methods fire only for the depth-tracking
+// ablation, and their call sites never do: un-rewritten code carries no
+// payload.
+func (vm *VM) setProbed(lm *loadedMethod) {
+	switch {
+	case vm.probes == nil:
+		lm.entryProbed, lm.callProbed = false, false
+	case lm.dynamic:
+		lm.entryProbed, lm.callProbed = vm.probeDynamic, false
+	default:
+		inst := vm.instrumented == nil || vm.instrumented[lm.ref]
+		lm.entryProbed, lm.callProbed = inst, inst
 	}
-	return n
+}
+
+// resolveMethod resolves one method's dense ids against the probes and
+// refreshes its probe bits.
+func (vm *VM) resolveMethod(lm *loadedMethod) {
+	lm.methodID = -1
+	if vm.probes != nil {
+		lm.methodID = vm.probes.ResolveMethod(lm.ref)
+		vm.fillSiteIDs(lm, lm.body)
+	}
+	vm.setProbed(lm)
 }
 
 func (vm *VM) fillSiteIDs(lm *loadedMethod, body []Instr) {
@@ -327,9 +353,9 @@ func (vm *VM) fillSiteIDs(lm *loadedMethod, body []Instr) {
 		case OpCall, OpVCall:
 			s := SiteRef{In: lm.ref, Site: in.Site}
 			if vm.instrumentedSites != nil && !vm.instrumentedSites[s] {
-				lm.siteIDs[in.Site] = siteSkip
+				lm.sites[in.Site].id = siteSkip
 			} else {
-				lm.siteIDs[in.Site] = vm.probes.ResolveSite(s)
+				lm.sites[in.Site].id = vm.probes.ResolveSite(s)
 			}
 		case OpLoop:
 			vm.fillSiteIDs(lm, in.Body)
@@ -338,26 +364,6 @@ func (vm *VM) fillSiteIDs(lm *loadedMethod, body []Instr) {
 			vm.fillSiteIDs(lm, in.Handler)
 		}
 	}
-}
-
-// hasProbes reports whether method m carries entry/exit instrumentation.
-func (vm *VM) hasProbes(m *loadedMethod) bool {
-	if vm.probes == nil {
-		return false
-	}
-	if m.dynamic {
-		return vm.probeDynamic
-	}
-	return vm.instrumented == nil || vm.instrumented[m.ref]
-}
-
-// hasCallProbes reports whether call sites inside m carry instrumentation;
-// unlike entries, dynamic methods' call sites are never rewritten.
-func (vm *VM) hasCallProbes(m *loadedMethod) bool {
-	if vm.probes == nil || m.dynamic {
-		return false
-	}
-	return vm.instrumented == nil || vm.instrumented[m.ref]
 }
 
 // Program returns the program this VM runs.
@@ -387,19 +393,31 @@ func (vm *VM) load(name string) error {
 			body:    m.Body,
 			library: c.Library,
 			dynamic: dynamic,
+			sites:   make([]callSite, m.numSites),
 		}
 		vm.methods[ref] = lm
-		if vm.probes != nil {
-			vm.resolveMethod(lm)
-		}
-		// Register in the dispatch table of every ancestor (and self):
-		// a vcall on any ancestor type can now dispatch here.
+		vm.resolveMethod(lm)
+		// Register in the dispatch set of every ancestor (and self): a
+		// vcall on any ancestor type can now dispatch here, including at
+		// sites that cached the set before this load.
 		for cls := name; cls != ""; cls = vm.supers[cls] {
-			k := dispatchKey{Class: cls, Method: m.Name}
-			vm.dtables[k] = append(vm.dtables[k], lm)
+			ds := vm.dispatchSet(cls, m.Name)
+			ds.cands = append(ds.cands, lm)
 		}
 	}
 	return nil
+}
+
+// dispatchSet returns the shared dispatch set of a vcall on class.method,
+// creating it empty when no loaded class implements the method yet.
+func (vm *VM) dispatchSet(class, method string) *dispatchSet {
+	k := dispatchKey{Class: class, Method: method}
+	ds := vm.dtables[k]
+	if ds == nil {
+		ds = &dispatchSet{}
+		vm.dtables[k] = ds
+	}
+	return ds
 }
 
 // Loaded reports whether the class is currently loaded.
@@ -409,7 +427,9 @@ func (vm *VM) Loaded(name string) bool { return vm.loaded[name] }
 // the entry method (index 0) to the innermost active method.
 func (vm *VM) Stack() []MethodRef {
 	out := make([]MethodRef, len(vm.stack))
-	copy(out, vm.stack)
+	for i, m := range vm.stack {
+		out[i] = m.ref
+	}
 	return out
 }
 
@@ -418,7 +438,13 @@ func (vm *VM) Depth() int { return len(vm.stack) }
 
 // Frame returns the i-th active method, outermost first (0 ≤ i < Depth).
 // With Depth it lets a walker visit the stack without copying it.
-func (vm *VM) Frame(i int) MethodRef { return vm.stack[i] }
+func (vm *VM) Frame(i int) MethodRef { return vm.stack[i].ref }
+
+// FrameID returns the probe id the VM resolved for the i-th active method
+// (Probes.ResolveMethod), or -1 when no probes are installed. Inside an
+// OnEmit callback, FrameID(Depth()-1) is the emitting method's id, which
+// spares the callback a lookup by name.
+func (vm *VM) FrameID(i int) int32 { return vm.stack[i].methodID }
 
 // nextRand is a splitmix64 step: deterministic, fast, well mixed.
 func (vm *VM) nextRand() uint64 {
@@ -475,13 +501,13 @@ func (vm *VM) invoke(m *loadedMethod) error {
 	if len(vm.stack) >= vm.MaxDepth {
 		return fmt.Errorf("%w (%d)", ErrMaxDepth, vm.MaxDepth)
 	}
-	vm.stack = append(vm.stack, m.ref)
+	vm.stack = append(vm.stack, m)
 	vm.obs.calls.Inc()
 	if vm.obs.tracer != nil {
 		vm.obs.tracer.Record(obs.EvCall, uint64(len(vm.stack)), vm.Steps)
 	}
 	var tok uint8
-	probed := vm.hasProbes(m)
+	probed := m.entryProbed
 	if probed {
 		tok = vm.probes.Enter(m.methodID)
 	}
@@ -507,22 +533,29 @@ func (vm *VM) exec(m *loadedMethod, body []Instr) error {
 			if in.Depth > 0 && len(vm.stack) >= in.Depth {
 				continue // bounded call: recursion base case reached
 			}
-			target := vm.methods[MethodRef{Class: in.Class, Method: in.Name}]
-			if target == nil {
-				return fmt.Errorf("minivm: %s: call to unloaded method %s.%s", m.ref, in.Class, in.Name)
+			cs := &m.sites[in.Site]
+			if cs.target == nil {
+				cs.target = vm.methods[MethodRef{Class: in.Class, Method: in.Name}]
+				if cs.target == nil {
+					return fmt.Errorf("minivm: %s: call to unloaded method %s.%s", m.ref, in.Class, in.Name)
+				}
 			}
-			if err := vm.call(m, in.Site, target); err != nil {
+			if err := vm.call(m, cs.id, cs.target); err != nil {
 				return err
 			}
 		case OpVCall:
 			if in.Depth > 0 && len(vm.stack) >= in.Depth {
 				continue // bounded call: recursion base case reached
 			}
-			target, err := vm.dispatch(in.Class, in.Name)
-			if err != nil {
-				return fmt.Errorf("minivm: %s: %w", m.ref, err)
+			cs := &m.sites[in.Site]
+			if cs.set == nil {
+				cs.set = vm.dispatchSet(in.Class, in.Name)
 			}
-			if err := vm.call(m, in.Site, target); err != nil {
+			target := vm.dispatch(cs.set)
+			if target == nil {
+				return fmt.Errorf("minivm: %s: vcall %s.%s has no loaded implementation", m.ref, in.Class, in.Name)
+			}
+			if err := vm.call(m, cs.id, target); err != nil {
 				return err
 			}
 		case OpLoop:
@@ -570,16 +603,13 @@ func (vm *VM) exec(m *loadedMethod, body []Instr) error {
 	return nil
 }
 
-// call performs one invocation with its surrounding probes. Probes only
-// fire for call sites in statically loaded (analysed, hence instrumented)
-// methods; call sites inside dynamically loaded code carry no payload.
-func (vm *VM) call(caller *loadedMethod, site int32, target *loadedMethod) error {
-	if !vm.hasCallProbes(caller) {
-		return vm.invoke(target)
-	}
-	sid := caller.siteIDs[site]
-	if sid == siteSkip {
-		return vm.invoke(target) // encoding-free site: nothing inserted
+// call performs one invocation through the call site with probe id sid,
+// with its surrounding probes. Probes only fire for call sites in
+// statically loaded (analysed, hence instrumented) methods; call sites
+// inside dynamically loaded code carry no payload.
+func (vm *VM) call(caller *loadedMethod, sid int32, target *loadedMethod) error {
+	if !caller.callProbed || sid == siteSkip {
+		return vm.invoke(target) // no payload inserted here
 	}
 	tok := vm.probes.BeforeCall(sid, target.methodID)
 	err := vm.invoke(target)
@@ -587,17 +617,17 @@ func (vm *VM) call(caller *loadedMethod, site int32, target *loadedMethod) error
 	return err
 }
 
-// dispatch picks the dynamic target of a virtual call on Class.Method among
-// all loaded declarations at or below Class, uniformly pseudo-randomly.
-func (vm *VM) dispatch(class, method string) (*loadedMethod, error) {
-	cands := vm.dtables[dispatchKey{Class: class, Method: method}]
-	switch len(cands) {
+// dispatch picks the dynamic target of a virtual call among the loaded
+// candidates of its dispatch set, uniformly pseudo-randomly, or nil when
+// the set is empty.
+func (vm *VM) dispatch(ds *dispatchSet) *loadedMethod {
+	switch len(ds.cands) {
 	case 0:
-		return nil, fmt.Errorf("vcall %s.%s has no loaded implementation", class, method)
+		return nil
 	case 1:
-		return cands[0], nil
+		return ds.cands[0]
 	}
-	return cands[vm.nextRand()%uint64(len(cands))], nil
+	return ds.cands[vm.nextRand()%uint64(len(ds.cands))]
 }
 
 // work burns n units of computation (integer mixing) that the compiler
@@ -619,9 +649,12 @@ func (vm *VM) Sink() uint64 { return vm.sink }
 // DispatchTargets returns the currently loaded dispatch candidates for a
 // virtual call on Class.Method, in load order. Used by tests.
 func (vm *VM) DispatchTargets(class, method string) []MethodRef {
-	cands := vm.dtables[dispatchKey{Class: class, Method: method}]
-	out := make([]MethodRef, len(cands))
-	for i, c := range cands {
+	ds := vm.dtables[dispatchKey{Class: class, Method: method}]
+	if ds == nil {
+		return []MethodRef{}
+	}
+	out := make([]MethodRef, len(ds.cands))
+	for i, c := range ds.cands {
 		out[i] = c.ref
 	}
 	return out

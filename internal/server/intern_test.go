@@ -241,8 +241,8 @@ func TestInternMatchesOracle(t *testing.T) {
 		if h.Segments == 0 || h.MemtableBytes == 0 {
 			t.Fatalf("store not spread over segments and memtable: %+v", h)
 		}
-		if keys, _, _, _ := internStats(tn); uint64(keys) != h.Unique {
-			t.Fatalf("ingest interned %d keys, store holds %d", keys, h.Unique)
+		if keys, _, _, _ := internStats(tn); uint64(keys) != h.UniqueKeys {
+			t.Fatalf("ingest interned %d keys, store holds %d", keys, h.UniqueKeys)
 		}
 		assertMatchesOracle(t, ts.URL, tn, "Even")
 	})
@@ -255,6 +255,15 @@ func TestInternMatchesOracle(t *testing.T) {
 		if top.Records <= top.Unique || keys <= ctxs {
 			t.Fatalf("no two keys share a context (records %d, unique %d; table %d keys, %d contexts)",
 				top.Records, top.Unique, keys, ctxs)
+		}
+		// /healthz counts stored keys and /top rendered contexts, each
+		// under its own name: on this fixture 201 keys render to 18.
+		h := getJSON[struct {
+			Tenants []map[string]any `json:"tenants"`
+		}](t, ts.URL+"/healthz").Tenants[0]
+		if _, old := h["unique_contexts"]; old || h["unique_keys"] != 201.0 || top.Unique != 18 {
+			t.Fatalf("/healthz unique_keys %v (unique_contexts present: %v), /top unique_contexts %d; want 201 keys, 18 contexts",
+				h["unique_keys"], old, top.Unique)
 		}
 		assertMatchesOracle(t, ts.URL, tn, "R")
 	})
@@ -281,8 +290,8 @@ func TestInternMatchesOracle(t *testing.T) {
 			t.Fatalf("the stream inserted %d keys", keys)
 		}
 		assertMatchesOracle(t, ts2.URL, tn, "Even")
-		if keys, _, _, _ := internStats(tn); uint64(keys) != healthz(t, ts2.URL).Tenants[0].Unique {
-			t.Fatalf("top-K reads refilled %d keys, store holds %d", keys, healthz(t, ts2.URL).Tenants[0].Unique)
+		if keys, _, _, _ := internStats(tn); uint64(keys) != healthz(t, ts2.URL).Tenants[0].UniqueKeys {
+			t.Fatalf("top-K reads refilled %d keys, store holds %d", keys, healthz(t, ts2.URL).Tenants[0].UniqueKeys)
 		}
 	})
 
@@ -297,8 +306,8 @@ func TestInternMatchesOracle(t *testing.T) {
 		if h.Replayed == 0 || h.Segments != 0 {
 			t.Fatalf("store did not come back from the WAL: %+v", h)
 		}
-		if keys, _, _, _ := internStats(tn); uint64(keys) != h.Unique {
-			t.Fatalf("replay interned %d keys, store holds %d", keys, h.Unique)
+		if keys, _, _, _ := internStats(tn); uint64(keys) != h.UniqueKeys {
+			t.Fatalf("replay interned %d keys, store holds %d", keys, h.UniqueKeys)
 		}
 		assertMatchesOracle(t, ts2.URL, tn, "Even")
 	})

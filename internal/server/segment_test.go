@@ -314,9 +314,9 @@ func TestSegmentRecoveryRoundTrip(t *testing.T) {
 	defer ts2.Close()
 	defer s2.Close(context.Background())
 	after := healthz(t, ts2.URL).Tenants[0]
-	if after.Records != before.Records || after.Unique != before.Unique {
+	if after.Records != before.Records || after.UniqueKeys != before.UniqueKeys {
 		t.Fatalf("recovered records/unique %d/%d, want %d/%d",
-			after.Records, after.Unique, before.Records, before.Unique)
+			after.Records, after.UniqueKeys, before.Records, before.UniqueKeys)
 	}
 	if after.Orphans != 2 {
 		t.Fatalf("orphans discarded = %d, want 2", after.Orphans)
@@ -466,8 +466,8 @@ func TestCompactionMergesSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close(context.Background())
-	if h2.Records != 12 || h2.Unique != h.Unique {
-		t.Fatalf("post-compaction recovery %d/%d, want 12/%d", h2.Records, h2.Unique, h.Unique)
+	if h2.Records != 12 || h2.UniqueKeys != h.UniqueKeys {
+		t.Fatalf("post-compaction recovery %d/%d, want 12/%d", h2.Records, h2.UniqueKeys, h.UniqueKeys)
 	}
 }
 
@@ -547,8 +547,8 @@ func TestQueryMatchesTop(t *testing.T) {
 	}
 
 	full := queryRows(t, ts.URL+"/query?tenant=app")
-	if uint64(len(full)) != h.Unique {
-		t.Fatalf("full stream has %d rows, health says %d unique", len(full), h.Unique)
+	if uint64(len(full)) != h.UniqueKeys {
+		t.Fatalf("full stream has %d rows, health says %d unique", len(full), h.UniqueKeys)
 	}
 	var sum uint64
 	seen := map[string]uint64{}
@@ -679,8 +679,8 @@ func TestQueryMemoryBounded(t *testing.T) {
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
-		if h.Unique != uint64(len(records)) {
-			t.Fatalf("store has %d unique contexts, want %d", h.Unique, len(records))
+		if h.UniqueKeys != uint64(len(records)) {
+			t.Fatalf("store has %d unique keys, want %d", h.UniqueKeys, len(records))
 		}
 		if h.Segments < 2 {
 			t.Fatalf("store not segmented (segments=%d) — memory bound untested", h.Segments)
@@ -723,7 +723,7 @@ func TestQueryMemoryBounded(t *testing.T) {
 		if peak < base.HeapAlloc {
 			peak = base.HeapAlloc
 		}
-		return peak - base.HeapAlloc, h.Unique
+		return peak - base.HeapAlloc, h.UniqueKeys
 	}
 
 	smallPeak, smallPairs := run(10) // 1024 contexts

@@ -254,8 +254,8 @@ func (s *Server) AddTenant(name string, r io.Reader) (TenantHealth, error) {
 	t.wg.Add(1)
 	go t.run(s.m)
 	h := t.health()
-	s.cfg.Logf("tenant %s: recovered %d records (%d unique), %d replayed from WAL, truncated tails %d",
-		name, h.Records, h.Unique, h.Replayed, h.TruncatedTails)
+	s.cfg.Logf("tenant %s: recovered %d records (%d unique keys), %d replayed from WAL, truncated tails %d",
+		name, h.Records, h.UniqueKeys, h.Replayed, h.TruncatedTails)
 	return h, nil
 }
 

@@ -394,9 +394,9 @@ func TestServerRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if th.Records != want.Records || th.Unique != want.Unique {
+	if th.Records != want.Records || th.UniqueKeys != want.UniqueKeys {
 		t.Fatalf("recovered %d records (%d unique), want %d (%d)",
-			th.Records, th.Unique, want.Records, want.Unique)
+			th.Records, th.UniqueKeys, want.Records, want.UniqueKeys)
 	}
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()

@@ -56,7 +56,7 @@ type TenantHealth struct {
 	Digest         string `json:"digest"`
 	Epoch          uint64 `json:"epoch"`
 	Records        uint64 `json:"records"`
-	Unique         uint64 `json:"unique_contexts"`
+	UniqueKeys     uint64 `json:"unique_keys"`
 	Batches        uint64 `json:"batches_applied"`
 	DupBatches     uint64 `json:"duplicate_batches"`
 	Shed           uint64 `json:"batches_shed"`
@@ -323,10 +323,12 @@ func (t *tenant) openMerge() (*mergeIter, error) {
 	return newMergeIter(append(iters, &memPairs{recs: mem.Snapshot()}))
 }
 
-// uniqueContexts counts distinct records across segments + memtable. With
-// segments on disk this is a merge scan — O(1) memory, O(store) I/O — so
-// it is priced for /healthz polls, not hot paths.
-func (t *tenant) uniqueContexts() uint64 {
+// uniqueKeys counts distinct records (stored keys) across segments +
+// memtable. Distinct keys can render to one display context, so this is
+// not /top's unique_contexts. With segments on disk this is a merge scan —
+// O(1) memory, O(store) I/O — so it is priced for /healthz polls, not hot
+// paths.
+func (t *tenant) uniqueKeys() uint64 {
 	t.segs.mu.Lock()
 	nSegs := len(t.segs.segs)
 	var segPairs uint64
@@ -779,7 +781,7 @@ func (t *tenant) health() TenantHealth {
 		Digest:              t.digest.String(),
 		Epoch:               t.epoch,
 		Records:             t.records(),
-		Unique:              t.uniqueContexts(),
+		UniqueKeys:          t.uniqueKeys(),
 		Batches:             t.batches.Load(),
 		DupBatches:          t.dupBatches.Load(),
 		Shed:                t.shed.Load(),
