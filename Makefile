@@ -25,15 +25,16 @@ test-shuffle:
 	$(GO) test -shuffle=on ./...
 
 # A short chaos pass rides along via ./... (internal/chaos trims its seed
-# counts under -short). The analysis engine's differential tests run again
-# at GOMAXPROCS 1 and 4: default Options on a 1-CPU host run the engine
-# with a single worker. The verifier's oracle differentials and delta tests,
-# which prove on 1 and 2 workers, run again at GOMAXPROCS 1 and 2. The
-# compiled decoder's tests, whose goroutines race to publish a territory
-# row on first decode, run again at GOMAXPROCS 1 and 4.
+# counts under -short). The analysis engine's oracle and resume tests run
+# again at GOMAXPROCS 1 and 4: the engine is serial, and these runs pin
+# that its result does not depend on the CPU count. The verifier's oracle
+# differentials and delta tests, which prove on 1 and 2 workers, run again
+# at GOMAXPROCS 1 and 2. The compiled decoder's tests, whose goroutines
+# race to publish a territory row on first decode, run again at GOMAXPROCS
+# 1 and 4.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -short -cpu 1,4 -run TestParallel ./internal/core
+	$(GO) test -race -short -cpu 1,4 -run 'TestParallel|TestResume' ./internal/core
 	$(GO) test -race -short -cpu 1,2 -run 'MatchesOracle|TestCheckDelta' ./internal/verify
 	$(GO) test -race -short -cpu 1,4 -run TestCompiled ./internal/encoding
 
@@ -130,11 +131,11 @@ verify-encodings:
 	$(GO) run ./cmd/dplint examples/*.mv testdata/*.mv
 
 # Huge-graph scalability gate: one reduced 5×10⁴-node tier end to end —
-# generate, analyze with the level-parallel engine on 4 workers and on 1,
-# assert byte-identical .dpa output, verify serially and on 4 workers with
-# byte-identical reports (under -race), compile, decode (see
-# scale_smoke_test.go). The full 10⁵–10⁶-node curve is
-# `go run ./cmd/dpbench -experiment scale -scale 1.0` (results/scale.txt).
+# generate, analyze twice independently, assert byte-identical .dpa
+# output, verify serially and on 4 workers with byte-identical reports
+# (under -race), compile, decode (see scale_smoke_test.go). The full
+# 10⁵–10⁶-node curve is `go run ./cmd/dpbench -experiment scale -scale 1.0`
+# (results/scale.txt).
 scale-smoke:
 	SCALE_SMOKE_NODES=50000 $(GO) test -race -count=1 -run TestScaleSmoke . -v
 

@@ -206,7 +206,7 @@ func runCompare(path string, tolerance float64, repeats int) {
 			}
 			f := fresh[0]
 			if !f.Identical || !f.VerifyClean || !f.VerifyIdentical {
-				// Not a tolerance question: a divergent engine, an
+				// Not a tolerance question: two analyses disagreeing, an
 				// uncertified spec, or a parallel verifier disagreeing with
 				// the serial one fails the gate outright.
 				checks = append(checks, check{

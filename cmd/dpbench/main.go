@@ -39,11 +39,11 @@
 //
 // The scale experiment sweeps the huge-graph scalability tiers
 // (workload.HugeTiers, 10⁵–10⁶ nodes at -scale 1.0): per tier it measures
-// parallel and serial analysis latency, spec-compile latency, the analysis
-// memory budget (peak bytes, bytes/node), and compiled decode ns/context,
-// while proving the level-parallel engine byte-identical to the serial
-// reference and running the soundness verifier. It is opt-in — excluded
-// from -experiment all — because the top tier allocates gigabytes.
+// analysis latency, spec-compile latency, the analysis memory budget (peak
+// bytes, bytes/node), and compiled decode ns/context, while proving two
+// independent analyses byte-identical and running the soundness verifier
+// serially and on -workers workers. It is opt-in — excluded from
+// -experiment all — because the top tier allocates gigabytes.
 //
 // The extend experiment measures incremental encoding (Analysis.Extend):
 // per absorbed dynamic class, the delta-analysis latency against the
@@ -236,9 +236,9 @@ func main() {
 	// The scale experiment sweeps the huge-graph tiers (workload.HugeTiers):
 	// at -scale 1.0 the top tier is a million-node, multi-million-edge
 	// graph, so it is opt-in — never part of -experiment all. -scale
-	// multiplies the tier node counts; -workers sets the engine's worker
-	// count (minimum 2, so the multi-worker schedule always runs and is
-	// proven byte-identical to the 1-worker run).
+	// multiplies the tier node counts; -workers sets the verifier's worker
+	// count (minimum 2, so the parallel proof always runs and is proven
+	// byte-identical to the serial one).
 	if wanted["scale"] {
 		scaleWorkers := *workers
 		if scaleWorkers < 2 {
@@ -260,7 +260,7 @@ func main() {
 			os.Exit(1)
 		}
 		if failed {
-			fmt.Fprintln(os.Stderr, "dpbench: scale: engine divergence or verification finding (see rows)")
+			fmt.Fprintln(os.Stderr, "dpbench: scale: analysis divergence or verification finding (see rows)")
 			os.Exit(1)
 		}
 	}

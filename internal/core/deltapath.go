@@ -70,12 +70,6 @@ type Options struct {
 	// than the sequential policy's.
 	BatchAnchors bool
 
-	// Workers sizes the level-parallel engine's worker pool (see
-	// parallel.go). 0 (auto) uses GOMAXPROCS workers, capped at 8; 1 runs
-	// the whole sweep on one goroutine. The Result is bit-identical for
-	// every worker count.
-	Workers int
-
 	// MeasureMemory enables live-heap sampling at analysis checkpoints;
 	// the high-water mark is reported in Result.Stats.PeakBytes. Off by
 	// default: runtime.ReadMemStats stops the world.
@@ -115,10 +109,10 @@ type Result struct {
 	// construction; reported for comparison against PCCE's conflicts.
 	UnifiedVirtualSites int
 
-	// Stats reports scalability characteristics of the run: the engine's
-	// pool size and wave count, and (with Options.MeasureMemory) the peak
-	// memory budget. Nil for results not produced by Encode in this
-	// process (analysisio.Load, Extend).
+	// Stats reports scalability characteristics of the run: the sites and
+	// territory cells its passes swept and built, and (with
+	// Options.MeasureMemory) the peak memory budget. Nil for results not
+	// produced by Encode in this process (analysisio.Load, Extend).
 	Stats *AnalysisStats
 
 	// inc retains the successful pass's internal state (final CAV cells,
@@ -148,32 +142,36 @@ func Encode(g *callgraph.Graph, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The level-parallel engine (parallel.go) flattens the graph and builds
-	// its wave schedule once, then reuses both across the restarts.
-	workers := effectiveWorkers(opts)
+	// The engine (engine.go) orders the graph and builds its site schedule
+	// once; each restart resumes its sweep at the earliest new anchor.
 	mem := &memPeak{enabled: opts.MeasureMemory}
 	mem.sample()
-	eng := newParEngine(g, st.topo, st.comp, opts.EdgeProfile, workers)
-	mem.sample()
-
+	eng := newEngine(g, st, opts)
 	res := &Result{}
+	from := 0
 	for {
-		run, overflowAt, ok := eng.runOnce(st.an, st.resets, st.maxID, opts.BatchAnchors, mem)
-		if !ok {
+		eng.rebuild(from)
+		eng.replay(from)
+		mem.sample()
+		overflowAt := eng.sweep(from)
+		mem.sample()
+		if overflowAt != nil {
+			added := len(res.OverflowAnchors)
 			if err := st.promote(g, res, overflowAt); err != nil {
 				return nil, err
 			}
+			from = eng.promote(res.OverflowAnchors[added:])
 			continue
 		}
-		res.finish(g, st.rec, st.an, st.resets, run)
+		res.finish(g, st.rec, st.an, st.resets, eng.toPass())
 		mem.sample()
 		stats := &AnalysisStats{
-			Nodes:   g.NumNodes(),
-			Edges:   g.NumEdges(),
-			Sites:   g.NumSites(),
-			Anchors: len(st.an),
-			Levels:  eng.levels,
-			Par:     workers,
+			Nodes:          g.NumNodes(),
+			Edges:          g.NumEdges(),
+			Sites:          g.NumSites(),
+			Anchors:        len(st.an),
+			SweptSites:     eng.swept,
+			TerritoryCells: eng.cells,
 		}
 		if opts.MeasureMemory {
 			stats.PeakBytes = mem.peak
@@ -530,6 +528,3 @@ func (res *Result) finish(g *callgraph.Graph, rec map[callgraph.Edge]bool,
 	res.UnifiedVirtualSites = g.NumVirtualSites()
 	res.inc = &incState{cav: p.cav, eanchors: p.eanchors, rec: rec}
 }
-
-// AdditionValue returns the single addition value assigned to a call site.
-func (res *Result) AdditionValue(s callgraph.Site) uint64 { return res.Spec.SiteAV[s] }

@@ -544,18 +544,15 @@ func TestEdgeProfileOrdering(t *testing.T) {
 	exhaustiveCheck(t, g, res, 0, 16)
 }
 
-// TestBatchAnchorsCorrectAndFewerRestarts: the batched restart policy must
-// preserve correctness while using far fewer restarts on graphs whose
-// pressure crosses the limit across a wide frontier.
-func TestBatchAnchorsCorrectAndFewerRestarts(t *testing.T) {
-	// A wide doubling lattice: 3 nodes per layer, each called by all
-	// nodes of the previous layer — no hubs, so the sequential policy
-	// needs many anchors/restarts at a small width.
+// lattice builds a wide doubling lattice: 3 nodes per layer, each called
+// by all nodes of the previous layer — no hubs, so the sequential policy
+// needs many anchors/restarts at a small width.
+func lattice(layers int) *callgraph.Graph {
 	g := callgraph.New()
 	prev := []callgraph.NodeID{g.AddNode("main", false)}
 	g.SetEntry(prev[0])
 	var label int32
-	for layer := 0; layer < 8; layer++ {
+	for layer := 0; layer < layers; layer++ {
 		var cur []callgraph.NodeID
 		for i := 0; i < 3; i++ {
 			n := g.AddNode(fmt.Sprintf("L%dN%d", layer, i), false)
@@ -567,6 +564,14 @@ func TestBatchAnchorsCorrectAndFewerRestarts(t *testing.T) {
 		}
 		prev = cur
 	}
+	return g
+}
+
+// TestBatchAnchorsCorrectAndFewerRestarts: the batched restart policy must
+// preserve correctness while using far fewer restarts on graphs whose
+// pressure crosses the limit across a wide frontier.
+func TestBatchAnchorsCorrectAndFewerRestarts(t *testing.T) {
+	g := lattice(8)
 	seq, err := Encode(g, Options{MaxID: 63})
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,7 @@ import (
 
 // BenchmarkEncode times Algorithm 2 with default options on sunflow, the
 // suite program whose >64-bit space drives the most restarts, and on the
-// 50k-node huge smoke tier. Run it with -cpu 1,2 to compare the one-worker
-// and two-worker pools.
+// 50k-node huge smoke tier.
 func BenchmarkEncode(b *testing.B) {
 	p, ok := workload.ByName("sunflow")
 	if !ok {

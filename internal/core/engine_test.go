@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"deltapath/internal/analysisio"
@@ -15,91 +14,87 @@ import (
 	"deltapath/internal/workload"
 )
 
-// encodeBoth runs the reference map sweep and the level-parallel engine
-// with the given pool size on the same graph and options.
-func encodeBoth(t *testing.T, g *callgraph.Graph, opts Options, workers int) (*Result, *Result) {
+// encodeBoth runs the reference map sweep and the engine on the same graph
+// and options.
+func encodeBoth(t *testing.T, g *callgraph.Graph, opts Options) (*Result, *Result) {
 	t.Helper()
-	serial, err := encodeOracle(g, opts)
+	ref, err := encodeOracle(g, opts)
 	if err != nil {
 		t.Fatalf("reference Encode: %v", err)
 	}
-	parOpts := opts
-	parOpts.Workers = workers
-	par, err := Encode(g, parOpts)
+	got, err := Encode(g, opts)
 	if err != nil {
-		t.Fatalf("parallel Encode: %v", err)
+		t.Fatalf("engine Encode: %v", err)
 	}
-	if par.Stats == nil || par.Stats.Par != workers || par.Stats.Levels == 0 {
-		t.Fatalf("parallel engine stats wrong: %+v", par.Stats)
+	if got.Stats == nil || got.Stats.SweptSites == 0 || got.Stats.TerritoryCells == 0 {
+		t.Fatalf("engine stats wrong: %+v", got.Stats)
 	}
-	return serial, par
+	return ref, got
 }
 
 // assertIdentical compares every analysis output the engine and the
 // reference sweep must agree on, including the serialized .dpa bytes and
 // the call-path-tracking SIDs.
-func assertIdentical(t *testing.T, g *callgraph.Graph, serial, par *Result) {
+func assertIdentical(t *testing.T, g *callgraph.Graph, ref, got *Result) {
 	t.Helper()
-	if !reflect.DeepEqual(serial.Spec.SiteAV, par.Spec.SiteAV) {
-		t.Errorf("SiteAV diverged: serial %d sites, parallel %d sites",
-			len(serial.Spec.SiteAV), len(par.Spec.SiteAV))
+	if !reflect.DeepEqual(ref.Spec.SiteAV, got.Spec.SiteAV) {
+		t.Errorf("SiteAV diverged: reference %d sites, engine %d sites",
+			len(ref.Spec.SiteAV), len(got.Spec.SiteAV))
 	}
-	if !reflect.DeepEqual(serial.Spec.Anchors, par.Spec.Anchors) {
-		t.Errorf("Anchors diverged: %v vs %v", serial.Spec.Anchors, par.Spec.Anchors)
+	if !reflect.DeepEqual(ref.Spec.Anchors, got.Spec.Anchors) {
+		t.Errorf("Anchors diverged: %v vs %v", ref.Spec.Anchors, got.Spec.Anchors)
 	}
-	if !reflect.DeepEqual(serial.Spec.Push, par.Spec.Push) {
+	if !reflect.DeepEqual(ref.Spec.Push, got.Spec.Push) {
 		t.Errorf("Push diverged")
 	}
-	if !reflect.DeepEqual(serial.ICC, par.ICC) {
+	if !reflect.DeepEqual(ref.ICC, got.ICC) {
 		t.Errorf("ICC diverged")
 	}
-	if !reflect.DeepEqual(serial.NAnchors, par.NAnchors) {
+	if !reflect.DeepEqual(ref.NAnchors, got.NAnchors) {
 		t.Errorf("NAnchors diverged")
 	}
-	if !reflect.DeepEqual(serial.PieceStarts, par.PieceStarts) {
-		t.Errorf("PieceStarts diverged: %v vs %v", serial.PieceStarts, par.PieceStarts)
+	if !reflect.DeepEqual(ref.PieceStarts, got.PieceStarts) {
+		t.Errorf("PieceStarts diverged: %v vs %v", ref.PieceStarts, got.PieceStarts)
 	}
-	if !reflect.DeepEqual(serial.OverflowAnchors, par.OverflowAnchors) {
-		t.Errorf("OverflowAnchors diverged: %v vs %v", serial.OverflowAnchors, par.OverflowAnchors)
+	if !reflect.DeepEqual(ref.OverflowAnchors, got.OverflowAnchors) {
+		t.Errorf("OverflowAnchors diverged: %v vs %v", ref.OverflowAnchors, got.OverflowAnchors)
 	}
-	if serial.Restarts != par.Restarts {
-		t.Errorf("Restarts diverged: %d vs %d", serial.Restarts, par.Restarts)
+	if ref.Restarts != got.Restarts {
+		t.Errorf("Restarts diverged: %d vs %d", ref.Restarts, got.Restarts)
 	}
-	if serial.MaxID != par.MaxID {
-		t.Errorf("MaxID diverged: %d vs %d", serial.MaxID, par.MaxID)
+	if ref.MaxID != got.MaxID {
+		t.Errorf("MaxID diverged: %d vs %d", ref.MaxID, got.MaxID)
 	}
-	if !reflect.DeepEqual(serial.inc.cav, par.inc.cav) {
+	if !reflect.DeepEqual(ref.inc.cav, got.inc.cav) {
 		t.Errorf("incState.cav diverged")
 	}
-	if !reflect.DeepEqual(serial.inc.eanchors, par.inc.eanchors) {
+	if !reflect.DeepEqual(ref.inc.eanchors, got.inc.eanchors) {
 		t.Errorf("incState.eanchors diverged")
 	}
 
 	// SIDs depend only on the graph, but the scale pipeline saves them
 	// next to the spec — assert the full .dpa byte stream is identical.
 	plan := cpt.Compute(g)
-	var sb, pb bytes.Buffer
-	if err := analysisio.Save(&sb, serial.Spec, plan); err != nil {
-		t.Fatalf("Save(serial): %v", err)
+	var rb, gb bytes.Buffer
+	if err := analysisio.Save(&rb, ref.Spec, plan); err != nil {
+		t.Fatalf("Save(reference): %v", err)
 	}
-	if err := analysisio.Save(&pb, par.Spec, plan); err != nil {
-		t.Fatalf("Save(parallel): %v", err)
+	if err := analysisio.Save(&gb, got.Spec, plan); err != nil {
+		t.Fatalf("Save(engine): %v", err)
 	}
-	if !bytes.Equal(sb.Bytes(), pb.Bytes()) {
-		t.Errorf(".dpa bytes diverged: %d vs %d bytes", sb.Len(), pb.Len())
+	if !bytes.Equal(rb.Bytes(), gb.Bytes()) {
+		t.Errorf(".dpa bytes diverged: %d vs %d bytes", rb.Len(), gb.Len())
 	}
 }
 
 // TestParallelSerialDifferential proves the engine equivalent to the
 // reference sweep over the whole generated corpus, under both encoding
-// settings, and on a huge smoke tier, for pool sizes bracketing the
-// GOMAXPROCS ∈ {1, 4} CI matrix.
+// settings, and on a huge smoke tier. (The name predates the serial
+// engine; it checks the engine against encodeOracle.)
 func TestParallelSerialDifferential(t *testing.T) {
 	differential := func(t *testing.T, g *callgraph.Graph) {
-		for _, workers := range []int{1, 2, 4} {
-			serial, par := encodeBoth(t, g, Options{}, workers)
-			assertIdentical(t, g, serial, par)
-		}
+		ref, got := encodeBoth(t, g, Options{})
+		assertIdentical(t, g, ref, got)
 	}
 	suite := workload.Suite()
 	if testing.Short() {
@@ -141,7 +136,7 @@ func TestParallelSerialDifferential(t *testing.T) {
 func layeredTestGraph(seed int64, nodes, layers int) *callgraph.Graph {
 	rnd := rand.New(rand.NewSource(seed))
 	g := callgraph.New()
-	// Interleave: node i lands in layer i % layers, so IDs do not follow
+	// Interleave: each node lands in a random layer, so IDs do not follow
 	// the layer structure.
 	var byLayer [][]callgraph.NodeID
 	byLayer = make([][]callgraph.NodeID, layers)
@@ -150,7 +145,8 @@ func layeredTestGraph(seed int64, nodes, layers int) *callgraph.Graph {
 	byLayer[0] = append(byLayer[0], entry)
 	for i := 1; i < nodes; i++ {
 		id := g.AddNode(fmt.Sprintf("f%d", i), false)
-		byLayer[1+rnd.Intn(layers-1)] = append(byLayer[1+rnd.Intn(layers-1)], id)
+		l := 1 + rnd.Intn(layers-1)
+		byLayer[l] = append(byLayer[l], id)
 	}
 	label := func(n callgraph.NodeID) int32 { return int32(len(g.Out(n))) + 100 }
 	for l := 0; l < layers-1; l++ {
@@ -211,31 +207,34 @@ func TestParallelRandomGraphs(t *testing.T) {
 			for _, batch := range []bool{false, true} {
 				opts := Options{MaxID: maxID, BatchAnchors: batch}
 				name := fmt.Sprintf("seed%d/max%d/batch%v", seed, maxID, batch)
-				t.Run(name, func(t *testing.T) {
-					serial, serr := encodeOracle(g, opts)
-					parOpts := opts
-					parOpts.Workers = 4
-					par, perr := Encode(g, parOpts)
-					if (serr == nil) != (perr == nil) {
-						t.Fatalf("error divergence: serial %v, parallel %v", serr, perr)
-					}
-					if serr != nil {
-						// Both engines must reject the width identically.
-						if serr.Error() != perr.Error() {
-							t.Fatalf("error text diverged: %q vs %q", serr, perr)
-						}
-						return
-					}
-					assertIdentical(t, g, serial, par)
-				})
+				t.Run(name, func(t *testing.T) { assertSameOutcome(t, g, opts) })
 			}
 		}
 	}
 }
 
+// assertSameOutcome runs the reference sweep and the engine on g: both must
+// reject the width with the same error, or produce identical results.
+func assertSameOutcome(t *testing.T, g *callgraph.Graph, opts Options) *Result {
+	t.Helper()
+	ref, rerr := encodeOracle(g, opts)
+	res, err := Encode(g, opts)
+	if (rerr == nil) != (err == nil) {
+		t.Fatalf("error divergence: reference %v, engine %v", rerr, err)
+	}
+	if rerr != nil {
+		if rerr.Error() != err.Error() {
+			t.Fatalf("error text diverged: %q vs %q", rerr, err)
+		}
+		return nil
+	}
+	assertIdentical(t, g, ref, res)
+	return res
+}
+
 // TestParallelEdgeProfile checks the hottest-first in-edge ordering is
-// honored by the parallel schedule: the profile changes site assignment,
-// and both engines must agree on the result.
+// honored by the engine's schedule: the profile changes site assignment,
+// and the engine must agree with the reference sweep.
 func TestParallelEdgeProfile(t *testing.T) {
 	g := layeredTestGraph(42, 80, 6)
 	profile := make(map[callgraph.Edge]uint64)
@@ -245,8 +244,8 @@ func TestParallelEdgeProfile(t *testing.T) {
 			profile[e] = uint64(rnd.Intn(1000))
 		}
 	}
-	serial, par := encodeBoth(t, g, Options{EdgeProfile: profile}, 4)
-	assertIdentical(t, g, serial, par)
+	ref, got := encodeBoth(t, g, Options{EdgeProfile: profile})
+	assertIdentical(t, g, ref, got)
 }
 
 // TestParallelForcedAnchors reproduces the hybrid-encoding mode: forced
@@ -254,39 +253,23 @@ func TestParallelEdgeProfile(t *testing.T) {
 func TestParallelForcedAnchors(t *testing.T) {
 	g := layeredTestGraph(7, 100, 7)
 	forced := []callgraph.NodeID{5, 17, 33}
-	serial, par := encodeBoth(t, g, Options{ForceAnchors: forced}, 4)
-	assertIdentical(t, g, serial, par)
+	ref, got := encodeBoth(t, g, Options{ForceAnchors: forced})
+	assertIdentical(t, g, ref, got)
 }
 
-// TestParallelFigure4 pins the paper's worked example through the parallel
-// engine — tiny graph, every AV checked by the serial tests already.
+// TestParallelFigure4 pins the paper's worked example through the engine
+// and the reference sweep — tiny graph, every AV checked by the serial
+// tests already.
 func TestParallelFigure4(t *testing.T) {
 	g, _ := figure4()
-	serial, par := encodeBoth(t, g, Options{}, 2)
-	assertIdentical(t, g, serial, par)
-}
-
-// TestEffectiveWorkers pins the pool-size policy: auto mode is GOMAXPROCS
-// capped at maxAutoWorkers, and an explicit count (1 included) is kept.
-func TestEffectiveWorkers(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 16} {
-		runtime.GOMAXPROCS(procs)
-		if got, want := effectiveWorkers(Options{}), min(procs, maxAutoWorkers); got != want {
-			t.Errorf("auto mode at GOMAXPROCS=%d: got %d workers, want %d", procs, got, want)
-		}
-		for _, w := range []int{1, 4} {
-			if got := effectiveWorkers(Options{Workers: w}); got != w {
-				t.Errorf("Workers=%d at GOMAXPROCS=%d: got %d", w, procs, got)
-			}
-		}
-	}
+	ref, got := encodeBoth(t, g, Options{})
+	assertIdentical(t, g, ref, got)
 }
 
 // TestParallelStatsMemory checks MeasureMemory populates the budget fields.
 func TestParallelStatsMemory(t *testing.T) {
 	g := layeredTestGraph(3, 60, 5)
-	res, err := Encode(g, Options{Workers: 2, MeasureMemory: true})
+	res, err := Encode(g, Options{MeasureMemory: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,68 +145,76 @@ func Figure8Workers(suite []workload.Params, scale float64, repeats, workers int
 		}
 		instrSet := planNoCPT.InstrumentedMethods()
 
-		// run measures aggregate steps/second across the worker pool;
+		// once times one run of the worker pool and counts its steps;
 		// probes == nil means native. Each worker builds its own encoder
 		// from the factory (thread-local state).
-		run := func(factory func() minivm.Probes) (float64, error) {
-			best := math.Inf(1)
-			var steps uint64
-			for i := 0; i < repeats; i++ {
-				vms := make([]*minivm.VM, workers)
-				for w := 0; w < workers; w++ {
-					vm, err := minivm.NewVM(prog, p.Seed+uint64(w))
-					if err != nil {
-						return 0, err
-					}
-					if factory != nil {
-						vm.SetProbes(factory())
-						vm.SetInstrumented(instrSet)
-					}
-					vms[w] = vm
+		once := func(factory func() minivm.Probes) (float64, uint64, error) {
+			vms := make([]*minivm.VM, workers)
+			for w := 0; w < workers; w++ {
+				vm, err := minivm.NewVM(prog, p.Seed+uint64(w))
+				if err != nil {
+					return 0, 0, err
 				}
-				errs := make(chan error, workers)
-				start := time.Now()
-				for _, vm := range vms {
-					vm := vm
-					go func() { errs <- vm.Run() }()
+				if factory != nil {
+					vm.SetProbes(factory())
+					vm.SetInstrumented(instrSet)
 				}
-				for range vms {
-					if err := <-errs; err != nil {
-						return 0, err
-					}
-				}
-				if d := time.Since(start).Seconds(); d < best {
-					best = d
-				}
-				steps = 0
-				for _, vm := range vms {
-					steps += vm.Steps
+				vms[w] = vm
+			}
+			errs := make(chan error, workers)
+			// Collect the garbage earlier runs left first, so that no arm
+			// pays for another's.
+			runtime.GC()
+			start := time.Now()
+			for _, vm := range vms {
+				vm := vm
+				go func() { errs <- vm.Run() }()
+			}
+			for range vms {
+				if err := <-errs; err != nil {
+					return 0, 0, err
 				}
 			}
-			return float64(steps) / best, nil
+			d := time.Since(start).Seconds()
+			var steps uint64
+			for _, vm := range vms {
+				steps += vm.Steps
+			}
+			return d, steps, nil
 		}
 
-		native, err := run(nil)
-		if err != nil {
-			return nil, fmt.Errorf("%s native: %w", p.Name, err)
+		// The four arms run interleaved within each repeat, starting one
+		// arm later each time, so a burst of load from outside lands on
+		// one run of one arm rather than on every run of it; each arm keeps
+		// its fastest run. speed is aggregate steps/second.
+		arms := []struct {
+			name    string
+			factory func() minivm.Probes
+		}{
+			{"native", nil},
+			{"pcc", func() minivm.Probes { return pcc.New(build) }},
+			{"deltapath", func() minivm.Probes { return instrument.NewEncoder(planNoCPT) }},
+			{"deltapath+cpt", func() minivm.Probes { return instrument.NewEncoder(planCPT) }},
 		}
-		pccSpeed, err := run(func() minivm.Probes { return pcc.New(build) })
-		if err != nil {
-			return nil, fmt.Errorf("%s pcc: %w", p.Name, err)
+		best := []float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
+		steps := make([]uint64, len(arms))
+		for i := 0; i < repeats; i++ {
+			for k := range arms {
+				a := (i + k) % len(arms)
+				d, n, err := once(arms[a].factory)
+				if err != nil {
+					return nil, fmt.Errorf("%s %s: %w", p.Name, arms[a].name, err)
+				}
+				best[a], steps[a] = min(best[a], d), n
+			}
 		}
-		dpSpeed, err := run(func() minivm.Probes { return instrument.NewEncoder(planNoCPT) })
-		if err != nil {
-			return nil, fmt.Errorf("%s deltapath: %w", p.Name, err)
-		}
-		cptSpeed, err := run(func() minivm.Probes { return instrument.NewEncoder(planCPT) })
-		if err != nil {
-			return nil, fmt.Errorf("%s deltapath+cpt: %w", p.Name, err)
-		}
+		speed := func(a int) float64 { return float64(steps[a]) / best[a] }
+		native := speed(0)
 		rows = append(rows, Fig8Row{
 			Program:     p.Name,
-			PCC:         pccSpeed / native,
-			DeltaNoCPT:  dpSpeed / native,
-			DeltaCPT:    cptSpeed / native,
+			PCC:         speed(1) / native,
+			DeltaNoCPT:  speed(2) / native,
+			DeltaCPT:    speed(3) / native,
 			NativeSteps: native,
 		})
 	}

@@ -63,7 +63,7 @@ func TestFigure8Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput measurement is slow")
 	}
-	rows, err := Figure8(smallSuite(t), 0.1, 3)
+	rows, err := Figure8(smallSuite(t), 0.1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestFigure8WorkersParallel(t *testing.T) {
 		t.Skip("throughput measurement is slow")
 	}
 	p, _ := workload.ByName("compress")
-	rows, err := Figure8Workers([]workload.Params{p}, 0.05, 1, 4)
+	rows, err := Figure8Workers([]workload.Params{p}, 0.05, 7, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,37 +21,35 @@ import (
 
 // ScaleRow is one huge-graph tier of the scalability curve: analysis and
 // compile latency, memory budget, and decode throughput at 10⁵–10⁶ nodes,
-// plus the proofs the tier demands — the analysis engine's .dpa bytes
-// identical between its Par-worker and 1-worker runs, and the verifier
-// certifying the result.
+// plus the proofs the tier demands — the .dpa bytes of two independent
+// analyses identical, and the verifier certifying the result.
 type ScaleRow struct {
 	Tier    string `json:"tier"`
 	Nodes   int    `json:"nodes"`
 	Edges   int    `json:"edges"`
 	Sites   int    `json:"sites"`
 	Anchors int    `json:"anchors"`
-	// Levels is the engine's wave count; Par its worker count.
-	Levels  int     `json:"levels"`
-	Par     int     `json:"par"`
-	BuildMs float64 `json:"build_ms"`
-	ParMs   float64 `json:"par_ms"` // analysis on Par workers
-	// SerialMs is the same analysis on one worker. Baselines recorded
-	// before the map engine was retired hold that engine's time here.
-	SerialMs  float64 `json:"serial_ms"`
+	// Par is the verifier's worker count for VerifyParMs. (Baselines
+	// recorded before the analysis engine went serial hold its pool size,
+	// which was the same number.)
+	Par      int     `json:"par"`
+	BuildMs  float64 `json:"build_ms"`
+	EncodeMs float64 `json:"encode_ms"`
+	// CompileMs is encoding.Compile's time on the analysed spec.
 	CompileMs float64 `json:"compile_ms"`
 	// VerifyMs is the serial (Workers=1) soundness verification;
 	// VerifyParMs the same proof on Par workers. VerifyIdentical proves
 	// the parallel verifier's report and certificate byte-identical to the
-	// serial one's — the level-parallel analogue of Identical.
+	// serial one's.
 	VerifyMs    float64 `json:"verify_ms"`
 	VerifyParMs float64 `json:"verify_par_ms"`
-	// Identical: SHA-256 of the serialized .dpa from the Par-worker and
-	// 1-worker analyses agree.
+	// Identical: SHA-256 of the serialized .dpa from two independent
+	// analyses of the tier agree.
 	Identical       bool `json:"identical"`
 	VerifyClean     bool `json:"verify_clean"`
 	VerifyIdentical bool `json:"verify_identical"`
-	// PeakBytes/BytesPerNode are sampled heap peaks of the Par-worker run
-	// (core.AnalysisStats); it goes first so the 1-worker run's state
+	// PeakBytes/BytesPerNode are sampled heap peaks of the first analysis
+	// (core.AnalysisStats); it goes first so the second analysis's state
 	// never inflates them.
 	PeakBytes    uint64  `json:"peak_bytes"`
 	BytesPerNode float64 `json:"bytes_per_node"`
@@ -64,8 +62,8 @@ type ScaleRow struct {
 }
 
 // ScaleCurve measures one row per tier. workers (at least 2) is the
-// engine's worker count for the Par run, compared against a 1-worker run;
-// sample bounds the decoded contexts per tier (0 → 256).
+// verifier's worker count for the Par proof, compared against a 1-worker
+// proof; sample bounds the decoded contexts per tier (0 → 256).
 func ScaleCurve(tiers []workload.HugeParams, workers, sample int) ([]ScaleRow, error) {
 	if workers < 2 {
 		workers = 2
@@ -98,64 +96,62 @@ func scaleTier(p workload.HugeParams, workers, sample int) (ScaleRow, error) {
 	row.BuildMs = msSince(start)
 	row.Nodes, row.Edges, row.Sites = g.NumNodes(), g.NumEdges(), g.NumSites()
 
-	// The Par-worker run first, with memory measurement: at this point the
-	// heap holds only the graph, so the sampled peak is the analysis's own.
+	// The measured analysis first, with memory measurement: at this point
+	// the heap holds only the graph, so the sampled peak is the analysis's
+	// own.
 	runtime.GC()
 	start = time.Now()
-	par, err := core.Encode(g, core.Options{Workers: workers, MeasureMemory: true})
+	res, err := core.Encode(g, core.Options{MeasureMemory: true})
 	if err != nil {
-		return row, fmt.Errorf("parallel encode: %w", err)
+		return row, fmt.Errorf("encode: %w", err)
 	}
-	row.ParMs = msSince(start)
-	if st := par.Stats; st != nil {
-		row.Levels, row.Par = st.Levels, st.Par
+	row.EncodeMs = msSince(start)
+	if st := res.Stats; st != nil {
 		row.PeakBytes, row.BytesPerNode = st.PeakBytes, st.BytesPerNode
 	}
-	row.Anchors = len(par.Spec.Anchors)
-	row.MaxIDBits = bits.Len64(par.MaxID)
-	row.Restarts = par.Restarts
+	row.Par = workers
+	row.Anchors = len(res.Spec.Anchors)
+	row.MaxIDBits = bits.Len64(res.MaxID)
+	row.Restarts = res.Restarts
 
-	start = time.Now()
-	serial, err := core.Encode(g, core.Options{Workers: 1})
+	again, err := core.Encode(g, core.Options{})
 	if err != nil {
-		return row, fmt.Errorf("1-worker encode: %w", err)
+		return row, fmt.Errorf("second encode: %w", err)
 	}
-	row.SerialMs = msSince(start)
 
 	// Byte-identity of the full serialized analysis (spec + SIDs), hashed
 	// streaming so neither .dpa is materialized.
 	plan := cpt.Compute(g)
-	ph, sh := sha256.New(), sha256.New()
-	if err := analysisio.Save(ph, par.Spec, plan); err != nil {
+	h1, h2 := sha256.New(), sha256.New()
+	if err := analysisio.Save(h1, res.Spec, plan); err != nil {
 		return row, err
 	}
-	if err := analysisio.Save(sh, serial.Spec, plan); err != nil {
+	if err := analysisio.Save(h2, again.Spec, plan); err != nil {
 		return row, err
 	}
-	row.Identical = string(ph.Sum(nil)) == string(sh.Sum(nil))
-	serial = nil
+	row.Identical = string(h1.Sum(nil)) == string(h2.Sum(nil))
 	runtime.GC()
 
 	start = time.Now()
-	dec := encoding.Compile(par.Spec)
+	dec := encoding.Compile(res.Spec)
 	row.CompileMs = msSince(start)
 
 	start = time.Now()
-	rep := verify.Check(par.Spec, plan, verify.Options{})
+	rep := verify.Check(res.Spec, plan, verify.Options{})
 	row.VerifyMs = msSince(start)
 	row.VerifyClean = rep.Clean()
 
 	// Same proof on Par workers: the report (findings, stats, text) and the
 	// emitted certificate must match the serial run byte for byte.
 	start = time.Now()
-	prep := verify.Check(par.Spec, plan, verify.Options{Workers: workers})
+	prep := verify.Check(res.Spec, plan, verify.Options{Workers: workers})
 	row.VerifyParMs = msSince(start)
 	row.VerifyIdentical, err = sameReport(rep, prep)
 	if err != nil {
 		return row, err
 	}
 
-	ns, n, err := scaleDecode(g, par.Spec, dec, p.Seed, sample)
+	ns, n, err := scaleDecode(g, res.Spec, dec, p.Seed, sample)
 	if err != nil {
 		return row, err
 	}

@@ -225,15 +225,25 @@ func AsException(err error) (*Exception, bool) {
 // dynamic ones are registered but not loaded. seed drives the deterministic
 // virtual-dispatch choice. The program must have been normalized.
 func NewVM(prog *Program, seed uint64) (*VM, error) {
+	// The maps are sized from the program's class and method counts, so
+	// loading does not grow them from empty. (dtables can still grow: a
+	// method registers under each of its class's ancestors.)
+	classes, methods := len(prog.Classes)+len(prog.Dynamic), 0
+	for _, c := range prog.Classes {
+		methods += len(c.Methods)
+	}
+	for _, c := range prog.Dynamic {
+		methods += len(c.Methods)
+	}
 	vm := &VM{
 		prog:     prog,
-		classes:  make(map[string]*Class),
-		static:   make(map[string]bool),
+		classes:  make(map[string]*Class, classes),
+		static:   make(map[string]bool, len(prog.Classes)),
 		analyzed: make(map[string]bool),
-		loaded:   make(map[string]bool),
-		methods:  make(map[MethodRef]*loadedMethod),
-		supers:   make(map[string]string),
-		dtables:  make(map[dispatchKey]*dispatchSet),
+		loaded:   make(map[string]bool, classes),
+		methods:  make(map[MethodRef]*loadedMethod, methods),
+		supers:   make(map[string]string, classes),
+		dtables:  make(map[dispatchKey]*dispatchSet, methods),
 		rng:      seed*2654435769 + 0x9e3779b97f4a7c15,
 		MaxDepth: 512,
 	}

@@ -19,14 +19,13 @@ import (
 )
 
 // TestScaleSmoke is the CI scale-smoke gate: one reduced huge-graph tier run
-// end to end — generate, analyze with the level-parallel engine on 4
-// workers and on 1, prove the serialized .dpa byte-identical, certify the
-// spec with the verifier both serially and on 4 workers (byte-identical
-// reports, under -race in CI), compile, and decode sampled contexts — every
-// verdict the full 10⁵–10⁶-node curve (dpbench -experiment scale) relies
-// on. SCALE_SMOKE_NODES overrides the tier size (CI uses 50000). The
-// engine's comparison against the reference map sweep lives in
-// internal/core (TestParallelSerialDifferential).
+// end to end — generate, analyze twice independently, prove the serialized
+// .dpa byte-identical, certify the spec with the verifier both serially and
+// on 4 workers (byte-identical reports, under -race in CI), compile, and
+// decode sampled contexts — every verdict the full 10⁵–10⁶-node curve
+// (dpbench -experiment scale) relies on. SCALE_SMOKE_NODES overrides the
+// tier size (CI uses 50000). The engine's comparison against the reference
+// map sweep lives in internal/core (TestParallelSerialDifferential).
 func TestScaleSmoke(t *testing.T) {
 	nodes := 20_000
 	if s := os.Getenv("SCALE_SMOKE_NODES"); s != "" {
@@ -47,51 +46,51 @@ func TestScaleSmoke(t *testing.T) {
 		t.Errorf("tier shape off target: %d nodes, %d edges", g.NumNodes(), g.NumEdges())
 	}
 
-	par, err := core.Encode(g, core.Options{Workers: 4, MeasureMemory: true})
+	res, err := core.Encode(g, core.Options{MeasureMemory: true})
 	if err != nil {
-		t.Fatalf("parallel encode: %v", err)
+		t.Fatalf("encode: %v", err)
 	}
-	st := par.Stats
-	if st == nil || st.Par != 4 || st.Levels == 0 {
-		t.Fatalf("level-parallel engine did not engage: %+v", st)
+	st := res.Stats
+	if st == nil || st.SweptSites == 0 || st.TerritoryCells == 0 {
+		t.Fatalf("engine stats missing: %+v", st)
 	}
 	if st.PeakBytes == 0 || st.BytesPerNode <= 0 {
 		t.Errorf("memory budget not reported: %+v", st)
 	}
-	t.Logf("tier %s: %d nodes, %d edges, %d anchors, %d levels, %.0f B/node",
-		params.Name, st.Nodes, st.Edges, len(par.Spec.Anchors), st.Levels, st.BytesPerNode)
-	if len(par.Spec.Anchors) == 0 {
+	t.Logf("tier %s: %d nodes, %d edges, %d anchors, %d cells, %.0f B/node",
+		params.Name, st.Nodes, st.Edges, len(res.Spec.Anchors), st.TerritoryCells, st.BytesPerNode)
+	if len(res.Spec.Anchors) == 0 {
 		t.Error("huge tier produced no anchors (hub rings and pockets missing?)")
 	}
 
-	serial, err := core.Encode(g, core.Options{Workers: 1})
+	again, err := core.Encode(g, core.Options{})
 	if err != nil {
-		t.Fatalf("1-worker encode: %v", err)
+		t.Fatalf("second encode: %v", err)
 	}
 
 	// Byte-identity of the whole serialized analysis (spec + SIDs).
 	plan := cpt.Compute(g)
 	var pb, sb bytes.Buffer
-	if err := analysisio.Save(&pb, par.Spec, plan); err != nil {
+	if err := analysisio.Save(&pb, res.Spec, plan); err != nil {
 		t.Fatal(err)
 	}
-	if err := analysisio.Save(&sb, serial.Spec, plan); err != nil {
+	if err := analysisio.Save(&sb, again.Spec, plan); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(pb.Bytes(), sb.Bytes()) {
-		t.Errorf("4-worker .dpa bytes diverged from the 1-worker run (%d vs %d bytes)",
+		t.Errorf("two analyses of one graph wrote different .dpa bytes (%d vs %d bytes)",
 			pb.Len(), sb.Len())
 	}
 
-	// Serial and level-parallel verification must agree byte for byte: same
+	// Serial and parallel verification must agree byte for byte: same
 	// rendered report, same JSON document, same certificate — the verifier's
 	// analogue of the .dpa identity above. CI runs this under -race, so the
 	// parallel proof pool is also exercised for data races here.
-	rep := verify.Check(par.Spec, plan, verify.Options{})
+	rep := verify.Check(res.Spec, plan, verify.Options{})
 	if !rep.Clean() {
 		t.Errorf("verifier reported %d findings; first: %v", len(rep.Findings), rep.Findings[0])
 	}
-	prep := verify.Check(par.Spec, plan, verify.Options{Workers: 4})
+	prep := verify.Check(res.Spec, plan, verify.Options{Workers: 4})
 	if rep.Text() != prep.Text() {
 		t.Errorf("parallel verifier text diverged from serial:\n%s\nvs\n%s", prep.Text(), rep.Text())
 	}
@@ -114,7 +113,7 @@ func TestScaleSmoke(t *testing.T) {
 	}
 
 	// Decode sampled random-walk contexts through the compiled tables.
-	dec := encoding.Compile(par.Spec)
+	dec := encoding.Compile(res.Spec)
 	entry, _ := g.Entry()
 	rnd := rand.New(rand.NewSource(1))
 	var buf []encoding.Frame
@@ -131,7 +130,7 @@ func TestScaleSmoke(t *testing.T) {
 			path = append(path, e)
 			cur = e.Callee
 		}
-		state, err := encoding.EncodePath(par.Spec, path)
+		state, err := encoding.EncodePath(res.Spec, path)
 		if err != nil {
 			t.Fatalf("sample %d: %v", i, err)
 		}
