@@ -13,9 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
-	"deltapath/internal/callgraph"
 	"deltapath/internal/cha"
 	"deltapath/internal/core"
 	"deltapath/internal/cpt"
@@ -91,29 +89,19 @@ func main() {
 
 	if *verbose {
 		fmt.Println("\naddition values (non-zero):")
-		sites := g.Sites()
-		sort.Slice(sites, func(i, j int) bool {
-			if sites[i].Caller != sites[j].Caller {
-				return sites[i].Caller < sites[j].Caller
-			}
-			return sites[i].Label < sites[j].Label
-		})
-		for _, s := range sites {
-			if av := res.Spec.SiteAV[s]; av != 0 {
-				fmt.Printf("  %s@%d  +%d  (%d targets)\n", g.Name(s.Caller), s.Label, av, len(g.SiteTargets(s)))
+		nb := g.Numbering()
+		for k, av := range res.Spec.SiteAV {
+			if av != 0 {
+				s := nb.Site(int32(k))
+				fmt.Printf("  %s@%d  +%d  (%d targets)\n", g.Name(s.Caller), s.Label, av, len(nb.Targets(int32(k))))
 			}
 		}
 		fmt.Println("\nICC values:")
 		for _, n := range g.Nodes() {
-			if m := res.ICC[n]; len(m) > 0 {
+			if cells := res.ICC(n); len(cells) > 0 {
 				fmt.Printf("  %s:", g.Name(n))
-				anchors := make([]callgraph.NodeID, 0, len(m))
-				for r := range m {
-					anchors = append(anchors, r)
-				}
-				sort.Slice(anchors, func(i, j int) bool { return anchors[i] < anchors[j] })
-				for _, r := range anchors {
-					fmt.Printf(" [%s]=%d", g.Name(r), m[r])
+				for _, c := range cells {
+					fmt.Printf(" [%s]=%d", g.Name(c.Anchor), c.ICC)
 				}
 				fmt.Println()
 			}

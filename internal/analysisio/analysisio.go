@@ -154,6 +154,14 @@ func SaveEpoch(w io.Writer, spec *encoding.Spec, cptPlan *cpt.Plan, epoch uint64
 			anchors++
 		}
 	}
+	// Site-indexed arrays must match the graph's call sites.
+	if err := spec.CheckSiteAV(); err != nil {
+		return fmt.Errorf("analysisio: %w", err)
+	}
+	if cptPlan != nil && len(cptPlan.Expected) != g.NumSites() {
+		return fmt.Errorf("analysisio: CPT Expected has %d entries for %d call sites",
+			len(cptPlan.Expected), g.NumSites())
+	}
 	bw := bufio.NewWriter(w)
 	head := magic
 	if epoch > 0 {
@@ -193,28 +201,33 @@ func SaveEpoch(w io.Writer, spec *encoding.Spec, cptPlan *cpt.Plan, epoch uint64
 		putEdge(bw, nb, e)
 	}
 
-	// Spec. Each keyed section is its map's length followed by the keys met
-	// in site order, so a key that names no site or edge of the graph would
-	// leave the count above the entries and the file unloadable: such a key
-	// is refused once its section is written (w is then incomplete).
+	// Spec. SiteAV is written as the sites with at least one non-recursive
+	// target, in site order (none in a per-edge spec): the sites Algorithm 2
+	// gives an addition value, whatever the Push map says. Each keyed
+	// section is its map's length followed by the keys met in site order,
+	// so a key that names no edge of the graph would leave the count above
+	// the entries and the file unloadable: such a key is refused once its
+	// section is written (w is then incomplete).
 	putBool(bw, spec.PerEdge)
-	putUvarint(bw, uint64(len(spec.SiteAV)))
-	written := 0
-	for k := int32(0); int(k) < nb.NumSites(); k++ {
-		s := nb.Site(k)
-		if av, ok := spec.SiteAV[s]; ok {
-			putUvarint(bw, uint64(s.Caller))
-			putUvarint(bw, uint64(s.Label))
-			putUvarint(bw, av)
-			written++
+	valued := make([]bool, len(spec.SiteAV))
+	if len(valued) > 0 {
+		comp := g.SCC()
+		for k := range valued {
+			for _, e := range nb.Targets(int32(k)) {
+				valued[k] = valued[k] || comp[nb.Caller[e]] != comp[nb.Callee[e]]
+			}
 		}
 	}
-	if written != len(spec.SiteAV) {
-		return danglingSite(g, "SiteAV", spec.SiteAV)
+	putSites(bw, nb, spec.SiteAV, valued)
+	pushed := make([]bool, nb.NumEdges())
+	for e := range spec.Push {
+		if i := nb.EdgeIndex(e); i >= 0 {
+			pushed[i] = true
+		}
 	}
 	// Per-edge AVs (PCCE mode).
 	putUvarint(bw, uint64(len(spec.EdgeAV)))
-	written = 0
+	written := 0
 	for _, e := range nb.SiteEdges {
 		if av, ok := spec.EdgeAV[nb.Edge(e)]; ok {
 			putEdge(bw, nb, e)
@@ -228,9 +241,9 @@ func SaveEpoch(w io.Writer, spec *encoding.Spec, cptPlan *cpt.Plan, epoch uint64
 	putUvarint(bw, uint64(len(spec.Push)))
 	written = 0
 	for _, e := range nb.SiteEdges {
-		if kind, ok := spec.Push[nb.Edge(e)]; ok {
+		if pushed[e] {
 			putEdge(bw, nb, e)
-			putUvarint(bw, uint64(kind))
+			putUvarint(bw, uint64(spec.Push[nb.Edge(e)]))
 			written++
 		}
 	}
@@ -254,32 +267,33 @@ func SaveEpoch(w io.Writer, spec *encoding.Spec, cptPlan *cpt.Plan, epoch uint64
 			putUvarint(bw, uint64(sid))
 		}
 		putUvarint(bw, uint64(cptPlan.NumSets))
-		putUvarint(bw, uint64(len(cptPlan.Expected)))
-		written = 0
-		for k := int32(0); int(k) < nb.NumSites(); k++ {
-			s := nb.Site(k)
-			if sid, ok := cptPlan.Expected[s]; ok {
-				putUvarint(bw, uint64(s.Caller))
-				putUvarint(bw, uint64(s.Label))
-				putUvarint(bw, uint64(sid))
-				written++
-			}
+		set := make([]bool, len(cptPlan.Expected))
+		for k, sid := range cptPlan.Expected {
+			set[k] = sid >= 0
 		}
-		if written != len(cptPlan.Expected) {
-			return danglingSite(g, "CPT Expected", cptPlan.Expected)
-		}
+		putSites(bw, nb, cptPlan.Expected, set)
 	}
 	return bw.Flush()
 }
 
-// danglingSite names a key of m that is no call site of g.
-func danglingSite[V any](g *callgraph.Graph, section string, m map[callgraph.Site]V) error {
-	for s := range m {
-		if len(g.SiteTargets(s)) == 0 {
-			return fmt.Errorf("analysisio: %s key %v is not a call site of the graph", section, s)
+// putSites writes a site-indexed section: the number of sites k with
+// write[k], then each one's caller, label and value, in site order.
+func putSites[V int32 | uint64](w *bufio.Writer, nb *callgraph.Numbering, vals []V, write []bool) {
+	n := 0
+	for _, on := range write {
+		if on {
+			n++
 		}
 	}
-	return fmt.Errorf("analysisio: %s keys and call sites disagree", section)
+	putUvarint(w, uint64(n))
+	for k, on := range write {
+		if on {
+			s := nb.Site(int32(k))
+			putUvarint(w, uint64(s.Caller))
+			putUvarint(w, uint64(s.Label))
+			putUvarint(w, uint64(vals[k]))
+		}
+	}
 }
 
 // danglingEdge names a key of m that is no edge of g.
@@ -354,13 +368,20 @@ func Load(r io.Reader) (*Bundle, error) {
 	// Each keyed section holds at most one key per site, edge or node of
 	// the graph already read, so its map is sized by the smaller of that
 	// and the count the file declares.
+	// Site-keyed sections fill arrays by the numbering's site ids, so a
+	// key that names no call site of the graph read is corrupt.
+	nb := g.Numbering()
 	spec := &encoding.Spec{Graph: g}
 	spec.PerEdge = d.boolean()
+	if !spec.PerEdge {
+		spec.SiteAV = make([]uint64, nb.NumSites())
+	}
 	nav := d.uvarint()
-	spec.SiteAV = make(map[callgraph.Site]uint64, sized(nav, g.NumSites()))
 	for i := uint64(0); i < nav && d.err == nil; i++ {
-		s := callgraph.Site{Caller: d.node(nodes), Label: int32(d.uvarint())}
-		spec.SiteAV[s] = d.uvarint()
+		k := d.site(nb, nodes, "SiteAV")
+		if av := d.uvarint(); d.err == nil && !spec.PerEdge {
+			spec.SiteAV[k] = av
+		}
 	}
 	neav := d.uvarint()
 	spec.EdgeAV = make(map[callgraph.Edge]uint64, sized(neav, g.NumEdges()))
@@ -396,11 +417,16 @@ func Load(r io.Reader) (*Bundle, error) {
 			plan.SID = append(plan.SID, int32(d.uvarint()))
 		}
 		plan.NumSets = int(d.uvarint())
+		plan.Expected = make([]int32, nb.NumSites())
+		for k := range plan.Expected {
+			plan.Expected[k] = -1
+		}
 		nexp := d.uvarint()
-		plan.Expected = make(map[callgraph.Site]int32, sized(nexp, g.NumSites()))
 		for i := uint64(0); i < nexp && d.err == nil; i++ {
-			s := callgraph.Site{Caller: d.node(nodes), Label: int32(d.uvarint())}
-			plan.Expected[s] = int32(d.uvarint())
+			k := d.site(nb, nodes, "CPT Expected")
+			if sid := int32(d.uvarint()); d.err == nil {
+				plan.Expected[k] = sid
+			}
 		}
 		bundle.CPT = plan
 	}
@@ -480,6 +506,20 @@ func (d *decoder) node(numNodes uint64) callgraph.NodeID {
 		return 0
 	}
 	return callgraph.NodeID(v)
+}
+
+// site reads a call site as caller and label and returns its id in nb.
+func (d *decoder) site(nb *callgraph.Numbering, numNodes uint64, section string) int32 {
+	s := callgraph.Site{Caller: d.node(numNodes), Label: int32(d.uvarint())}
+	if d.err != nil {
+		return 0
+	}
+	k := nb.SiteIndex(s)
+	if k < 0 {
+		d.err = fmt.Errorf("%s key %v is not a call site of the graph", section, s)
+		return 0
+	}
+	return k
 }
 
 func (d *decoder) str() string {

@@ -3,8 +3,10 @@ package analysisio
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,10 +90,8 @@ func TestRoundTripStructure(t *testing.T) {
 		t.Fatalf("context roots changed")
 	}
 	// Spec contents identical.
-	for s, av := range res.Spec.SiteAV {
-		if bundle.Spec.SiteAV[s] != av {
-			t.Fatalf("AV of %v changed", s)
-		}
+	if !slices.Equal(bundle.Spec.SiteAV, res.Spec.SiteAV) {
+		t.Fatalf("addition values changed: %v vs %v", bundle.Spec.SiteAV, res.Spec.SiteAV)
 	}
 	if len(bundle.Spec.Push) != len(res.Spec.Push) {
 		t.Fatalf("push edges changed: %d vs %d", len(bundle.Spec.Push), len(res.Spec.Push))
@@ -140,29 +140,32 @@ func TestSaveAnchorKeys(t *testing.T) {
 	}
 }
 
-// TestSaveRefusesDanglingKeys: a SiteAV, EdgeAV, Push or CPT Expected key
-// that names no site or edge of the graph is refused with an error naming
-// it, rather than written under a count the entries do not match (which
-// saved cleanly and then failed to load).
+// TestSaveRefusesDanglingKeys: a site-indexed SiteAV or CPT Expected of the
+// wrong length, and an EdgeAV or Push key that names no edge of the graph,
+// are refused with an error naming them, rather than written under a count
+// the entries do not match (which saved cleanly and then failed to load).
 func TestSaveRefusesDanglingKeys(t *testing.T) {
 	build, res, _ := roundTrip(t)
 	nodes := callgraph.NodeID(build.Graph.NumNodes())
-	site := callgraph.Site{Caller: 0, Label: 4242}
+	sites := build.Graph.NumSites()
 	edge := callgraph.Edge{Caller: 0, Callee: nodes - 1, Label: 4242}
 	for _, c := range []struct {
-		name, key string
-		taint     func(*encoding.Spec, *cpt.Plan)
+		name, want string
+		taint      func(*encoding.Spec, *cpt.Plan)
 	}{
-		{"SiteAV", site.String(), func(s *encoding.Spec, _ *cpt.Plan) { s.SiteAV[site] = 1 }},
-		{"EdgeAV", "Label:4242", func(s *encoding.Spec, _ *cpt.Plan) {
+		{"SiteAV", fmt.Sprintf("SiteAV has %d entries for %d call sites", sites+1, sites),
+			func(s *encoding.Spec, _ *cpt.Plan) { s.SiteAV = append(s.SiteAV, 1) }},
+		{"EdgeAV", "EdgeAV key {Caller:0 Callee:" + fmt.Sprint(nodes-1) + " Label:4242}", func(s *encoding.Spec, _ *cpt.Plan) {
 			s.EdgeAV = map[callgraph.Edge]uint64{edge: 1}
 		}},
-		{"Push", "Label:4242", func(s *encoding.Spec, _ *cpt.Plan) { s.Push[edge] = encoding.PieceRecursion }},
-		{"CPT Expected", site.String(), func(_ *encoding.Spec, p *cpt.Plan) { p.Expected[site] = 0 }},
+		{"Push", "Push key {Caller:0 Callee:" + fmt.Sprint(nodes-1) + " Label:4242}",
+			func(s *encoding.Spec, _ *cpt.Plan) { s.Push[edge] = encoding.PieceRecursion }},
+		{"CPT Expected", fmt.Sprintf("CPT Expected has %d entries for %d call sites", sites-1, sites),
+			func(_ *encoding.Spec, p *cpt.Plan) { p.Expected = p.Expected[:sites-1] }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			spec := *res.Spec
-			spec.SiteAV = maps.Clone(res.Spec.SiteAV)
+			spec.SiteAV = slices.Clone(res.Spec.SiteAV)
 			spec.Push = maps.Clone(res.Spec.Push)
 			plan := cpt.Compute(build.Graph)
 			c.taint(&spec, plan)
@@ -170,12 +173,57 @@ func TestSaveRefusesDanglingKeys(t *testing.T) {
 			err := Save(&buf, &spec, plan)
 			if err == nil {
 				_, lerr := Load(&buf)
-				t.Fatalf("Save accepted a dangling %s key (Load: %v)", c.name, lerr)
+				t.Fatalf("Save accepted a dangling %s (Load: %v)", c.name, lerr)
 			}
-			if !strings.Contains(err.Error(), c.name+" key") || !strings.Contains(err.Error(), c.key) {
-				t.Fatalf("error %q does not name the %s key %s", err, c.name, c.key)
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q does not say %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestLoadSiteSections: a site-keyed entry naming no call site of the
+// graph makes the file corrupt, and an expectation table the file lists
+// in part loads with -1 in the slots it leaves out.
+func TestLoadSiteSections(t *testing.T) {
+	build, res, _ := roundTrip(t)
+	plan := cpt.Compute(build.Graph)
+	plan.Expected[0] = -1
+	var buf bytes.Buffer
+	if err := Save(&buf, res.Spec, plan); err != nil {
+		t.Fatal(err)
+	}
+	b, err := Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(b.CPT.Expected, plan.Expected) || len(b.Spec.SiteAV) != build.Graph.NumSites() {
+		t.Fatalf("expectations %v, want %v; %d addition values", b.CPT.Expected, plan.Expected, len(b.Spec.SiteAV))
+	}
+
+	// One call site, saved with addition value 3, then relabelled in the
+	// SiteAV section only.
+	g := callgraph.New()
+	main := g.AddNode("main", false)
+	leaf := g.AddNode("leaf", false)
+	g.SetEntry(main)
+	g.AddEdge(main, 7, leaf)
+	spec := &encoding.Spec{Graph: g, SiteAV: []uint64{3}}
+	buf.Reset()
+	if err := Save(&buf, spec, cpt.Compute(g)); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// The SiteAV section is the last occurrence of caller 0, label 7,
+	// value 3; a label of 8 names no site.
+	i := bytes.LastIndex(data, []byte{1, 0, 7, 3})
+	if i < 0 {
+		t.Fatalf("SiteAV entry not found in %v", data)
+	}
+	bad := slices.Clone(data)
+	bad[i+2] = 8
+	if _, err := Load(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "SiteAV key site(0@8) is not a call site") {
+		t.Fatalf("Load of an unknown site = %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package analysisio
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
 
 	"deltapath/internal/callgraph"
@@ -40,10 +41,9 @@ func rootsGraph(n int) *callgraph.Graph {
 	return g
 }
 
-// BenchmarkLoad times Load on the saved analysis of sunflow, built with the
-// settings Analyze uses, of the 50k-node huge smoke tier, and of a graph
-// with 40,000 context roots, which Load marks one by one.
-func BenchmarkLoad(b *testing.B) {
+// benchGraphs returns sunflow's graph, built with the settings Analyze
+// uses, and the 50k-node huge smoke tier's.
+func benchGraphs(b *testing.B) (sunflow, huge *callgraph.Graph) {
 	p, ok := workload.ByName("sunflow")
 	if !ok {
 		b.Fatal("missing benchmark sunflow")
@@ -56,20 +56,52 @@ func BenchmarkLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	huge, err := workload.HugeSmoke(50_000).Build()
+	huge, err = workload.HugeSmoke(50_000).Build()
 	if err != nil {
 		b.Fatal(err)
 	}
+	return build.Graph, huge
+}
+
+// BenchmarkLoad times Load on the saved analysis of sunflow, of the
+// 50k-node huge smoke tier, and of a graph with 40,000 context roots, which
+// Load marks one by one.
+func BenchmarkLoad(b *testing.B) {
+	sunflow, huge := benchGraphs(b)
 	for _, c := range []struct {
 		name string
 		g    *callgraph.Graph
-	}{{"sunflow", build.Graph}, {"huge-50k", huge}, {"roots-40k", rootsGraph(40_000)}} {
+	}{{"sunflow", sunflow}, {"huge-50k", huge}, {"roots-40k", rootsGraph(40_000)}} {
 		data := saveGraph(b, c.g)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
 				if _, err := Load(bytes.NewReader(data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSave times Save, spec and call-path-tracking plan, on sunflow
+// and on the 50k-node huge smoke tier.
+func BenchmarkSave(b *testing.B) {
+	sunflow, huge := benchGraphs(b)
+	for _, c := range []struct {
+		name string
+		g    *callgraph.Graph
+	}{{"sunflow", sunflow}, {"huge-50k", huge}} {
+		res, err := core.Encode(c.g, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan := cpt.Compute(c.g)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := Save(io.Discard, res.Spec, plan); err != nil {
 					b.Fatal(err)
 				}
 			}

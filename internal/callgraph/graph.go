@@ -143,8 +143,17 @@ func (g *Graph) AddNode(name string, library bool) NodeID {
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Library: library})
 	g.byName[name] = id
 	g.rows = append(g.rows, nodeRow{})
-	g.num.Store(nil)
+	g.dropNumbering()
 	return id
+}
+
+// dropNumbering clears the cached numbering after a mutation. Only a cached
+// one is stored over: an atomic store costs a write barrier, and a graph
+// being built (analysisio.Load, cha.Build) has none cached.
+func (g *Graph) dropNumbering() {
+	if g.num.Load() != nil {
+		g.num.Store(nil)
+	}
 }
 
 // Lookup returns the node ID for name, or InvalidNode.
@@ -243,7 +252,7 @@ func (g *Graph) AddEdge(caller NodeID, label int32, callee NodeID) Edge {
 	to := &g.rows[callee]
 	to.in = append(to.in, e)
 	g.numEdges++
-	g.num.Store(nil)
+	g.dropNumbering()
 	return e
 }
 

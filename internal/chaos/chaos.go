@@ -167,17 +167,6 @@ func NewInjector(enc *instrument.Encoder, cfg Config) *Injector {
 // Events reports how many probe events passed through the injector.
 func (in *Injector) Events() uint64 { return in.events }
 
-// Injected reports, per fault class, how many faults were injected.
-func (in *Injector) Injected() map[Fault]uint64 {
-	out := make(map[Fault]uint64, numFaults)
-	for f := Fault(0); f < numFaults; f++ {
-		if in.injected[f] > 0 {
-			out[f] = in.injected[f]
-		}
-	}
-	return out
-}
-
 // TotalInjected reports the total number of injected faults.
 func (in *Injector) TotalInjected() uint64 {
 	var t uint64

@@ -81,14 +81,6 @@ type Result struct {
 	// Spec carries everything the runtime and the decoder need.
 	Spec *encoding.Spec
 
-	// ICC maps node -> anchor -> inflated calling-context count: the
-	// exclusive upper bound of the encoding space for contexts reaching
-	// the node from that anchor.
-	ICC map[callgraph.NodeID]map[callgraph.NodeID]uint64
-
-	// NAnchors lists, per node, the anchors whose territory contains it.
-	NAnchors map[callgraph.NodeID][]callgraph.NodeID
-
 	// PieceStarts is the full anchor set An of Algorithm 2: the entry,
 	// every recursive-edge target, and every overflow anchor.
 	PieceStarts map[callgraph.NodeID]bool
@@ -115,21 +107,65 @@ type Result struct {
 	// produced by Encode in this process (analysisio.Load, Extend).
 	Stats *AnalysisStats
 
-	// inc retains the successful pass's internal state (final CAV cells,
-	// edge territories, recursive-edge set) so Extend can recompute only
-	// the dirty territory of a graph delta. Nil for results that did not
-	// come out of Encode/Extend in this process (e.g. analysisio.Load).
-	inc *incState
+	// terr is the successful pass's territory state, which ICC reads and
+	// Extend resumes from. Nil for results that did not come out of
+	// Encode/Extend in this process (e.g. analysisio.Load).
+	terr *territories
 }
 
-// incState is the retained per-pass state Extend needs. All maps are
-// treated as immutable once published in a Result: Extend builds fresh
-// (copy-on-write) maps for the next Result, so concurrent readers of an
-// old epoch never observe mutation.
-type incState struct {
-	cav      map[callgraph.NodeID]map[callgraph.NodeID]uint64
-	eanchors map[callgraph.Edge][]callgraph.NodeID
-	rec      map[callgraph.Edge]bool
+// territories is a pass's territory state in topological layout: node n
+// sits at position pos[n], its sorted anchors are rows[rowOff[i]:rowOff[i+1]]
+// for i = pos[n], and its CAV cells are at the same indices of cav. It is
+// immutable once published in a Result: Extend builds fresh arrays for the
+// next Result, so concurrent readers of an old epoch never observe
+// mutation.
+type territories struct {
+	pos          []int32
+	rowOff, rows []int32
+	cav          []uint64
+}
+
+// row returns node n's anchors and their CAV cells.
+func (t *territories) row(n callgraph.NodeID) ([]int32, []uint64) {
+	i := t.pos[n]
+	off, end := t.rowOff[i], t.rowOff[i+1]
+	return t.rows[off:end], t.cav[off:end]
+}
+
+// Cell is one (anchor, ICC) pair of a node: the exclusive upper bound of
+// the encoding space for contexts reaching the node from the anchor.
+type Cell struct {
+	Anchor callgraph.NodeID
+	ICC    uint64
+}
+
+// ICC lists node n's inflated calling-context counts, one per anchor whose
+// territory holds n, in anchor order. A resetting node reads {n: 1}: its
+// piece starts afresh. Any other node reads its final CAV cells, and a
+// non-resetting piece start (the entry) its reserved 1 relative to itself
+// besides the cells of the pieces that flow through it. A successful pass
+// kills no cell, even in batch mode: every kill records an overflow, and a
+// pass that records one fails. Nil when n has no territory or the Result
+// carries no territory state.
+func (r *Result) ICC(n callgraph.NodeID) []Cell {
+	if r.terr == nil || n < 0 || int(n) >= len(r.terr.pos) {
+		return nil
+	}
+	if r.Spec.Anchors[n] {
+		return []Cell{{Anchor: n, ICC: 1}}
+	}
+	rows, cav := r.terr.row(n)
+	if len(rows) == 0 {
+		return nil
+	}
+	cells := make([]Cell, len(rows))
+	for j, a := range rows {
+		cells[j] = Cell{Anchor: callgraph.NodeID(a), ICC: cav[j]}
+		if callgraph.NodeID(a) == n {
+			cells[j].ICC = 1
+		}
+	}
+	return cells
 }
 
 // ErrWidthTooSmall is wrapped by Encode when even turning every possible
@@ -138,7 +174,7 @@ var errWidthTooSmall = fmt.Errorf("core: integer width too small to encode this 
 
 // Encode runs the DeltaPath analysis (Algorithm 2) on g.
 func Encode(g *callgraph.Graph, opts Options) (*Result, error) {
-	st, err := newRestartState(g, opts)
+	st, err := newRestartState(g, opts, true)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +199,7 @@ func Encode(g *callgraph.Graph, opts Options) (*Result, error) {
 			from = eng.promote(res.OverflowAnchors[added:])
 			continue
 		}
-		res.finish(g, st.rec, st.an, st.resets, eng.toPass())
+		res.finish(g, st, eng)
 		mem.sample()
 		stats := &AnalysisStats{
 			Nodes:          g.NumNodes(),
@@ -195,8 +231,10 @@ type restartState struct {
 	an, resets map[callgraph.NodeID]bool
 }
 
-// newRestartState validates g and seeds the first pass's anchor sets.
-func newRestartState(g *callgraph.Graph, opts Options) (*restartState, error) {
+// newRestartState validates g and seeds the first pass's anchor sets: the
+// entry, the recursive-edge targets, the forced anchors and the context
+// roots, plus, with orphans, the roots of code no anchor reaches.
+func newRestartState(g *callgraph.Graph, opts Options, orphans bool) (*restartState, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -225,7 +263,9 @@ func newRestartState(g *callgraph.Graph, opts Options) (*restartState, error) {
 	for _, n := range g.ContextRoots() {
 		an[n] = true
 	}
-	addOrphanAnchors(g, comp, an)
+	if orphans {
+		addOrphanAnchors(g, comp, an)
+	}
 	resets := resetAnchors(an, entry, recTargets[entry])
 	for _, n := range opts.ForceAnchors {
 		resets[n] = true
@@ -268,43 +308,6 @@ func (st *restartState) promote(g *callgraph.Graph, res *Result, overflowAt []ca
 	return nil
 }
 
-// pass is the state of one analysis attempt.
-type pass struct {
-	nanchors map[callgraph.NodeID][]callgraph.NodeID
-	eanchors map[callgraph.Edge][]callgraph.NodeID
-	cav      map[callgraph.NodeID]map[callgraph.NodeID]uint64
-	icc      map[callgraph.NodeID]map[callgraph.NodeID]uint64
-	av       map[callgraph.Site]uint64
-	maxCAV   uint64
-
-	// batch mode: dead marks (node, anchor) entries whose range
-	// overflowed; they are excluded from further propagation so the pass
-	// can keep collecting overflow sites. overflows lists the callers to
-	// anchor, in discovery order.
-	batch     bool
-	dead      map[callgraph.NodeID]map[callgraph.NodeID]bool
-	overflows []callgraph.NodeID
-	seenOver  map[callgraph.NodeID]bool
-}
-
-func (p *pass) markDead(n, r callgraph.NodeID) {
-	m := p.dead[n]
-	if m == nil {
-		m = make(map[callgraph.NodeID]bool)
-		p.dead[n] = m
-	}
-	m[r] = true
-}
-
-func (p *pass) isDead(n, r callgraph.NodeID) bool { return p.dead[n][r] }
-
-func (p *pass) recordOverflow(n callgraph.NodeID) {
-	if !p.seenOver[n] {
-		p.seenOver[n] = true
-		p.overflows = append(p.overflows, n)
-	}
-}
-
 // resetAnchors derives the runtime-resetting anchor set (the Spec.Anchors
 // to be) from the piece starts: every piece start except the entry. The
 // entry starts the bottom piece without a runtime reset — a non-recursive
@@ -321,70 +324,6 @@ func resetAnchors(an map[callgraph.NodeID]bool, entry callgraph.NodeID,
 		}
 	}
 	return resets
-}
-
-// recursiveEntry reports whether the entry is the target of a recursive
-// edge (so re-entries push and the entry must reset).
-func recursiveEntry(rec map[callgraph.Edge]bool, entry callgraph.NodeID) bool {
-	for e := range rec {
-		if e.Callee == entry {
-			return true
-		}
-	}
-	return false
-}
-
-// calculateIncrement computes the single addition value for call site cs
-// (the maximum candidate addition value over all dispatch targets and all
-// anchors reaching them) and then updates every target's CAVs. It reports
-// overflow against maxID.
-func calculateIncrement(g *callgraph.Graph, rec map[callgraph.Edge]bool,
-	cs callgraph.Site, p *pass, maxID uint64) (uint64, bool) {
-
-	var a uint64
-	targets := g.SiteTargets(cs)
-	for _, e := range targets {
-		if rec[e] {
-			continue // recursive edges carry no range; runtime pushes
-		}
-		for _, r := range p.eanchors[e] {
-			if p.batch && p.isDead(e.Callee, r) {
-				continue
-			}
-			if v := p.cav[e.Callee][r]; v > a {
-				a = v
-			}
-		}
-	}
-	overflowed := false
-	for _, e := range targets {
-		if rec[e] {
-			continue
-		}
-		iccP := p.icc[e.Caller]
-		for _, r := range p.eanchors[e] {
-			w := iccP[r]
-			if w > maxID-a {
-				if !p.batch {
-					return 0, true
-				}
-				// Batch mode: record the caller, kill this range, and
-				// keep scanning for more overflow sites this round.
-				p.recordOverflow(e.Caller)
-				p.markDead(e.Callee, r)
-				overflowed = true
-				continue
-			}
-			v := w + a
-			if !(p.batch && p.isDead(e.Callee, r)) {
-				p.cav[e.Callee][r] = v
-			}
-			if v > p.maxCAV {
-				p.maxCAV = v
-			}
-		}
-	}
-	return a, overflowed
 }
 
 // addOrphanAnchors extends the anchor set with every node that is not
@@ -451,80 +390,35 @@ func orderIn(in []callgraph.Edge, profile map[callgraph.Edge]uint64) []callgraph
 	return out
 }
 
-// identifyTerritories computes, for every piece start, the nodes and edges
-// its bounded depth-first search reaches: traversal starts at the anchor
-// and retreats at resetting anchors (which still belong to the territory
-// as its boundary) — only those reset the runtime encoding, so only those
-// end a piece; a non-resetting entry is flowed through like any interior
-// node. Recursive edges are never traversed — they start new pieces.
-func identifyTerritories(g *callgraph.Graph, rec map[callgraph.Edge]bool,
-	an, resets map[callgraph.NodeID]bool, p *pass) {
-
-	anchors := make([]callgraph.NodeID, 0, len(an))
-	for r := range an {
-		anchors = append(anchors, r)
-	}
-	sort.Slice(anchors, func(i, j int) bool { return anchors[i] < anchors[j] })
-
-	for _, r := range anchors {
-		territoryDFS(g, rec, resets, p, r)
-	}
-}
-
-// territoryDFS walks one anchor's territory, appending r to the nanchors
-// and eanchors lists of everything its bounded traversal reaches. resets
-// is the boundary set: the runtime-resetting anchors.
-func territoryDFS(g *callgraph.Graph, rec map[callgraph.Edge]bool,
-	resets map[callgraph.NodeID]bool, p *pass, r callgraph.NodeID) {
-
-	seen := map[callgraph.NodeID]bool{r: true}
-	p.nanchors[r] = append(p.nanchors[r], r)
-	work := []callgraph.NodeID{r}
-	for len(work) > 0 {
-		v := work[len(work)-1]
-		work = work[:len(work)-1]
-		if v != r && resets[v] {
-			continue // boundary anchor: belongs to territory, not traversed
-		}
-		for _, e := range g.Out(v) {
-			if rec[e] {
-				continue
-			}
-			p.eanchors[e] = append(p.eanchors[e], r)
-			if !seen[e.Callee] {
-				seen[e.Callee] = true
-				p.nanchors[e.Callee] = append(p.nanchors[e.Callee], r)
-				work = append(work, e.Callee)
-			}
-		}
-	}
-}
-
-// finish assembles the Result from a successful pass.
-func (res *Result) finish(g *callgraph.Graph, rec map[callgraph.Edge]bool,
-	an, resets map[callgraph.NodeID]bool, p *pass) {
-
+// finish assembles the Result of a successful pass. The Spec takes the
+// engine's addition values without a copy, and the Result keeps the
+// territory rows and CAV cells; the engine is done with both. Every write
+// raises its cell, so the largest final cell is the largest value the pass
+// wrote.
+func (res *Result) finish(g *callgraph.Graph, st *restartState, eng *engine) {
 	spec := &encoding.Spec{
 		Graph:   g,
-		SiteAV:  p.av,
-		Push:    make(map[callgraph.Edge]encoding.PieceKind, len(rec)),
-		Anchors: make(map[callgraph.NodeID]bool, len(resets)),
+		SiteAV:  eng.av,
+		Push:    make(map[callgraph.Edge]encoding.PieceKind, len(st.rec)),
+		Anchors: make(map[callgraph.NodeID]bool, len(st.resets)),
 	}
-	for e := range rec {
+	for e := range st.rec {
 		spec.Push[e] = encoding.PieceRecursion
 	}
 	// Runtime anchors: exactly the resetting piece starts — every anchor
 	// except a non-recursive, non-promoted entry.
-	for n := range resets {
+	for n := range st.resets {
 		spec.Anchors[n] = true
 	}
 	res.Spec = spec
-	res.ICC = p.icc
-	res.NAnchors = p.nanchors
-	res.PieceStarts = an
-	if p.maxCAV > 0 {
-		res.MaxID = p.maxCAV - 1
+	res.PieceStarts = st.an
+	var maxCAV uint64
+	for _, v := range eng.cav {
+		maxCAV = max(maxCAV, v)
+	}
+	if maxCAV > 0 {
+		res.MaxID = maxCAV - 1
 	}
 	res.UnifiedVirtualSites = g.NumVirtualSites()
-	res.inc = &incState{cav: p.cav, eanchors: p.eanchors, rec: rec}
+	res.terr = &territories{pos: eng.pos, rowOff: eng.rowOff, rows: eng.rowBuf, cav: eng.cav}
 }

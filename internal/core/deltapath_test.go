@@ -41,7 +41,7 @@ func figure4() (*callgraph.Graph, map[string]callgraph.NodeID) {
 
 func iccOf(t *testing.T, res *Result, n, r callgraph.NodeID) uint64 {
 	t.Helper()
-	m, ok := res.ICC[n]
+	m, ok := iccMap(res)[n]
 	if !ok {
 		t.Fatalf("no ICC entry for node %d", n)
 	}
@@ -73,7 +73,7 @@ func TestFigure4Algorithm1(t *testing.T) {
 	}
 	// The virtual call site in D gets the single addition value 2
 	// (the narrative's max{CAV[E], CAV[F]} = 2).
-	av := res.Spec.SiteAV
+	av := siteAVMap(res.Spec)
 	if got := av[callgraph.Site{Caller: ids["D"], Label: 1}]; got != 2 {
 		t.Errorf("AV[D virtual site] = %d, want 2", got)
 	}
@@ -125,7 +125,7 @@ func TestFigure5Anchors(t *testing.T) {
 	}
 	// Addition values from the narrative: CF/CG site 0, D virtual site 1,
 	// EG 0, FG 2.
-	av := res.Spec.SiteAV
+	av := siteAVMap(res.Spec)
 	if got := av[callgraph.Site{Caller: C, Label: 1}]; got != 0 {
 		t.Errorf("AV[C virtual site] = %d, want 0", got)
 	}
@@ -238,6 +238,7 @@ func TestInvariantDisjointRanges(t *testing.T) {
 func assertDisjointRanges(t *testing.T, g *callgraph.Graph, res *Result) {
 	t.Helper()
 	rec := g.RecursiveEdges()
+	icc := iccMap(res)
 	for _, n := range g.Nodes() {
 		// Collect, per anchor, the ranges of n's in-edges.
 		type rng struct {
@@ -247,7 +248,7 @@ func assertDisjointRanges(t *testing.T, g *callgraph.Graph, res *Result) {
 		byAnchor := make(map[callgraph.NodeID][]rng)
 		for _, e := range g.ForwardIn(n, rec) {
 			av := res.Spec.AV(e)
-			for r, w := range res.ICC[e.Caller] {
+			for r, w := range icc[e.Caller] {
 				// Edge e belongs to r's territory only if r actually
 				// reaches it; approximate via NAnchors of the caller
 				// and the ICC entry — width w is the range size.
@@ -285,7 +286,7 @@ func TestPCCEEquivalenceNoVirtual(t *testing.T) {
 			return false
 		}
 		for _, n := range g.Nodes() {
-			icc := dp.ICC[n][entry]
+			icc := iccMap(dp)[n][entry]
 			if n == entry {
 				icc = 1
 			}
@@ -381,7 +382,7 @@ func TestPropertySmallWidthAnchors(t *testing.T) {
 			// Width genuinely too small is a legal outcome; skip.
 			return true
 		}
-		for _, m := range res.ICC {
+		for _, m := range iccMap(res) {
 			for _, v := range m {
 				if v > 255 {
 					t.Logf("seed %d: ICC %d exceeds MaxID", seed, v)
@@ -535,10 +536,10 @@ func TestEdgeProfileOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if av := res.Spec.SiteAV[callgraph.Site{Caller: ids["C"], Label: 0}]; av != 0 {
+	if av := res.Spec.SiteValue(callgraph.Site{Caller: ids["C"], Label: 0}); av != 0 {
 		t.Fatalf("hot edge CD has AV %d, want 0", av)
 	}
-	if av := res.Spec.SiteAV[callgraph.Site{Caller: ids["B"], Label: 0}]; av == 0 {
+	if av := res.Spec.SiteValue(callgraph.Site{Caller: ids["B"], Label: 0}); av == 0 {
 		t.Fatal("cold edge BD unexpectedly free")
 	}
 	exhaustiveCheck(t, g, res, 0, 16)
@@ -601,7 +602,7 @@ func TestBatchAnchorsPropertyRandom(t *testing.T) {
 		if err != nil {
 			return true // width genuinely too small: legal outcome
 		}
-		for _, m := range res.ICC {
+		for _, m := range iccMap(res) {
 			for _, v := range m {
 				if v > 127 {
 					return false
@@ -626,7 +627,7 @@ func TestSpecValidateProperty(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		if err := res.Spec.Validate(res.ICC); err != nil {
+		if err := res.Spec.Validate(iccMap(res)); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
@@ -643,13 +644,13 @@ func TestSpecValidateDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Spec.Validate(res.ICC); err != nil {
+	if err := res.Spec.Validate(iccMap(res)); err != nil {
 		t.Fatalf("clean spec rejected: %v", err)
 	}
 	// Corrupt one addition value so two ranges collide.
 	site := callgraph.Site{Caller: ids["F"], Label: 0} // AV[FG] = 9
-	res.Spec.SiteAV[site] = 0                          // collides with EG's range
-	if err := res.Spec.Validate(res.ICC); err == nil {
+	res.Spec.SiteAV[g.Numbering().SiteIndex(site)] = 0 // collides with EG's range
+	if err := res.Spec.Validate(iccMap(res)); err == nil {
 		t.Fatal("corrupted spec passed validation")
 	}
 }

@@ -24,11 +24,12 @@
 //     rebuilds the suffix, replays the writes that sites swept before p
 //     made into suffix cells, and sweeps on from p's task.
 //
-// ICC is never materialized during the sweep: reads reconstruct it from the
-// caller's frozen CAV cell, which is exactly how the reference sweep builds
-// the ICC map. On success the arrays are converted into the ordinary *pass
-// shape, so Result, incState and Extend are byte-for-byte indistinguishable
-// from the reference sweep's output.
+// ICC is never materialized: reads reconstruct it from the caller's frozen
+// CAV cell, which is exactly how the reference sweep builds its ICC map. On
+// success the arrays are the analysis: the Spec takes the site addition
+// values as they are, and the Result keeps the territory rows and CAV cells
+// (Result.ICC reads them; Extend resumes from them). Extend, EstimateSpace
+// and EncodeBig run on the same rows and schedule.
 package core
 
 import (
@@ -429,73 +430,4 @@ func (eng *engine) iccRead(c, r, ci int32) uint64 {
 		return 0
 	}
 	return eng.cav[ci]
-}
-
-// toPass converts the state of a successful pass into the pass shape, so
-// Result assembly (finish) and Extend's incState are identical to the
-// reference sweep's output. Every write raises its cell, so the largest
-// final cell is the largest value the pass wrote. It ends the engine: the
-// arrays only the sweep reads are dropped first, so that the collector can
-// reclaim them while the maps grow.
-func (eng *engine) toPass() *pass {
-	eng.pos, eng.inOff, eng.inBuf, eng.taskOff = nil, nil, nil, nil
-	eng.entOff, eng.mark, eng.idx, eng.overSeq = nil, nil, nil, nil
-	p := &pass{
-		nanchors: make(map[callgraph.NodeID][]callgraph.NodeID),
-		eanchors: make(map[callgraph.Edge][]callgraph.NodeID),
-		cav:      make(map[callgraph.NodeID]map[callgraph.NodeID]uint64),
-		icc:      make(map[callgraph.NodeID]map[callgraph.NodeID]uint64),
-		av:       make(map[callgraph.Site]uint64, len(eng.taskBuf)),
-	}
-	for _, v := range eng.cav {
-		p.maxCAV = max(p.maxCAV, v)
-	}
-	for _, s := range eng.taskBuf {
-		p.av[eng.nb.Site(s)] = eng.av[s]
-	}
-	for i, id := range eng.topo {
-		off, end := eng.rowOff[i], eng.rowOff[i+1]
-		if off == end {
-			if eng.resetsB[id] {
-				p.icc[id] = map[callgraph.NodeID]uint64{id: 1}
-			}
-			continue
-		}
-		anchors := make([]callgraph.NodeID, end-off)
-		cav := make(map[callgraph.NodeID]uint64, end-off)
-		for k := off; k < end; k++ {
-			r := callgraph.NodeID(eng.rowBuf[k])
-			anchors[k-off] = r
-			cav[r] = eng.cav[k]
-		}
-		p.nanchors[id] = anchors
-		p.cav[id] = cav
-		if eng.resetsB[id] {
-			p.icc[id] = map[callgraph.NodeID]uint64{id: 1}
-			continue
-		}
-		m := make(map[callgraph.NodeID]uint64, end-off)
-		for k := off; k < end; k++ {
-			if eng.batch && eng.dead[k] {
-				continue // dead range: do not seed downstream counts
-			}
-			m[callgraph.NodeID(eng.rowBuf[k])] = eng.cav[k]
-		}
-		if eng.anB[id] {
-			m[id] = 1
-		}
-		p.icc[id] = m
-	}
-	for ei := range eng.eOff {
-		off, end := eng.eOff[ei], eng.eEnd[ei]
-		if off == end {
-			continue
-		}
-		anchors := make([]callgraph.NodeID, end-off)
-		for k := off; k < end; k++ {
-			anchors[k-off] = callgraph.NodeID(eng.ent[k].anchor)
-		}
-		p.eanchors[eng.nb.Edge(int32(ei))] = anchors
-	}
-	return p
 }

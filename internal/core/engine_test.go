@@ -16,7 +16,7 @@ import (
 
 // encodeBoth runs the reference map sweep and the engine on the same graph
 // and options.
-func encodeBoth(t *testing.T, g *callgraph.Graph, opts Options) (*Result, *Result) {
+func encodeBoth(t *testing.T, g *callgraph.Graph, opts Options) (*oracleResult, *Result) {
 	t.Helper()
 	ref, err := encodeOracle(g, opts)
 	if err != nil {
@@ -34,8 +34,10 @@ func encodeBoth(t *testing.T, g *callgraph.Graph, opts Options) (*Result, *Resul
 
 // assertIdentical compares every analysis output the engine and the
 // reference sweep must agree on, including the serialized .dpa bytes and
-// the call-path-tracking SIDs.
-func assertIdentical(t *testing.T, g *callgraph.Graph, ref, got *Result) {
+// the call-path-tracking SIDs. The engine's rows and cells are compared as
+// the reference sweep's maps, and each edge's union-rule row with the
+// reference DFS's edge territory.
+func assertIdentical(t *testing.T, g *callgraph.Graph, ref *oracleResult, got *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(ref.Spec.SiteAV, got.Spec.SiteAV) {
 		t.Errorf("SiteAV diverged: reference %d sites, engine %d sites",
@@ -47,10 +49,11 @@ func assertIdentical(t *testing.T, g *callgraph.Graph, ref, got *Result) {
 	if !reflect.DeepEqual(ref.Spec.Push, got.Spec.Push) {
 		t.Errorf("Push diverged")
 	}
-	if !reflect.DeepEqual(ref.ICC, got.ICC) {
+	if !reflect.DeepEqual(ref.icc, iccMap(got)) {
 		t.Errorf("ICC diverged")
 	}
-	if !reflect.DeepEqual(ref.NAnchors, got.NAnchors) {
+	nanchors, cav := rowMaps(got)
+	if !reflect.DeepEqual(sortedRows(ref.nanchors), nanchors) {
 		t.Errorf("NAnchors diverged")
 	}
 	if !reflect.DeepEqual(ref.PieceStarts, got.PieceStarts) {
@@ -65,11 +68,11 @@ func assertIdentical(t *testing.T, g *callgraph.Graph, ref, got *Result) {
 	if ref.MaxID != got.MaxID {
 		t.Errorf("MaxID diverged: %d vs %d", ref.MaxID, got.MaxID)
 	}
-	if !reflect.DeepEqual(ref.inc.cav, got.inc.cav) {
-		t.Errorf("incState.cav diverged")
+	if !reflect.DeepEqual(ref.cav, cav) {
+		t.Errorf("CAV cells diverged")
 	}
-	if !reflect.DeepEqual(ref.inc.eanchors, got.inc.eanchors) {
-		t.Errorf("incState.eanchors diverged")
+	if !reflect.DeepEqual(sortedRows(ref.eanchors), edgeRows(got)) {
+		t.Errorf("edge territories diverged")
 	}
 
 	// SIDs depend only on the graph, but the scale pipeline saves them

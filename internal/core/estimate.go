@@ -9,111 +9,72 @@ import (
 
 // EstimateSpace computes, with arbitrary-precision integers, the encoding
 // space the graph would need without any overflow anchors: the largest
-// encoding ID any context could take when only the entry and the
-// recursive-edge targets start pieces. This is Table 1's "max. ID" column,
-// which for the largest SPECjvm programs exceeds a 64-bit integer — the
-// very observation motivating Algorithm 2.
+// encoding ID any context could take when only the entry, the
+// recursive-edge targets and the context roots start pieces. This is Table
+// 1's "max. ID" column, which for the largest SPECjvm programs exceeds a
+// 64-bit integer — the very observation motivating Algorithm 2.
 //
-// It mirrors Encode's pass exactly, substituting big.Int arithmetic for
-// uint64 and never overflowing; the equivalence is property-tested against
-// Encode on graphs that fit in uint64.
+// It runs Encode's first pass on the engine's rows and schedule, with
+// big.Int cells that never overflow (bigPass); the equivalence is
+// property-tested against Encode on graphs that fit in uint64.
 //
 // The second result is the number of bits required (bit length of the
 // space bound), handy for "needs N-bit integers" reporting.
 func EstimateSpace(g *callgraph.Graph) (*big.Int, int, error) {
-	if err := g.Validate(); err != nil {
+	_, _, bound, err := bigPass(g, false)
+	if err != nil {
 		return nil, 0, err
 	}
-	entry, _ := g.Entry()
-	rec := g.RecursiveEdges()
-	topo, err := g.TopoOrder(rec)
+	if bound.Sign() > 0 {
+		bound.Sub(bound, big.NewInt(1)) // exclusive bound -> largest ID
+	}
+	return bound, bound.BitLen(), nil
+}
+
+// bigPass runs Algorithm 1 once over the engine's territory rows and site
+// schedule with arbitrary-precision cells, so nothing overflows and no
+// overflow anchor is added; with orphans, the roots of code no anchor
+// reaches start pieces too. It returns the pass's anchor sets, each swept
+// site's addition value by site id (nil for sites the pass never sweeps)
+// and the largest cell, the exclusive bound of the encoding space.
+func bigPass(g *callgraph.Graph, orphans bool) (*restartState, []*big.Int, *big.Int, error) {
+	st, err := newRestartState(g, Options{}, orphans)
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: %w", err)
+		return nil, nil, nil, err
 	}
-	an := map[callgraph.NodeID]bool{entry: true}
-	for e := range rec {
-		an[e.Callee] = true
-	}
-	for _, n := range g.ContextRoots() {
-		an[n] = true
-	}
-	resets := resetAnchors(an, entry, recursiveEntry(rec, entry))
-
-	p := &pass{
-		nanchors: make(map[callgraph.NodeID][]callgraph.NodeID),
-		eanchors: make(map[callgraph.Edge][]callgraph.NodeID),
-	}
-	identifyTerritories(g, rec, an, resets, p)
-
+	eng := newEngine(g, st, Options{})
+	eng.rebuild(0)
 	one := big.NewInt(1)
-	cav := make(map[callgraph.NodeID]map[callgraph.NodeID]*big.Int)
-	icc := make(map[callgraph.NodeID]map[callgraph.NodeID]*big.Int)
-	for n, anchors := range p.nanchors {
-		m := make(map[callgraph.NodeID]*big.Int, len(anchors))
-		for _, r := range anchors {
-			m[r] = big.NewInt(0)
-		}
-		cav[n] = m
-	}
-	maxCAV := big.NewInt(0)
-	processed := make(map[callgraph.Site]bool)
-
-	for _, n := range topo {
-		for _, e := range g.ForwardIn(n, rec) {
-			cs := e.Site()
-			if processed[cs] {
-				continue
-			}
-			processed[cs] = true
-			a := big.NewInt(0)
-			targets := g.SiteTargets(cs)
-			for _, te := range targets {
-				if rec[te] {
-					continue
-				}
-				for _, r := range p.eanchors[te] {
-					if v := cav[te.Callee][r]; v.Cmp(a) > 0 {
-						a = v
-					}
-				}
-			}
-			a = new(big.Int).Set(a)
-			for _, te := range targets {
-				if rec[te] {
-					continue
-				}
-				iccP := icc[te.Caller]
-				for _, r := range p.eanchors[te] {
-					w := iccP[r]
-					if w == nil {
-						w = big.NewInt(0)
-					}
-					v := new(big.Int).Add(w, a)
-					cav[te.Callee][r] = v
-					if v.Cmp(maxCAV) > 0 {
-						maxCAV = v
-					}
+	cav := make([]big.Int, len(eng.rowBuf))
+	av := make([]*big.Int, eng.nb.NumSites())
+	bound := new(big.Int)
+	for _, s := range eng.taskBuf {
+		targets := eng.nb.Targets(s)
+		a := new(big.Int)
+		for _, ei := range targets {
+			for _, ea := range eng.ent[eng.eOff[ei]:eng.eEnd[ei]] {
+				if v := &cav[ea.calleeCell]; v.Cmp(a) > 0 {
+					a.Set(v)
 				}
 			}
 		}
-		if resets[n] {
-			icc[n] = map[callgraph.NodeID]*big.Int{n: one}
-		} else if cavN := cav[n]; len(cavN) > 0 {
-			m := make(map[callgraph.NodeID]*big.Int, len(cavN))
-			for r, v := range cavN {
-				m[r] = v
+		av[s] = a
+		c := eng.nb.Caller[targets[0]]
+		for _, ei := range targets {
+			for _, ea := range eng.ent[eng.eOff[ei]:eng.eEnd[ei]] {
+				w := one // a piece start's reserved width (iccRead)
+				if ea.anchor != c {
+					w = &cav[ea.callerCell]
+				}
+				v := &cav[ea.calleeCell]
+				v.Add(w, a)
+				if v.Cmp(bound) > 0 {
+					bound.Set(v)
+				}
 			}
-			if an[n] {
-				m[n] = one // non-resetting entry: reserved width of 1
-			}
-			icc[n] = m
 		}
 	}
-	maxValue := new(big.Int).Set(maxCAV)
-	if maxValue.Sign() > 0 {
-		maxValue.Sub(maxValue, one) // exclusive bound -> largest ID
-	}
-	return maxValue, maxValue.BitLen(), nil
+	return st, av, bound, nil
 }
 
 // FormatSpace renders a space bound the way Table 1 does: small numbers in

@@ -20,10 +20,14 @@
 // Rule 3 gives the invariant the pass depends on: a site is either entirely
 // clean (no dirty target, so its AV and every value it writes are unchanged
 // from the previous pass) or entirely dirty (recomputed here, reading only
-// CAV cells that are themselves rebuilt or provably unchanged). Territories
-// are likewise recomputed only for anchors whose bounded DFS could have
-// changed: new anchors, plus every anchor whose territory contains a changed
-// edge's caller or a new anchor (anything else sees the identical traversal).
+// CAV cells that are themselves rebuilt or provably unchanged). Only the
+// territories of new anchors, and of anchors whose territory contains a
+// changed edge's caller or a new anchor, can change membership (anything
+// else sees the identical traversal), and only at dirty nodes: a clean
+// node's territory row is its previous row, so its cells carry over as they
+// are. The rows are rebuilt for the whole grown graph by the union rule
+// (engine.go), which is cheap beside the sweep, and Extend checks that
+// every clean node's row came out unchanged.
 //
 // Reused clean values and recomputed dirty values always compose into a
 // sound encoding: clean cells are only ever written by clean sites and dirty
@@ -51,7 +55,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"deltapath/internal/callgraph"
 	"deltapath/internal/encoding"
@@ -86,8 +90,15 @@ type ExtendStats struct {
 // profile-guided and batch-anchor modes are not supported incrementally.
 // prev is never mutated: old-epoch decoders may keep reading it while
 // Extend runs.
+//
+// It runs on Encode's engine: each attempt builds the grown graph's
+// territory rows by the union rule, copies every clean node's CAV cells
+// from its previous row, carries every clean site's addition value over by
+// (caller, label), and sweeps only the dirty sites, in the engine's task
+// order. An overflow promotes the caller and starts the attempt over;
+// Extend restarts are rare.
 func Extend(prev *Result, g *callgraph.Graph, opts Options) (*Result, *ExtendStats, error) {
-	if prev == nil || prev.inc == nil {
+	if prev == nil || prev.terr == nil {
 		return nil, nil, fmt.Errorf("core: Extend needs a Result produced by Encode or Extend in this process (loaded analyses carry no incremental state)")
 	}
 	if len(opts.EdgeProfile) > 0 || opts.BatchAnchors || len(opts.ForceAnchors) > 0 {
@@ -100,6 +111,9 @@ func Extend(prev *Result, g *callgraph.Graph, opts Options) (*Result, *ExtendSta
 		if k != encoding.PieceRecursion {
 			return nil, nil, fmt.Errorf("core: Extend does not support pruned encodings (push kind %v)", k)
 		}
+	}
+	if err := prev.Spec.CheckSiteAV(); err != nil {
+		return nil, nil, fmt.Errorf("core: Extend: %w", err)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, nil, err
@@ -135,14 +149,14 @@ func Extend(prev *Result, g *callgraph.Graph, opts Options) (*Result, *ExtendSta
 	}
 
 	// The graph delta. Adding edges can only merge SCCs, so the old
-	// recursive set is a subset of the new one: edges are newly recursive,
-	// never newly acyclic.
+	// recursive set (prev's push edges) is a subset of the new one: edges
+	// are newly recursive, never newly acyclic.
 	var newEdges, newlyRec []callgraph.Edge
 	for _, n := range g.Nodes() {
 		for _, e := range g.Out(n) {
 			if !oldG.HasEdge(e) {
 				newEdges = append(newEdges, e)
-			} else if rec2[e] && !prev.inc.rec[e] {
+			} else if _, pushed := prev.Spec.Push[e]; rec2[e] && !pushed {
 				newlyRec = append(newlyRec, e)
 			}
 		}
@@ -169,6 +183,7 @@ func Extend(prev *Result, g *callgraph.Graph, opts Options) (*Result, *ExtendSta
 	// (it may have been overflow-promoted) and adds it when the delta made
 	// the entry a recursive target.
 	resets := resetAnchors(an, entry, recTargets[entry] || prev.Spec.Anchors[entry])
+	st := &restartState{maxID: maxID, comp: comp2, rec: rec2, topo: topo, an: an, resets: resets}
 
 	res := &Result{}
 	stats := &ExtendStats{
@@ -178,44 +193,45 @@ func Extend(prev *Result, g *callgraph.Graph, opts Options) (*Result, *ExtendSta
 		TotalNodes:     g.NumNodes(),
 		TotalSites:     g.NumSites(),
 	}
+	eng := newEngine(g, st, opts)
 	for {
-		p, overflowAt, ok := runExtendOnce(prev, g, topo, rec2, an, resets, newEdges, newlyRec, maxID, stats)
-		if ok {
-			res.finish(g, rec2, an, resets, p)
+		overflowAt, err := eng.extendOnce(prev, st, newEdges, newlyRec, stats)
+		if err != nil {
+			return nil, nil, err
+		}
+		if overflowAt < 0 {
+			res.finish(g, st, eng)
 			stats.TotalAnchors = len(an)
 			return res, stats, nil
 		}
-		if resets[overflowAt] {
-			return nil, nil, fmt.Errorf("%w: overflow at anchor %s with limit %d",
-				errWidthTooSmall, g.Name(overflowAt), maxID)
+		added := len(res.OverflowAnchors)
+		if err := st.promote(g, res, []callgraph.NodeID{overflowAt}); err != nil {
+			return nil, nil, err
 		}
-		an[overflowAt] = true
-		resets[overflowAt] = true
-		res.OverflowAnchors = append(res.OverflowAnchors, overflowAt)
-		res.Restarts++
+		eng.promote(res.OverflowAnchors[added:])
 		stats.Restarts++
 	}
 }
 
-// runExtendOnce is one attempt of the incremental pass over the current
-// anchor set. On overflow it returns the caller to promote and ok=false,
-// exactly like runOnce — and, because clean sites cannot overflow, the
-// promoted caller is the one a full pass would promote.
-func runExtendOnce(prev *Result, g *callgraph.Graph, topo []callgraph.NodeID,
-	rec2 map[callgraph.Edge]bool, an, resets map[callgraph.NodeID]bool,
-	newEdges, newlyRec []callgraph.Edge, maxID uint64,
-	stats *ExtendStats) (*pass, callgraph.NodeID, bool) {
+// extendOnce is one attempt of the incremental pass over the current
+// anchor set. It returns the caller to promote on overflow and -1 on
+// success — and, because clean sites cannot overflow, the promoted caller
+// is the one a full pass would promote.
+func (eng *engine) extendOnce(prev *Result, st *restartState,
+	newEdges, newlyRec []callgraph.Edge, stats *ExtendStats) (callgraph.NodeID, error) {
 
-	prevPS := prev.PieceStarts
-	prevResets := prev.Spec.Anchors
+	nb := eng.nb
+	nn := len(eng.topo)
+	oldN := prev.Spec.Graph.NumNodes()
+	prevPS, prevResets := prev.PieceStarts, prev.Spec.Anchors
 
-	// Anchors whose territory must be re-walked: every new anchor, plus
-	// every old anchor whose territory contains a changed edge's caller or
-	// a new anchor (its bounded DFS sees a different graph or retreats at a
-	// new boundary). New nodes are reachable only through new edges whose
+	// Anchors whose territory changed: every new anchor, plus every old
+	// anchor whose territory contains a changed edge's caller or a new
+	// anchor (its bounded DFS sees a different graph or retreats at a new
+	// boundary). New nodes are reachable only through new edges whose
 	// callers are covered here, so chains into new code are included.
 	var newAnchors []callgraph.NodeID
-	for n := range an {
+	for n := range st.an {
 		if !prevPS[n] {
 			newAnchors = append(newAnchors, n)
 		}
@@ -224,12 +240,12 @@ func runExtendOnce(prev *Result, g *callgraph.Graph, topo []callgraph.NodeID,
 	// a recursive target): territories that ran through it now retreat at
 	// it and its ICC collapses to {entry: 1}, so it behaves exactly like a
 	// new anchor for both territory recomputation and dirtiness.
-	for n := range resets {
+	for n := range st.resets {
 		if !prevResets[n] && prevPS[n] {
 			newAnchors = append(newAnchors, n)
 		}
 	}
-	inR := make(map[callgraph.NodeID]bool, len(newAnchors))
+	inR := make([]bool, nn)
 	touched := append([]callgraph.NodeID(nil), newAnchors...)
 	for _, e := range newEdges {
 		touched = append(touched, e.Caller)
@@ -241,90 +257,66 @@ func runExtendOnce(prev *Result, g *callgraph.Graph, topo []callgraph.NodeID,
 		inR[v] = true
 	}
 	for _, x := range touched {
-		for _, r := range prev.NAnchors[x] {
-			inR[r] = true
+		if int(x) < oldN {
+			rows, _ := prev.terr.row(x)
+			for _, r := range rows {
+				inR[r] = true
+			}
 		}
 	}
-	recompute := make([]callgraph.NodeID, 0, len(inR))
-	for r := range inR {
-		recompute = append(recompute, r)
-	}
-	sort.Slice(recompute, func(i, j int) bool { return recompute[i] < recompute[j] })
-	stats.RecomputedAnchors = len(recompute)
+	stats.RecomputedAnchors = count(inR)
 
-	p := &pass{
-		nanchors: make(map[callgraph.NodeID][]callgraph.NodeID, len(prev.NAnchors)),
-		eanchors: make(map[callgraph.Edge][]callgraph.NodeID, len(prev.inc.eanchors)),
-		cav:      make(map[callgraph.NodeID]map[callgraph.NodeID]uint64, len(prev.inc.cav)),
-		icc:      make(map[callgraph.NodeID]map[callgraph.NodeID]uint64, len(prev.ICC)),
-		av:       make(map[callgraph.Site]uint64, len(prev.Spec.SiteAV)),
-		dead:     make(map[callgraph.NodeID]map[callgraph.NodeID]bool),
-		seenOver: make(map[callgraph.NodeID]bool),
-	}
-	// Territory reuse: keep every membership owed to an anchor outside the
-	// recompute set (its DFS is provably identical), then re-walk the
-	// recompute set. List order ends up differing from a full pass's
-	// sorted-anchor interleave, but nothing downstream depends on it: AV is
-	// a max, CAV/ICC cells are keyed writes, and a site's overflow always
-	// promotes that site's one caller.
-	for n, list := range prev.NAnchors {
-		keep := filterAnchors(list, inR)
-		if len(keep) > 0 {
-			p.nanchors[n] = keep
-		}
-	}
-	for e, list := range prev.inc.eanchors {
-		keep := filterAnchors(list, inR)
-		if len(keep) > 0 {
-			p.eanchors[e] = keep
-		}
-	}
-	for _, r := range recompute {
-		territoryDFS(g, rec2, resets, p, r)
-	}
+	// Rows for the grown graph by the union rule; every cell starts at 0.
+	eng.rebuild(0)
 
 	// Dirty closure (rules 1–3 above). Seeds: new nodes, the sites and
 	// non-recursive targets of new edges, the sites of newly recursive
 	// edges (their AV loses a contributor), and new anchors (their ICC
 	// flips to {self: 1}).
-	dirty := make(map[callgraph.NodeID]bool)
-	dirtySite := make(map[callgraph.Site]bool)
-	var queue []callgraph.NodeID
-	addNode := func(n callgraph.NodeID) {
+	siteOf := make([]int32, nb.NumEdges())
+	for k := int32(0); int(k) < nb.NumSites(); k++ {
+		for _, ei := range nb.Targets(k) {
+			siteOf[ei] = k
+		}
+	}
+	dirty := make([]bool, nn)
+	dirtySite := make([]bool, nb.NumSites())
+	var queue []int32
+	addNode := func(n int32) {
 		if !dirty[n] {
 			dirty[n] = true
 			queue = append(queue, n)
 		}
 	}
-	markSite := func(s callgraph.Site) {
-		if dirtySite[s] {
+	markSite := func(k int32) {
+		if dirtySite[k] {
 			return
 		}
-		dirtySite[s] = true
-		for _, e := range g.SiteTargets(s) {
-			if !rec2[e] {
-				addNode(e.Callee)
+		dirtySite[k] = true
+		for _, ei := range nb.Targets(k) {
+			if st.comp[nb.Caller[ei]] != st.comp[nb.Callee[ei]] {
+				addNode(nb.Callee[ei])
 			}
 		}
 	}
-	for n := oldGNumNodes(prev); n < g.NumNodes(); n++ {
-		addNode(callgraph.NodeID(n))
+	for n := oldN; n < nn; n++ {
+		addNode(int32(n))
 	}
 	for _, e := range newEdges {
-		if !rec2[e] {
-			markSite(e.Site())
-			addNode(e.Callee)
+		if !st.rec[e] {
+			markSite(siteOf[nb.EdgeIndex(e)])
+			addNode(int32(e.Callee))
 		}
 	}
 	for _, e := range newlyRec {
 		// The site's AV loses this edge as a contributor, and the callee —
 		// now a recursion anchor — may drop out of territories whose DFS
 		// previously ran through the edge, so its CAV cells must be rebuilt.
-		markSite(e.Site())
-		addNode(e.Callee)
+		markSite(siteOf[nb.EdgeIndex(e)])
+		addNode(int32(e.Callee))
 	}
 	for _, v := range newAnchors {
-		addNode(v)
+		addNode(int32(v))
 	}
 	for len(queue) > 0 {
 		n := queue[len(queue)-1]
@@ -332,151 +324,92 @@ func runExtendOnce(prev *Result, g *callgraph.Graph, topo []callgraph.NodeID,
 		// Old resetting anchors stop rule 1: their ICC is the constant
 		// {self: 1}. A flow-through entry's ICC is not constant, so it
 		// propagates like any interior node.
-		if !prevResets[n] {
-			for _, e := range g.Out(n) {
-				if !rec2[e] {
-					addNode(e.Callee)
+		if !prevResets[callgraph.NodeID(n)] {
+			for ei := nb.OutStart[n]; ei < nb.OutStart[n+1]; ei++ {
+				if st.comp[n] != st.comp[nb.Callee[ei]] {
+					addNode(nb.Callee[ei])
 				}
 			}
 		}
-		for _, e := range g.In(n) {
-			if !rec2[e] {
-				markSite(e.Site())
-			}
+		i := eng.pos[n]
+		for _, ei := range eng.inBuf[eng.inOff[i]:eng.inOff[i+1]] {
+			markSite(siteOf[ei])
 		}
 	}
-	stats.DirtyNodes = len(dirty)
-	stats.DirtySites = len(dirtySite)
+	stats.DirtyNodes = count(dirty)
+	stats.DirtySites = count(dirtySite)
 
 	// Export the territories whose proof obligations this delta invalidates:
 	// every re-walked territory (membership may differ) plus every territory
 	// containing a dirty node or a dirty site's caller — their interval
 	// checks re-derive from changed AV/ICC values even when membership is
-	// untouched. p.nanchors is complete for the new graph at this point, so
-	// the lookups see post-delta territories.
-	dirtyTerr := make(map[callgraph.NodeID]bool, len(inR))
-	for r := range inR {
-		dirtyTerr[r] = true
-	}
-	for n := range dirty {
-		for _, r := range p.nanchors[n] {
-			dirtyTerr[r] = true
+	// untouched. The rows are the grown graph's.
+	dirtyTerr := slices.Clone(inR)
+	for n, d := range dirty {
+		if d {
+			for _, r := range eng.row(int32(n)) {
+				dirtyTerr[r] = true
+			}
 		}
 	}
-	for s := range dirtySite {
-		for _, r := range p.nanchors[s.Caller] {
-			dirtyTerr[r] = true
+	for k, d := range dirtySite {
+		if d {
+			for _, r := range eng.row(nb.Caller[nb.Targets(int32(k))[0]]) {
+				dirtyTerr[r] = true
+			}
 		}
 	}
-	list := make([]callgraph.NodeID, 0, len(dirtyTerr))
-	for r := range dirtyTerr {
-		list = append(list, r)
+	list := make([]callgraph.NodeID, 0, count(dirtyTerr))
+	for r, d := range dirtyTerr {
+		if d {
+			list = append(list, callgraph.NodeID(r))
+		}
 	}
-	sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
 	stats.DirtyTerritoryList = list
 	stats.DirtyTerritories = len(list)
 
-	// Copy-on-write state: clean nodes share their final CAV/ICC maps with
-	// prev (never written again); dirty nodes get fresh zeroed cells.
-	for n, m := range prev.inc.cav {
-		p.cav[n] = m
-	}
-	for n, m := range prev.ICC {
-		p.icc[n] = m
-	}
-	for n := range dirty {
-		anchors := p.nanchors[n]
-		m := make(map[callgraph.NodeID]uint64, len(anchors))
-		for _, r := range anchors {
-			m[r] = 0
-		}
-		p.cav[n] = m
-	}
-	for s, v := range prev.Spec.SiteAV {
-		p.av[s] = v
-	}
-	// A site whose last non-recursive target turned recursive no longer
-	// has an addition value at all (a full pass never visits it).
-	for _, e := range newlyRec {
-		s := e.Site()
-		live := false
-		for _, t := range g.SiteTargets(s) {
-			if !rec2[t] {
-				live = true
-				break
-			}
-		}
-		if !live {
-			delete(p.av, s)
-		}
-	}
-
-	// The pass itself: the full topological sweep restricted to dirty
-	// nodes. Dirty sites surface only in dirty nodes' forward in-edges
-	// (every target of a dirty site is dirty), and the earliest-target
-	// dedup visits them in exactly the order a full pass would.
-	processed := make(map[callgraph.Site]bool)
-	for _, n := range topo {
-		if !dirty[n] {
+	// A clean node keeps its final cells: rule 1 leaves its territory row
+	// as it was, so its cells line up one for one with the previous row.
+	for n := 0; n < oldN; n++ {
+		if dirty[n] {
 			continue
 		}
-		for _, e := range g.ForwardIn(n, rec2) {
-			cs := e.Site()
-			if processed[cs] {
-				continue
-			}
-			processed[cs] = true
-			if !dirtySite[cs] {
-				continue
-			}
-			a, overflow := calculateIncrement(g, rec2, cs, p, maxID)
-			if overflow {
-				return nil, cs.Caller, false
-			}
-			p.av[cs] = a
+		rows, cav := prev.terr.row(callgraph.NodeID(n))
+		if !slices.Equal(rows, eng.row(int32(n))) {
+			return 0, fmt.Errorf("core: Extend: clean node %s changed territories (%v -> %v)",
+				prev.Spec.Graph.Name(callgraph.NodeID(n)), rows, eng.row(int32(n)))
 		}
-		if resets[n] {
-			p.icc[n] = map[callgraph.NodeID]uint64{n: 1}
-		} else if cavN := p.cav[n]; len(cavN) > 0 {
-			m := make(map[callgraph.NodeID]uint64, len(cavN))
-			for r, v := range cavN {
-				m[r] = v
-			}
-			if an[n] {
-				m[n] = 1 // non-resetting entry: reserved width of 1
-			}
-			p.icc[n] = m
-		} else {
-			delete(p.icc, n)
-		}
+		copy(eng.cav[eng.rowOff[eng.pos[n]]:], cav)
 	}
 
-	// Final CAV cells are the maxima of their write sequences (each write
-	// strictly increases a cell), so the global maximum over final cells
-	// equals the running maximum a full pass tracks.
-	for _, m := range p.cav {
-		for _, v := range m {
-			if v > p.maxCAV {
-				p.maxCAV = v
-			}
+	// The pass itself: the full sweep's task order restricted to dirty
+	// sites. A clean site keeps its addition value, found by (caller,
+	// label) in the previous numbering; it writes only clean cells, which
+	// already hold their final values. A site that is in no task (every
+	// target recursive) has no addition value.
+	prevNb := prev.Spec.Graph.Numbering()
+	clear(eng.av)
+	for seq, s := range eng.taskBuf {
+		if !dirtySite[s] {
+			eng.av[s] = prev.Spec.SiteAV[prevNb.SiteIndex(nb.Site(s))]
+			continue
+		}
+		a := eng.increment(s)
+		eng.av[s] = a
+		if c, ok := eng.write(s, int32(seq), a, 0); !ok {
+			return callgraph.NodeID(c), nil
 		}
 	}
-	return p, 0, true
+	return -1, nil
 }
 
-func oldGNumNodes(prev *Result) int { return prev.Spec.Graph.NumNodes() }
-
-// filterAnchors returns list minus the members of drop, as a fresh slice
-// (prev's slices are shared with a live epoch and must never be appended to).
-func filterAnchors(list []callgraph.NodeID, drop map[callgraph.NodeID]bool) []callgraph.NodeID {
-	keep := make([]callgraph.NodeID, 0, len(list))
-	for _, r := range list {
-		if !drop[r] {
-			keep = append(keep, r)
+// count reports how many of b are set.
+func count(b []bool) int {
+	n := 0
+	for _, v := range b {
+		if v {
+			n++
 		}
 	}
-	if len(keep) == 0 {
-		return nil
-	}
-	return keep
+	return n
 }

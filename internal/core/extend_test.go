@@ -3,12 +3,18 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"deltapath/internal/callgraph"
+	"deltapath/internal/cha"
 	"deltapath/internal/encoding"
+	"deltapath/internal/lang"
 	"deltapath/internal/verify"
 )
 
@@ -71,31 +77,9 @@ func oracleFor(t *testing.T, g *callgraph.Graph, prev *Result, maxID uint64) *Re
 	return res
 }
 
-func sortedAnchorLists(m map[callgraph.NodeID][]callgraph.NodeID) map[callgraph.NodeID][]callgraph.NodeID {
-	out := make(map[callgraph.NodeID][]callgraph.NodeID, len(m))
-	for n, list := range m {
-		c := append([]callgraph.NodeID(nil), list...)
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-		out[n] = c
-	}
-	return out
-}
-
-func sortedEdgeAnchorLists(m map[callgraph.Edge][]callgraph.NodeID) map[callgraph.Edge][]callgraph.NodeID {
-	out := make(map[callgraph.Edge][]callgraph.NodeID, len(m))
-	for e, list := range m {
-		c := append([]callgraph.NodeID(nil), list...)
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-		out[e] = c
-	}
-	return out
-}
-
 // checkSameEncoding asserts got (an Extend result) equals want (the oracle)
-// on every externally meaningful quantity and on the retained internal
-// state, so chained Extends stay exact too. Territory list order is the one
-// quantity allowed to differ (documented in extend.go); it is compared as
-// sets.
+// on every externally meaningful quantity and on the territory rows and
+// cells an Extend keeps, so chained Extends stay exact too.
 func checkSameEncoding(t *testing.T, got, want *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Spec.SiteAV, want.Spec.SiteAV) {
@@ -107,8 +91,8 @@ func checkSameEncoding(t *testing.T, got, want *Result) {
 	if !reflect.DeepEqual(got.Spec.Push, want.Spec.Push) {
 		t.Errorf("Push mismatch:\n got %v\nwant %v", got.Spec.Push, want.Spec.Push)
 	}
-	if !reflect.DeepEqual(got.ICC, want.ICC) {
-		t.Errorf("ICC mismatch:\n got %v\nwant %v", got.ICC, want.ICC)
+	if g, w := iccMap(got), iccMap(want); !reflect.DeepEqual(g, w) {
+		t.Errorf("ICC mismatch:\n got %v\nwant %v", g, w)
 	}
 	if !reflect.DeepEqual(got.PieceStarts, want.PieceStarts) {
 		t.Errorf("PieceStarts mismatch:\n got %v\nwant %v", got.PieceStarts, want.PieceStarts)
@@ -122,18 +106,48 @@ func checkSameEncoding(t *testing.T, got, want *Result) {
 	if got.Restarts != want.Restarts {
 		t.Errorf("Restarts mismatch: got %d want %d", got.Restarts, want.Restarts)
 	}
-	if !reflect.DeepEqual(sortedAnchorLists(got.NAnchors), sortedAnchorLists(want.NAnchors)) {
-		t.Errorf("NAnchors mismatch:\n got %v\nwant %v", got.NAnchors, want.NAnchors)
+	gotRows, gotCAV := rowMaps(got)
+	wantRows, wantCAV := rowMaps(want)
+	if !reflect.DeepEqual(gotRows, wantRows) {
+		t.Errorf("NAnchors mismatch:\n got %v\nwant %v", gotRows, wantRows)
 	}
-	if !reflect.DeepEqual(got.inc.cav, want.inc.cav) {
-		t.Errorf("retained CAV mismatch:\n got %v\nwant %v", got.inc.cav, want.inc.cav)
+	if !reflect.DeepEqual(gotCAV, wantCAV) {
+		t.Errorf("retained CAV mismatch:\n got %v\nwant %v", gotCAV, wantCAV)
 	}
-	if !reflect.DeepEqual(sortedEdgeAnchorLists(got.inc.eanchors), sortedEdgeAnchorLists(want.inc.eanchors)) {
-		t.Errorf("retained eanchors mismatch:\n got %v\nwant %v", got.inc.eanchors, want.inc.eanchors)
+}
+
+// extendChecked runs Extend and asserts what every Extend must hold: the
+// outcome, error and statistics of the map Extend (extendOracle), and a
+// previous row and previous cells for every old node the map Extend left
+// clean.
+func extendChecked(t *testing.T, prev *Result, g *callgraph.Graph, opts Options) (*Result, *ExtendStats, error) {
+	t.Helper()
+	got, stats, err := Extend(prev, g, opts)
+	ref, refStats, refErr := extendOracle(prev, g, opts)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("Extend error %v, map Extend error %v", err, refErr)
 	}
-	if !reflect.DeepEqual(got.inc.rec, want.inc.rec) {
-		t.Errorf("retained rec mismatch:\n got %v\nwant %v", got.inc.rec, want.inc.rec)
+	if err != nil {
+		if err.Error() != refErr.Error() {
+			t.Fatalf("error text diverged: %q vs map Extend %q", err, refErr)
+		}
+		return nil, nil, err
 	}
+	assertIdentical(t, g, ref, got)
+	if !reflect.DeepEqual(stats, refStats) {
+		t.Errorf("ExtendStats diverged:\n got %+v\nwant %+v", stats, refStats)
+	}
+	for n := 0; n < prev.Spec.Graph.NumNodes(); n++ {
+		if ref.dirty[callgraph.NodeID(n)] {
+			continue
+		}
+		oldRows, oldCAV := prev.terr.row(callgraph.NodeID(n))
+		rows, cav := got.terr.row(callgraph.NodeID(n))
+		if !slices.Equal(oldRows, rows) || !slices.Equal(oldCAV, cav) {
+			t.Errorf("clean node %d: row %v cells %v, previously %v %v", n, rows, cav, oldRows, oldCAV)
+		}
+	}
+	return got, stats, nil
 }
 
 // TestExtendHandcrafted covers the delta shapes with distinct dirty-closure
@@ -159,7 +173,7 @@ func TestExtendHandcrafted(t *testing.T) {
 		g2.AddEdge(main, 1, c) // same site, new dispatch target
 		g2.AddEdge(c, 0, sink)
 
-		got, stats, err := Extend(prev, g2, Options{})
+		got, stats, err := extendChecked(t, prev, g2, Options{})
 		if err != nil {
 			t.Fatalf("Extend: %v", err)
 		}
@@ -190,7 +204,7 @@ func TestExtendHandcrafted(t *testing.T) {
 		g2 := g.Clone()
 		g2.AddEdge(c, 0, a) // closes a->b->c->a: all three edges turn recursive
 
-		got, _, err := Extend(prev, g2, Options{})
+		got, _, err := extendChecked(t, prev, g2, Options{})
 		if err != nil {
 			t.Fatalf("Extend: %v", err)
 		}
@@ -209,14 +223,14 @@ func TestExtendHandcrafted(t *testing.T) {
 		g.AddEdge(main, 0, a)
 		g.AddEdge(a, 0, b) // monomorphic site; will turn recursive
 		prev := mustEncode(t, g, Options{})
-		if _, ok := prev.Spec.SiteAV[callgraph.Site{Caller: a, Label: 0}]; !ok {
+		if _, ok := siteAVMap(prev.Spec)[callgraph.Site{Caller: a, Label: 0}]; !ok {
 			t.Fatalf("precondition: site a@0 should have an AV before the cycle forms")
 		}
 
 		g2 := g.Clone()
 		g2.AddEdge(b, 0, a) // a<->b cycle: both edges recursive
 
-		got, _, err := Extend(prev, g2, Options{})
+		got, _, err := extendChecked(t, prev, g2, Options{})
 		if err != nil {
 			t.Fatalf("Extend: %v", err)
 		}
@@ -224,7 +238,7 @@ func TestExtendHandcrafted(t *testing.T) {
 			t.Fatal("test premise broken: delta reorders old nodes")
 		}
 		checkSameEncoding(t, got, oracleFor(t, g2, prev, 0))
-		if _, ok := got.Spec.SiteAV[callgraph.Site{Caller: a, Label: 0}]; ok {
+		if _, ok := siteAVMap(got.Spec)[callgraph.Site{Caller: a, Label: 0}]; ok {
 			t.Errorf("site a@0 kept a stale AV after its only edge turned recursive")
 		}
 	})
@@ -244,7 +258,7 @@ func TestExtendHandcrafted(t *testing.T) {
 		g2.AddEdge(x, 0, y)
 		g2.AddEdge(x, 1, y) // second site into y: ICC(y) = 2 through x
 
-		got, _, err := Extend(prev, g2, Options{})
+		got, _, err := extendChecked(t, prev, g2, Options{})
 		if err != nil {
 			t.Fatalf("Extend: %v", err)
 		}
@@ -298,7 +312,7 @@ func TestExtendOverflowPromotion(t *testing.T) {
 		prevL = join
 	}
 
-	got, stats, err := Extend(prev, g2, Options{MaxID: maxID})
+	got, stats, err := extendChecked(t, prev, g2, Options{MaxID: maxID})
 	if err != nil {
 		t.Fatalf("Extend: %v", err)
 	}
@@ -390,7 +404,7 @@ func TestExtendRandomDifferential(t *testing.T) {
 			if err != nil {
 				t.Skipf("base graph does not fit maxID=%d: %v", maxID, err)
 			}
-			got, _, err := Extend(prev, grown, Options{MaxID: maxID})
+			got, _, err := extendChecked(t, prev, grown, Options{MaxID: maxID})
 			oracleErr := func() error {
 				_, e := Encode(grown, Options{MaxID: maxID})
 				return e
@@ -416,7 +430,7 @@ func TestExtendRandomDifferential(t *testing.T) {
 			extra := g3.AddNode("chain0", false)
 			pool := append([]callgraph.NodeID(nil), g3.Nodes()...)
 			addRandomEdges(rng, g3, pool, []callgraph.NodeID{extra}, 1+rng.Intn(6))
-			got2, _, err := Extend(got, g3, Options{MaxID: maxID})
+			got2, _, err := extendChecked(t, got, g3, Options{MaxID: maxID})
 			stable2 := stable && orderStable(t, grown, g3)
 			if err != nil {
 				if stable2 {
@@ -475,8 +489,129 @@ func TestExtendRejects(t *testing.T) {
 	prunedSpec := &encoding.Spec{Graph: g, Push: map[callgraph.Edge]encoding.PieceKind{
 		{Caller: main, Callee: a}: encoding.PiecePruned,
 	}}
-	pruned := &Result{Spec: prunedSpec, inc: prev.inc, PieceStarts: prev.PieceStarts}
+	pruned := &Result{Spec: prunedSpec, terr: prev.terr, PieceStarts: prev.PieceStarts}
 	if _, _, err := Extend(pruned, g2, Options{}); err == nil {
 		t.Errorf("pruned encoding accepted")
+	}
+}
+
+// extendStaged is the dpbench extend experiment's staged program
+// (internal/eval): three dynamic classes, one a subclass of another, one
+// making an old site recursive once absorbed.
+const extendStaged = `
+entry P.main
+class P {
+  method main {
+    call P.warm
+    load X
+    loop 2 { vcall Q.op }
+    load Y
+    loop 2 { vcall Q.op }
+    load Z
+    loop 3 { vcall Q.op }
+    call P.tail
+    emit fin
+  }
+  method warm { vcall Q.op; emit warm }
+  method tail { vcall Q.op }
+}
+class Q { method op { call S.leaf; emit qop } }
+class S { method leaf { emit leaf } }
+dynamic class X extends Q { method op { call S.leaf; emit xop } }
+dynamic class Y extends X { method op { emit yop } }
+dynamic class Z extends Q { method op { call P.tail; emit zop } }
+`
+
+// TestExtendStatsExtendCorpus absorbs, one epoch per class in declaration
+// order, the dynamic classes of the dpbench extend experiment's programs
+// (the staged program, dynload and examples/plugins.mv) and of the other
+// corpus programs that have any, under both encoding settings. Every step
+// must match the map Extend, ExtendStats included (DirtyNodes, DirtySites,
+// RecomputedAnchors and DirtyTerritoryList among them).
+func TestExtendStatsExtendCorpus(t *testing.T) {
+	sources := map[string]string{"staged": extendStaged}
+	paths, _ := filepath.Glob(filepath.Join("..", "..", "testdata", "*.mv"))
+	examples, _ := filepath.Glob(filepath.Join("..", "..", "examples", "*.mv"))
+	for _, p := range append(paths, examples...) {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources[filepath.Base(p)] = string(src)
+	}
+	steps := 0
+	for name, src := range sources {
+		prog, err := lang.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, setting := range []cha.Setting{cha.EncodingAll, cha.EncodingApplication} {
+			opts := cha.Options{Setting: setting, KeepUnreachable: true}
+			build, err := cha.Build(prog, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			res := mustEncode(t, build.Graph, Options{})
+			var absorbed []string
+			for _, c := range prog.Dynamic {
+				absorbed = append(absorbed, c.Name)
+				if build, err = cha.Extend(build, prog, absorbed, opts); err != nil {
+					t.Fatalf("%s: cha.Extend(%v): %v", name, absorbed, err)
+				}
+				next, stats, err := extendChecked(t, res, build.Graph, Options{})
+				if err != nil {
+					t.Fatalf("%s: Extend(%v): %v", name, absorbed, err)
+				}
+				t.Logf("%s/%v +%s: %d/%d dirty nodes, %d/%d dirty sites, %d recomputed anchors, territories %v",
+					name, setting, c.Name, stats.DirtyNodes, stats.TotalNodes, stats.DirtySites, stats.TotalSites,
+					stats.RecomputedAnchors, stats.DirtyTerritoryList)
+				res = next
+				steps++
+			}
+		}
+	}
+	if steps < 10 {
+		t.Fatalf("only %d absorption steps; the corpus lost its dynamic classes", steps)
+	}
+}
+
+// TestExtendChecksCleanRows: Extend copies a clean node's cells from its
+// previous row only when the grown graph gives it the same row; a previous
+// row that disagrees fails the Extend with an error naming the node, and a
+// previous spec whose SiteAV has the wrong length is refused before
+// anything reads it.
+func TestExtendChecksCleanRows(t *testing.T) {
+	g := callgraph.New()
+	main := g.AddNode("main", false)
+	a := g.AddNode("a", false)
+	b := g.AddNode("b", false)
+	c := g.AddNode("c", false)
+	g.SetEntry(main)
+	g.AddEdge(main, 0, a)
+	g.AddEdge(a, 0, b)
+	g.AddEdge(main, 1, c)
+	prev := mustEncode(t, g, Options{})
+	g2 := g.Clone()
+	x := g2.AddNode("x", false)
+	g2.AddEdge(c, 0, x)
+	if _, stats, err := extendChecked(t, prev, g2, Options{}); err != nil || stats.DirtyNodes != 1 {
+		t.Fatalf("Extend = %v, stats %+v: only x should be dirty", err, stats)
+	}
+
+	tampered := *prev
+	terr := *prev.terr
+	terr.rows = slices.Clone(terr.rows)
+	terr.rows[terr.rowOff[terr.pos[b]]] = int32(c)
+	tampered.terr = &terr
+	if _, _, err := Extend(&tampered, g2, Options{}); err == nil || !strings.Contains(err.Error(), "clean node b changed territories") {
+		t.Fatalf("Extend over a changed clean row = %v", err)
+	}
+
+	short := *prev
+	spec := *prev.Spec
+	spec.SiteAV = spec.SiteAV[:len(spec.SiteAV)-1]
+	short.Spec = &spec
+	if _, _, err := Extend(&short, g2, Options{}); err == nil || !strings.Contains(err.Error(), "SiteAV has 2 entries for 3 call sites") {
+		t.Fatalf("Extend over a short SiteAV = %v", err)
 	}
 }

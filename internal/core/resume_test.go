@@ -27,13 +27,7 @@ func parallelSites(g *callgraph.Graph, caller, callee callgraph.NodeID, k int, l
 }
 
 // cellCount is the number of (node, anchor) territory cells of a result.
-func cellCount(res *Result) int {
-	n := 0
-	for _, anchors := range res.NAnchors {
-		n += len(anchors)
-	}
-	return n
-}
+func cellCount(res *Result) int { return len(res.terr.cav) }
 
 // TestResumeManyRestarts: random layered graphs at widths small enough to
 // restart many times, in both restart policies. Every pass after the first
@@ -57,7 +51,7 @@ func TestResumeManyRestarts(t *testing.T) {
 					}
 					most = max(most, res.Restarts)
 					scheduled := res.Stats.SweptSites
-					if full := (res.Restarts + 1) * len(res.Spec.SiteAV); scheduled >= full {
+					if full := (res.Restarts + 1) * len(siteAVMap(res.Spec)); scheduled >= full {
 						t.Errorf("%d restarts swept %d sites, no fewer than %d full passes would",
 							res.Restarts, scheduled, full)
 					}

@@ -27,9 +27,11 @@ import (
 type Plan struct {
 	// SID maps each node to its set identifier. SIDs are dense, 0-based.
 	SID []int32
-	// Expected maps each call site to the SID every one of its static
-	// dispatch targets carries.
-	Expected map[callgraph.Site]int32
+	// Expected holds, by the site ids of the graph's numbering
+	// (callgraph.Numbering), the SID every one of the site's static
+	// dispatch targets carries; -1 marks a site with no expectation. It has
+	// one entry per call site.
+	Expected []int32
 	// NumSets is the number of distinct SIDs.
 	NumSets int
 }
@@ -47,7 +49,7 @@ func Compute(g *callgraph.Graph) *Plan {
 	}
 	plan := &Plan{
 		SID:      make([]int32, n),
-		Expected: make(map[callgraph.Site]int32, nb.NumSites()),
+		Expected: make([]int32, nb.NumSites()),
 	}
 	// Densify set identifiers in node order for determinism: a root's SID
 	// is assigned when the first node of its set is met.
@@ -66,7 +68,7 @@ func Compute(g *callgraph.Graph) *Plan {
 	}
 	plan.NumSets = int(next)
 	for k := int32(0); int(k) < nb.NumSites(); k++ {
-		plan.Expected[nb.Site(k)] = plan.SID[nb.Callee[nb.Targets(k)[0]]]
+		plan.Expected[k] = plan.SID[nb.Callee[nb.Targets(k)[0]]]
 	}
 	return plan
 }
@@ -74,9 +76,12 @@ func Compute(g *callgraph.Graph) *Plan {
 // SharedSID reports whether every target of the site has the same SID —
 // an internal invariant, exported for tests and validation.
 func (p *Plan) SharedSID(g *callgraph.Graph, s callgraph.Site) bool {
-	targets := g.SiteTargets(s)
-	for _, e := range targets {
-		if p.SID[e.Callee] != p.Expected[s] {
+	k := g.Numbering().SiteIndex(s)
+	if k < 0 || int(k) >= len(p.Expected) {
+		return false
+	}
+	for _, e := range g.SiteTargets(s) {
+		if p.SID[e.Callee] != p.Expected[k] {
 			return false
 		}
 	}

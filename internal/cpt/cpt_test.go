@@ -37,7 +37,7 @@ func TestFigure6SIDs(t *testing.T) {
 	// The hazard check of Figure 6: B's expectation is D's SID; E's SID
 	// differs, so reaching E through X is detected as hazardous, while
 	// reaching D through X is benign.
-	siteB := callgraph.Site{Caller: ids["B"], Label: 0}
+	siteB := g.Numbering().SiteIndex(callgraph.Site{Caller: ids["B"], Label: 0})
 	if plan.Expected[siteB] != plan.SID[ids["D"]] {
 		t.Fatal("expected SID at B's site is not D's SID")
 	}

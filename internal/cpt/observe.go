@@ -8,5 +8,11 @@ import "deltapath/internal/obs"
 // enable time suffices.
 func (p *Plan) Observe(reg *obs.Registry) {
 	reg.Gauge(obs.MetricCPTSets).Set(uint64(p.NumSets))
-	reg.Gauge(obs.MetricCPTSites).Set(uint64(len(p.Expected)))
+	sites := 0
+	for _, sid := range p.Expected {
+		if sid >= 0 {
+			sites++
+		}
+	}
+	reg.Gauge(obs.MetricCPTSites).Set(uint64(sites))
 }

@@ -30,10 +30,10 @@ func anchoredSpec() (*Spec, map[string]callgraph.NodeID) {
 	rec := g.AddEdge(ids["d"], 0, ids["d"])
 	spec := &Spec{
 		Graph: g,
-		SiteAV: map[callgraph.Site]uint64{
+		SiteAV: siteAVs(g, map[callgraph.Site]uint64{
 			{Caller: ids["a"], Label: 1}: 1,
 			{Caller: ids["c"], Label: 0}: 0,
-		},
+		}),
 		Push:    map[callgraph.Edge]PieceKind{rec: PieceRecursion},
 		Anchors: map[callgraph.NodeID]bool{ids["b"]: true, ids["d"]: true},
 	}
@@ -225,7 +225,7 @@ func chainSpec() (*Spec, []callgraph.NodeID) {
 	}
 	spec := &Spec{
 		Graph:   g,
-		SiteAV:  siteAV,
+		SiteAV:  siteAVs(g, siteAV),
 		Anchors: map[callgraph.NodeID]bool{nodes[3]: true, nodes[7]: true},
 	}
 	return spec, nodes

@@ -22,10 +22,10 @@ func diamondSpec() (*Spec, map[string]callgraph.NodeID) {
 	g.AddEdge(ids["c"], 0, ids["d"])
 	spec := &Spec{
 		Graph: g,
-		SiteAV: map[callgraph.Site]uint64{
+		SiteAV: siteAVs(g, map[callgraph.Site]uint64{
 			{Caller: ids["b"], Label: 0}: 0,
 			{Caller: ids["c"], Label: 0}: 1,
-		},
+		}),
 	}
 	return spec, ids
 }

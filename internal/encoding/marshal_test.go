@@ -124,10 +124,10 @@ func TestMarshalDecodeIntegration(t *testing.T) {
 	e2 := g.AddEdge(b, 0, c)
 	spec := &Spec{
 		Graph: g,
-		SiteAV: map[callgraph.Site]uint64{
+		SiteAV: siteAVs(g, map[callgraph.Site]uint64{
 			{Caller: a, Label: 0}: 0,
 			{Caller: b, Label: 0}: 0,
-		},
+		}),
 	}
 	st, err := EncodePath(spec, []callgraph.Edge{e1, e2})
 	if err != nil {

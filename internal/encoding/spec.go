@@ -31,9 +31,11 @@ type Spec struct {
 	Graph *callgraph.Graph
 
 	// SiteAV is the single addition value per call site (the DeltaPath
-	// design: one value even for virtual sites). Sites absent from the
-	// map have addition value 0.
-	SiteAV map[callgraph.Site]uint64
+	// design: one value even for virtual sites), indexed by the site ids of
+	// Graph's numbering (callgraph.Numbering); 0 means no addition. It has
+	// one entry per call site of Graph, or none in a PerEdge spec
+	// (CheckSiteAV).
+	SiteAV []uint64
 
 	// EdgeAV holds per-edge addition values when PerEdge is true (the
 	// PCCE design, which needs a dispatch switch at virtual sites).
@@ -57,7 +59,32 @@ func (s *Spec) AV(e callgraph.Edge) uint64 {
 	if s.PerEdge {
 		return s.EdgeAV[e]
 	}
-	return s.SiteAV[e.Site()]
+	return s.SiteValue(e.Site())
+}
+
+// SiteValue returns call site cs's addition value: 0 for a site the graph
+// does not have, and for any site of a SiteAV of the wrong length.
+func (s *Spec) SiteValue(cs callgraph.Site) uint64 {
+	nb := s.Graph.Numbering()
+	if k := nb.SiteIndex(cs); k >= 0 && len(s.SiteAV) == nb.NumSites() {
+		return s.SiteAV[k]
+	}
+	return 0
+}
+
+// CheckSiteAV reports a SiteAV whose length is not the graph's number of
+// call sites (none in a PerEdge spec): a spec assembled by hand, or one
+// whose graph grew after it was computed. Readers never index such a
+// slice; the verifier reports it and analysisio refuses to save it.
+func (s *Spec) CheckSiteAV() error {
+	want := s.Graph.NumSites()
+	if s.PerEdge {
+		want = 0
+	}
+	if len(s.SiteAV) != want {
+		return fmt.Errorf("encoding: SiteAV has %d entries for %d call sites", len(s.SiteAV), want)
+	}
+	return nil
 }
 
 // PieceKind says why a piece was started.

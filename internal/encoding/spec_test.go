@@ -1,6 +1,9 @@
 package encoding
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"deltapath/internal/callgraph"
@@ -143,7 +146,7 @@ func TestSpecAV(t *testing.T) {
 	e := g.AddEdge(a, 1, b)
 	spec := &Spec{
 		Graph:  g,
-		SiteAV: map[callgraph.Site]uint64{{Caller: a, Label: 1}: 7},
+		SiteAV: siteAVs(g, map[callgraph.Site]uint64{{Caller: a, Label: 1}: 7}),
 	}
 	if spec.AV(e) != 7 {
 		t.Fatalf("site-mode AV = %d", spec.AV(e))
@@ -163,7 +166,7 @@ func TestEncodePathRejectsDiscontinuousPath(t *testing.T) {
 	g.SetEntry(a)
 	g.AddEdge(a, 0, b)
 	e2 := g.AddEdge(b, 0, c)
-	spec := &Spec{Graph: g, SiteAV: map[callgraph.Site]uint64{}}
+	spec := &Spec{Graph: g, SiteAV: siteAVs(g, map[callgraph.Site]uint64{})}
 	if _, err := EncodePath(spec, []callgraph.Edge{e2}); err == nil {
 		t.Fatal("discontinuous path accepted")
 	}
@@ -211,5 +214,47 @@ func TestEnumeratePathsRecursionBound(t *testing.T) {
 func TestFormatContext(t *testing.T) {
 	if got := FormatContext([]string{"a", "b"}); got != "a > b" {
 		t.Fatalf("FormatContext = %q", got)
+	}
+}
+
+// siteAVs lays out per-site addition values as a Spec's SiteAV: indexed by
+// g's site ids, 0 for the sites m leaves out.
+func siteAVs(g *callgraph.Graph, m map[callgraph.Site]uint64) []uint64 {
+	nb := g.Numbering()
+	out := make([]uint64, nb.NumSites())
+	for s, av := range m {
+		out[nb.SiteIndex(s)] = av
+	}
+	return out
+}
+
+// TestSiteAVLength: a SiteAV whose length is not the graph's site count is
+// reported by CheckSiteAV, and every reader treats its values as absent
+// instead of indexing past it.
+func TestSiteAVLength(t *testing.T) {
+	spec, ids := diamondSpec()
+	if err := spec.CheckSiteAV(); err != nil {
+		t.Fatalf("well-formed spec: %v", err)
+	}
+	n := len(spec.SiteAV)
+	for _, av := range [][]uint64{nil, spec.SiteAV[:n-1], append(slices.Clone(spec.SiteAV), 9)} {
+		bad := *spec
+		bad.SiteAV = av
+		want := fmt.Sprintf("SiteAV has %d entries for %d call sites", len(av), n)
+		if err := bad.CheckSiteAV(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("length %d: CheckSiteAV = %v", len(av), err)
+		}
+		path := []callgraph.Edge{{Caller: ids["a"], Label: 1, Callee: ids["c"]}, {Caller: ids["c"], Callee: ids["d"]}}
+		st, err := EncodePath(&bad, path)
+		if err != nil || st.ID != 0 {
+			t.Errorf("length %d: EncodePath = %v, %v", len(av), st, err)
+		}
+		if _, err := Compile(&bad).Decode(st, ids["d"]); err != nil {
+			t.Errorf("length %d: compiled decode: %v", len(av), err)
+		}
+	}
+	perEdge := &Spec{Graph: spec.Graph, PerEdge: true, SiteAV: spec.SiteAV}
+	if err := perEdge.CheckSiteAV(); err == nil {
+		t.Error("a per-edge spec with site addition values passed CheckSiteAV")
 	}
 }

@@ -280,9 +280,6 @@ func (a *Analysis) NewEncoder() *Encoder {
 // PCCValue returns the current trunk hash V.
 func (e *Encoder) PCCValue() uint64 { return e.v }
 
-// DeltaPath exposes the DeltaPath half (for state snapshots).
-func (e *Encoder) DeltaPath() *instrument.Encoder { return e.dp }
-
 // ResolveMethod implements minivm.Probes: method ids are DeltaPath's (trunk
 // methods carry no entry payload).
 func (e *Encoder) ResolveMethod(m minivm.MethodRef) int32 { return e.dp.ResolveMethod(m) }

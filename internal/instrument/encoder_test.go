@@ -506,3 +506,26 @@ class C2 extends C { method go { throw always; emit nope } }
 		h.run()
 	}
 }
+
+// TestNewPlanRefusesSiteTables: a SiteAV or CPT expectation table whose
+// length is not the graph's site count is refused, not indexed.
+func TestNewPlanRefusesSiteTables(t *testing.T) {
+	build, err := cha.Build(lang.MustParse(figure6Program), cha.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Encode(build.Graph, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := *res.Spec
+	spec.SiteAV = spec.SiteAV[1:]
+	if _, err := NewPlan(build, &spec, nil); err == nil || !strings.Contains(err.Error(), "SiteAV has") {
+		t.Errorf("short SiteAV: NewPlan = %v", err)
+	}
+	plan := cpt.Compute(build.Graph)
+	plan.Expected = append(plan.Expected, 0)
+	if _, err := NewPlan(build, res.Spec, plan); err == nil || !strings.Contains(err.Error(), "CPT expectations cover") {
+		t.Errorf("long CPT table: NewPlan = %v", err)
+	}
+}

@@ -123,6 +123,14 @@ func newPlan(build *cha.Result, spec *encoding.Spec, cptPlan *cpt.Plan, prev *Pl
 	if !ok {
 		return nil, fmt.Errorf("instrument: graph has no entry")
 	}
+	if err := spec.CheckSiteAV(); err != nil {
+		return nil, fmt.Errorf("instrument: %w", err)
+	}
+	nb := build.Graph.Numbering()
+	if cptPlan != nil && len(cptPlan.Expected) != nb.NumSites() {
+		return nil, fmt.Errorf("instrument: CPT expectations cover %d of %d call sites",
+			len(cptPlan.Expected), nb.NumSites())
+	}
 	p := &Plan{
 		Build:  build,
 		Spec:   spec,
@@ -156,7 +164,11 @@ func newPlan(build *cha.Result, spec *encoding.Spec, cptPlan *cpt.Plan, prev *Pl
 		order = ordered
 	}
 	for _, s := range order {
-		fast := fastSite{av: spec.SiteAV[s], site: s, perEdge: spec.PerEdge}
+		k := nb.SiteIndex(s)
+		fast := fastSite{site: s, perEdge: spec.PerEdge}
+		if !spec.PerEdge {
+			fast.av = spec.SiteAV[k]
+		}
 		for _, e := range g.SiteTargets(s) {
 			if kind, pushed := spec.Push[e]; pushed {
 				fast.hasPush = true
@@ -167,7 +179,7 @@ func newPlan(build *cha.Result, spec *encoding.Spec, cptPlan *cpt.Plan, prev *Pl
 		}
 		slices.SortFunc(fast.targets, func(a, b fastTarget) int { return cmp.Compare(a.node, b.node) })
 		if cptPlan != nil {
-			fast.expectedSID = cptPlan.Expected[s]
+			fast.expectedSID = cptPlan.Expected[k]
 		}
 		p.siteID[minivm.SiteRef{In: build.RefOf[s.Caller], Site: s.Label}] = int32(len(p.fastSites))
 		p.fastSites = append(p.fastSites, fast)

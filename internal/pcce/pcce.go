@@ -72,7 +72,6 @@ func Encode(g *callgraph.Graph, opts Options) (*Result, error) {
 	spec := &encoding.Spec{
 		Graph:   g,
 		EdgeAV:  make(map[callgraph.Edge]uint64),
-		SiteAV:  make(map[callgraph.Site]uint64),
 		PerEdge: true,
 		Push:    make(map[callgraph.Edge]encoding.PieceKind),
 	}

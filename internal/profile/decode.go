@@ -60,14 +60,10 @@ func Decode(r *Reader, workers int, decode func(record []byte) (string, error)) 
 	return DecodeContext(context.Background(), r, workers, decode, nil)
 }
 
-// DecodeObserved is Decode with an observability hook: reg (nil = no-op)
-// receives the per-worker memo's hit/miss counters, the measure of how much
-// decode work append-mode duplication saved.
-func DecodeObserved(r *Reader, workers int, decode func(record []byte) (string, error), reg *obs.Registry) (*Report, error) {
-	return DecodeContext(context.Background(), r, workers, decode, reg)
-}
-
-// DecodeContext is DecodeObserved with cancellation: when ctx is cancelled
+// DecodeContext is Decode with an observability hook and cancellation. reg
+// (nil = no-op) receives the per-worker memo's hit/miss counters, the
+// measure of how much decode work append-mode duplication saved. When ctx
+// is cancelled
 // the reader stops feeding the pool, workers drain the queue without
 // decoding, and the call returns ctx.Err() promptly — between records, not
 // mid-record, so an in-flight batch decode aborts within one record's

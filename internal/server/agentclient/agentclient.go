@@ -270,18 +270,3 @@ func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
 	}
 	return d
 }
-
-// Healthy reports whether the server answers /healthz with 200.
-func (c *Client) Healthy(ctx context.Context) bool {
-	req, err := http.NewRequestWithContext(ctx, "GET", c.cfg.URL+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
-}

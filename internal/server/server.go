@@ -605,8 +605,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	code := http.StatusOK
 	if s.draining.Load() {
 		// A draining server 503s all ingest; report that at the HTTP
-		// layer too, so health-checked load balancers (and
-		// agentclient.Healthy) stop routing to it.
+		// layer too, so health-checked load balancers stop routing to it.
 		resp.Status = "draining"
 		code = http.StatusServiceUnavailable
 	}

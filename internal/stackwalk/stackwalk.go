@@ -53,29 +53,11 @@ func (w *Walker) Capture(vm *minivm.VM) []minivm.MethodRef {
 	return out
 }
 
-// CaptureNodes captures the current calling context directly as graph
-// nodes, in one pass: filter, map through nodeOf, and append to buf
-// (which the caller may reuse across walks to avoid allocation). Frames
-// outside the filter or unknown to nodeOf are dropped, matching
-// Capture followed by a nodeOf lookup per frame.
-func (w *Walker) CaptureNodes(vm *minivm.VM, nodeOf map[minivm.MethodRef]callgraph.NodeID, buf []callgraph.NodeID) []callgraph.NodeID {
-	depth := vm.Depth()
-	w.walks.Inc()
-	w.frames.Add(uint64(depth))
-	for i := 0; i < depth; i++ {
-		f := vm.Frame(i)
-		if w.Filter != nil && !w.Filter[f] {
-			continue
-		}
-		if n, ok := nodeOf[f]; ok {
-			buf = append(buf, n)
-		}
-	}
-	return buf
-}
-
-// CaptureNodesDirect is CaptureNodes plus call adjacency: alongside the
-// node for each kept frame it records whether that frame sits immediately
+// CaptureNodesDirect captures the current calling context directly as graph
+// nodes, in one pass: filter, map through nodeOf, and append to buf.
+// Frames outside the filter or unknown to nodeOf are dropped, matching
+// Capture followed by a nodeOf lookup per frame. Alongside the node for
+// each kept frame it records whether that frame sits immediately
 // above the previous kept frame on the raw stack — i.e. whether the call
 // that created it came directly from the previous kept frame, with no
 // dropped (unanalysed or filtered-out) frames in between. For the first

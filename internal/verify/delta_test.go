@@ -163,9 +163,9 @@ func TestCheckDeltaDefectEquivalence(t *testing.T) {
 		apply func(t *testing.T, spec *encoding.Spec, plan *cpt.Plan)
 	}{
 		{"lowered-av", func(t *testing.T, spec *encoding.Spec, plan *cpt.Plan) {
-			for _, s := range spec.Graph.Sites() {
-				if av := spec.SiteAV[s]; av > 0 {
-					spec.SiteAV[s] = av - 1
+			for k, av := range spec.SiteAV {
+				if av > 0 {
+					spec.SiteAV[k] = av - 1
 					return
 				}
 			}
@@ -189,14 +189,13 @@ func TestCheckDeltaDefectEquivalence(t *testing.T) {
 			t.Skip("no push edge to drop")
 		}},
 		{"dangling-site-av", func(t *testing.T, spec *encoding.Spec, plan *cpt.Plan) {
-			spec.SiteAV[callgraph.Site{Caller: 0, Label: 31337}] = 7
+			spec.SiteAV = append(spec.SiteAV, 7)
 		}},
 		{"cpt-drift", func(t *testing.T, spec *encoding.Spec, plan *cpt.Plan) {
-			sites := spec.Graph.Sites()
-			if len(sites) == 0 {
+			if len(plan.Expected) == 0 {
 				t.Skip("no sites")
 			}
-			plan.Expected[sites[0]] += int32(plan.NumSets)
+			plan.Expected[0] += int32(plan.NumSets)
 		}},
 	}
 	for _, path := range []string{"dynload.mv", "recursion.mv", "shapes.mv"} {

@@ -132,21 +132,16 @@ func seededDefects(t *testing.T) []defect {
 
 	// Lowered addition values: one spec per lowerable site of dynload.mv.
 	spec, _ := buildFile(t, testdata("dynload.mv"), cha.EncodingAll)
-	for i, s := range spec.Graph.Sites() {
-		if spec.SiteAV[s] == 0 {
+	for i, av := range spec.SiteAV {
+		if av == 0 {
 			continue
 		}
 		add(fmt.Sprintf("lowered-av-%d", i), "dynload.mv", func(spec *encoding.Spec, _ *cpt.Plan) {
-			spec.SiteAV[s]--
+			spec.SiteAV[i]--
 		})
 	}
 	add("capacity-overflow", "shapes.mv", func(spec *encoding.Spec, _ *cpt.Plan) {
-		for _, s := range spec.Graph.Sites() {
-			if _, ok := spec.SiteAV[s]; ok {
-				spec.SiteAV[s] = math.MaxInt64
-				return
-			}
-		}
+		spec.SiteAV[firstValued(spec)] = math.MaxInt64
 	})
 	// Unanchored recursion and unbroken cycles: every recursion push edge
 	// of recursion.mv, its target unanchored or the edge dropped.
@@ -169,27 +164,23 @@ func seededDefects(t *testing.T) []defect {
 		}
 	})
 	add("dangling-entries", "shapes.mv", func(spec *encoding.Spec, plan *cpt.Plan) {
-		spec.SiteAV[callgraph.Site{Caller: 999, Label: 7}] = 3
+		spec.SiteAV = append(spec.SiteAV, 3)
 		spec.EdgeAV = map[callgraph.Edge]uint64{{Caller: 1, Callee: 2, Label: 4242}: 1}
 		spec.Push[callgraph.Edge{Caller: 0, Callee: 1, Label: 4242}] = encoding.PiecePruned
 		spec.Anchors[callgraph.NodeID(12345)] = true
 		spec.Anchors[callgraph.NodeID(-3)] = false
-		plan.Expected[callgraph.Site{Caller: 0, Label: 31337}] = 0
+		plan.Expected = append(plan.Expected, 0)
 	})
 	add("cpt-drift", "tasks.mv", func(spec *encoding.Spec, plan *cpt.Plan) {
-		sites := spec.Graph.Sites()
-		plan.Expected[sites[0]] += int32(plan.NumSets)
-		delete(plan.Expected, sites[len(sites)-1])
-		plan.Expected[callgraph.Site{Caller: 0, Label: 31337}] = 0
+		plan.Expected[0] += int32(plan.NumSets)
+		plan.Expected[len(plan.Expected)-1] = -1
 		plan.SID[0] = -1
 	})
 	// Every addition value zeroed: overlaps at many nodes of one
 	// territory, reported in topological rank order.
 	for _, file := range []string{"tasks.mv", "shapes.mv", "dynload.mv"} {
 		add("zeroed-avs-"+file, file, func(spec *encoding.Spec, _ *cpt.Plan) {
-			for s := range spec.SiteAV {
-				spec.SiteAV[s] = 0
-			}
+			clear(spec.SiteAV)
 		})
 	}
 	add("cpt-sid-table", "tasks.mv", func(_ *encoding.Spec, plan *cpt.Plan) {
@@ -211,7 +202,6 @@ func seededDefects(t *testing.T) []defect {
 	g.SetEntry(main)
 	out = append(out, defect{"coverage-hole", &encoding.Spec{
 		Graph:   g,
-		SiteAV:  map[callgraph.Site]uint64{},
 		EdgeAV:  map[callgraph.Edge]uint64{},
 		Push:    map[callgraph.Edge]encoding.PieceKind{},
 		Anchors: map[callgraph.NodeID]bool{orphan: false},
@@ -224,7 +214,6 @@ func seededDefects(t *testing.T) []defect {
 	out = append(out, defect{"virtual-site-av", &encoding.Spec{
 		Graph:   g,
 		PerEdge: true,
-		SiteAV:  map[callgraph.Site]uint64{},
 		EdgeAV:  map[callgraph.Edge]uint64{g.AddEdge(main, 0, a): 0, g.AddEdge(main, 0, b): 1},
 		Push:    map[callgraph.Edge]encoding.PieceKind{},
 		Anchors: map[callgraph.NodeID]bool{},

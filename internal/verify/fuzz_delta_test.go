@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"deltapath/internal/callgraph"
@@ -15,13 +16,10 @@ func cloneSpec(s *encoding.Spec) *encoding.Spec {
 	cp := &encoding.Spec{
 		Graph:   s.Graph.Clone(),
 		PerEdge: s.PerEdge,
-		SiteAV:  make(map[callgraph.Site]uint64, len(s.SiteAV)),
+		SiteAV:  slices.Clone(s.SiteAV),
 		EdgeAV:  make(map[callgraph.Edge]uint64, len(s.EdgeAV)),
 		Push:    make(map[callgraph.Edge]encoding.PieceKind, len(s.Push)),
 		Anchors: make(map[callgraph.NodeID]bool, len(s.Anchors)),
-	}
-	for k, v := range s.SiteAV {
-		cp.SiteAV[k] = v
 	}
 	for k, v := range s.EdgeAV {
 		cp.EdgeAV[k] = v
@@ -84,16 +82,14 @@ func FuzzCheckDelta(f *testing.F) {
 			op, arg := data[i]%numOps, int(data[i+1])
 			switch op {
 			case 0: // lower a site's addition value
-				if sites := spec.Graph.Sites(); len(sites) > 0 {
-					s := sites[arg%len(sites)]
-					if spec.SiteAV[s] > 0 {
-						spec.SiteAV[s]--
+				if len(spec.SiteAV) > 0 {
+					if k := arg % len(spec.SiteAV); spec.SiteAV[k] > 0 {
+						spec.SiteAV[k]--
 					}
 				}
 			case 1: // raise a site's addition value
-				if sites := spec.Graph.Sites(); len(sites) > 0 {
-					s := sites[arg%len(sites)]
-					spec.SiteAV[s] += uint64(arg) + 1
+				if len(spec.SiteAV) > 0 {
+					spec.SiteAV[arg%len(spec.SiteAV)] += uint64(arg) + 1
 				}
 			case 2: // drop an anchor
 				if an := sortedNodes(spec.Anchors); len(an) > 0 {
@@ -106,10 +102,12 @@ func FuzzCheckDelta(f *testing.F) {
 				if pe := sortedEdges(spec.Push); len(pe) > 0 {
 					delete(spec.Push, pe[arg%len(pe)])
 				}
-			case 5: // grow the graph: a new callee off an existing node
+			case 5: // grow the graph: a new callee off an existing node, at a new site without an addition
 				nodes := spec.Graph.Nodes()
 				n := spec.Graph.AddNode(fmt.Sprintf("fz%d", i), false)
-				spec.Graph.AddEdge(nodes[arg%len(nodes)], int32(2000+i), n)
+				e := spec.Graph.AddEdge(nodes[arg%len(nodes)], int32(2000+i), n)
+				k := spec.Graph.Numbering().SiteIndex(e.Site())
+				spec.SiteAV = slices.Insert(spec.SiteAV, int(k), 0)
 			case 6: // certificate: flip a node fingerprint bit
 				if len(cert.NodeFP) > 0 {
 					cert.NodeFP[arg%len(cert.NodeFP)] ^= 1 << (arg % 63)

@@ -154,11 +154,14 @@ func oracleGlobal(rep *Report, spec *encoding.Spec, plan *cpt.Plan, maxID uint64
 
 func oracleStructure(rep *Report, spec *encoding.Spec) {
 	g := spec.Graph
-	for _, s := range sortedSites(spec.SiteAV) {
-		if len(g.SiteTargets(s)) == 0 {
-			rep.add("structure", "", siteName(g, s),
-				"addition value %d assigned to a call site that does not exist", spec.SiteAV[s])
-		}
+	want := g.NumSites()
+	if spec.PerEdge {
+		want = 0
+	}
+	if len(spec.SiteAV) != want {
+		rep.add("structure", "", "",
+			"SiteAV has %d entries for %d call sites: one per site, none in a per-edge spec",
+			len(spec.SiteAV), g.NumSites())
 	}
 	for _, e := range sortedEdges(spec.EdgeAV) {
 		if !g.HasEdge(e) {
@@ -355,18 +358,15 @@ func oracleCPT(rep *Report, spec *encoding.Spec, plan *cpt.Plan) {
 			rep.add("cpt-sids", nameOf(g, n), "", "SID %d outside [0,%d)", sid, plan.NumSets)
 		}
 	}
-	for _, s := range sortedSites(plan.Expected) {
-		if len(g.SiteTargets(s)) == 0 {
-			rep.add("cpt-closure", "", siteName(g, s), "expectation recorded for a call site that does not exist")
-		}
+	if len(plan.Expected) != g.NumSites() {
+		rep.add("cpt-closure", "", "", "expectation table has %d entries for %d call sites",
+			len(plan.Expected), g.NumSites())
+		return
 	}
-	for _, s := range g.Sites() {
+	for k, s := range g.Sites() {
 		targets := g.SiteTargets(s)
-		if len(targets) == 0 {
-			continue
-		}
-		want, ok := plan.Expected[s]
-		if !ok {
+		want := plan.Expected[k]
+		if want < 0 {
 			rep.add("cpt-closure", "", siteName(g, s),
 				"call site has no saved SID expectation: hazardous unexpected call paths through it are undetectable")
 			continue
@@ -566,20 +566,6 @@ func sortedNodes[V any](m map[callgraph.NodeID]V) []callgraph.NodeID {
 		out = append(out, n)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedSites[V any](m map[callgraph.Site]V) []callgraph.Site {
-	out := make([]callgraph.Site, 0, len(m))
-	for s := range m {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Caller != out[j].Caller {
-			return out[i].Caller < out[j].Caller
-		}
-		return out[i].Label < out[j].Label
-	})
 	return out
 }
 

@@ -248,16 +248,17 @@ func (v *view) verify(rep *Report, plan *cpt.Plan, maxID uint64,
 	return nil
 }
 
-// checkStructure verifies that every spec map key references an entity of
-// the graph. analysisio.Load guarantees this for well-formed files; an
+// checkStructure verifies that the site-indexed SiteAV has one entry per
+// call site of the graph and that every spec map key references an entity
+// of the graph. analysisio.Load guarantees this for well-formed files; an
 // in-memory spec (or a tampered artifact) may not. The view collected the
 // stray keys while reading the maps.
 func checkStructure(rep *Report, v *view) {
 	g := v.g
-	slices.SortFunc(v.straySiteAV, compareSites)
-	for _, s := range v.straySiteAV {
-		rep.add("structure", "", siteName(g, s),
-			"addition value %d assigned to a call site that does not exist", v.spec.SiteAV[s])
+	if v.spec.CheckSiteAV() != nil {
+		rep.add("structure", "", "",
+			"SiteAV has %d entries for %d call sites: one per site, none in a per-edge spec",
+			len(v.spec.SiteAV), v.nb.NumSites())
 	}
 	slices.SortFunc(v.strayEdgeAV, compareEdges)
 	for _, e := range v.strayEdgeAV {
@@ -671,35 +672,26 @@ func checkCPT(rep *Report, v *view, plan *cpt.Plan) {
 			rep.add("cpt-sids", nameOf(g, callgraph.NodeID(n)), "", "SID %d outside [0,%d)", sid, plan.NumSets)
 		}
 	}
-	// Each site's expectation, located by one walk of the map; an
-	// expectation for a site the graph lacks is reported first.
-	want := make([]int32, v.nb.NumSites())
-	has := make([]bool, v.nb.NumSites())
-	var dangling []callgraph.Site
-	for s, sid := range plan.Expected {
-		if k := v.nb.SiteIndex(s); k >= 0 {
-			want[k], has[k] = sid, true
-		} else {
-			dangling = append(dangling, s)
-		}
+	// The expectations are read by site id: a table of the wrong length
+	// cannot be, and a -1 slot is a site without one.
+	if len(plan.Expected) != v.nb.NumSites() {
+		rep.add("cpt-closure", "", "", "expectation table has %d entries for %d call sites",
+			len(plan.Expected), v.nb.NumSites())
+		return
 	}
-	slices.SortFunc(dangling, compareSites)
-	for _, s := range dangling {
-		rep.add("cpt-closure", "", siteName(g, s), "expectation recorded for a call site that does not exist")
-	}
-	for k := int32(0); int(k) < v.nb.NumSites(); k++ {
-		targets := v.nb.Targets(k)
+	for k, want := range plan.Expected {
+		targets := v.nb.Targets(int32(k))
 		s := v.site(targets[0])
-		if !has[k] {
+		if want < 0 {
 			rep.add("cpt-closure", "", siteName(g, s),
 				"call site has no saved SID expectation: hazardous unexpected call paths through it are undetectable")
 			continue
 		}
 		for _, e := range targets {
-			if sid := plan.SID[v.callee[e]]; sid != want[k] {
+			if sid := plan.SID[v.callee[e]]; sid != want {
 				rep.add("cpt-closure", nameOf(g, callgraph.NodeID(v.callee[e])), siteName(g, s),
 					"dispatch target carries SID %d but the site expects %d: the sets are not merged",
-					sid, want[k])
+					sid, want)
 			}
 		}
 	}

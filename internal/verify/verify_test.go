@@ -2,6 +2,7 @@ package verify
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -72,14 +73,13 @@ func TestCleanOnTestdata(t *testing.T) {
 func TestDetectsLoweredAV(t *testing.T) {
 	spec, plan := buildFile(t, filepath.Join("..", "..", "testdata", "dynload.mv"), cha.EncodingAll)
 	found := false
-	for _, s := range spec.Graph.Sites() {
-		av, ok := spec.SiteAV[s]
-		if !ok || av == 0 {
+	for k, av := range spec.SiteAV {
+		if av == 0 {
 			continue
 		}
-		spec.SiteAV[s] = av - 1
+		spec.SiteAV[k] = av - 1
 		rep := Check(spec, plan, Options{})
-		spec.SiteAV[s] = av
+		spec.SiteAV[k] = av
 		for _, d := range rep.Findings {
 			if d.Check == "intervals" {
 				found = true
@@ -152,12 +152,7 @@ func TestDetectsUnbrokenCycle(t *testing.T) {
 // value at the limit overflows every positive width.
 func TestDetectsCapacityOverflow(t *testing.T) {
 	spec, plan := buildFile(t, filepath.Join("..", "..", "testdata", "shapes.mv"), cha.EncodingAll)
-	for _, s := range spec.Graph.Sites() {
-		if _, ok := spec.SiteAV[s]; ok {
-			spec.SiteAV[s] = math.MaxInt64
-			break
-		}
-	}
+	spec.SiteAV[firstValued(spec)] = math.MaxInt64
 	rep := Check(spec, plan, Options{})
 	if !hasCheck(rep, "capacity") {
 		t.Fatalf("expected capacity finding, got:\n%s", rep.Text())
@@ -177,7 +172,6 @@ func TestDetectsVirtualAVDisagreement(t *testing.T) {
 	spec := &encoding.Spec{
 		Graph:   g,
 		PerEdge: true,
-		SiteAV:  map[callgraph.Site]uint64{},
 		EdgeAV:  map[callgraph.Edge]uint64{ea: 0, eb: 1},
 		Push:    map[callgraph.Edge]encoding.PieceKind{},
 		Anchors: map[callgraph.NodeID]bool{},
@@ -204,7 +198,6 @@ func TestDetectsCoverageHole(t *testing.T) {
 	for _, anchors := range []map[callgraph.NodeID]bool{{}, {orphan: false}} {
 		spec := &encoding.Spec{
 			Graph:   g,
-			SiteAV:  map[callgraph.Site]uint64{},
 			EdgeAV:  map[callgraph.Edge]uint64{},
 			Push:    map[callgraph.Edge]encoding.PieceKind{},
 			Anchors: anchors,
@@ -223,17 +216,16 @@ func TestDetectsCoverageHole(t *testing.T) {
 // carry a different SID than expected, and a site with no expectation.
 func TestDetectsCPTDrift(t *testing.T) {
 	spec, plan := buildFile(t, filepath.Join("..", "..", "testdata", "shapes.mv"), cha.EncodingAll)
-	sites := spec.Graph.Sites()
-	if len(sites) == 0 {
+	if len(plan.Expected) == 0 {
 		t.Fatal("no sites")
 	}
-	want := plan.Expected[sites[0]]
-	plan.Expected[sites[0]] = want + int32(plan.NumSets) // out of any set
+	want := plan.Expected[0]
+	plan.Expected[0] = want + int32(plan.NumSets) // out of any set
 	rep := Check(spec, plan, Options{})
 	if !hasCheck(rep, "cpt-closure") {
 		t.Fatalf("expected cpt-closure finding for wrong SID, got:\n%s", rep.Text())
 	}
-	delete(plan.Expected, sites[0])
+	plan.Expected[0] = -1
 	rep = Check(spec, plan, Options{})
 	if !hasCheck(rep, "cpt-closure") {
 		t.Fatalf("expected cpt-closure finding for missing expectation, got:\n%s", rep.Text())
@@ -241,15 +233,54 @@ func TestDetectsCPTDrift(t *testing.T) {
 }
 
 // TestDetectsDanglingSpecEntries: spec maps referencing entities the graph
-// does not have are structural corruption.
+// does not have, and site-indexed tables of the wrong length, are
+// structural corruption that the verifier reports without panicking.
 func TestDetectsDanglingSpecEntries(t *testing.T) {
 	spec, plan := buildFile(t, filepath.Join("..", "..", "testdata", "shapes.mv"), cha.EncodingAll)
-	spec.SiteAV[callgraph.Site{Caller: 999, Label: 7}] = 3
 	spec.Anchors[callgraph.NodeID(12345)] = true
 	rep := Check(spec, plan, Options{})
 	if !hasCheck(rep, "structure") {
 		t.Fatalf("expected structure findings, got:\n%s", rep.Text())
 	}
+	sites := spec.Graph.NumSites()
+	for _, n := range []int{sites + 1, sites - 1, 0} {
+		spec, plan := buildFile(t, filepath.Join("..", "..", "testdata", "shapes.mv"), cha.EncodingAll)
+		spec.SiteAV = make([]uint64, n)
+		plan.Expected = plan.Expected[:min(n, sites)]
+		rep := Check(spec, plan, Options{})
+		want := fmt.Sprintf("SiteAV has %d entries for %d call sites", n, sites)
+		if !hasFinding(rep, "structure", want) {
+			t.Errorf("SiteAV of length %d: no finding %q in:\n%s", n, want, rep.Text())
+		}
+		if want := fmt.Sprintf("expectation table has %d entries", min(n, sites)); n != sites+1 && !hasFinding(rep, "cpt-closure", want) {
+			t.Errorf("Expected of length %d: no finding %q in:\n%s", min(n, sites), want, rep.Text())
+		}
+	}
+}
+
+// hasFinding reports whether rep has a finding of check whose message
+// contains msg.
+func hasFinding(rep *Report, check, msg string) bool {
+	for _, d := range rep.Findings {
+		if d.Check == check && strings.Contains(d.Detail, msg) {
+			return true
+		}
+	}
+	return false
+}
+
+// firstValued returns the first site of spec with a non-push target: the
+// first site the analysis gives an addition value.
+func firstValued(spec *encoding.Spec) int {
+	nb := spec.Graph.Numbering()
+	for k := range spec.SiteAV {
+		for _, e := range nb.Targets(int32(k)) {
+			if _, pushed := spec.Push[nb.Edge(e)]; !pushed {
+				return k
+			}
+		}
+	}
+	return -1
 }
 
 // TestCheckBytesRoundTrip: a saved clean analysis verifies clean from
@@ -277,7 +308,7 @@ func TestCheckBytesRoundTrip(t *testing.T) {
 func TestDeterministicOutput(t *testing.T) {
 	spec, plan := buildFile(t, filepath.Join("..", "..", "testdata", "tasks.mv"), cha.EncodingAll)
 	// Seed several defects at once so ordering across checks is exercised.
-	delete(plan.Expected, spec.Graph.Sites()[0])
+	plan.Expected[0] = -1
 	spec.Anchors[callgraph.NodeID(4242)] = true
 	r1 := Check(spec, plan, Options{})
 	r2 := Check(spec, plan, Options{})

@@ -46,7 +46,6 @@ type view struct {
 
 	// Keys of the spec's maps that name nothing in the graph, for the
 	// structure check.
-	straySiteAV  []callgraph.Site
 	strayEdgeAV  []callgraph.Edge
 	strayAnchors []callgraph.NodeID
 
@@ -82,8 +81,7 @@ func newView(spec *encoding.Spec) *view {
 		anchor:   make([]uint64, (n+63)/64),
 	}
 	// The spec's maps are read by iterating them once, each key located in
-	// the view: sequential map walks rather than a random probe per site or
-	// edge.
+	// the view: sequential map walks rather than a random probe per edge.
 	for a, on := range spec.Anchors {
 		if a < 0 || int(a) >= n {
 			v.strayAnchors = append(v.strayAnchors, a)
@@ -96,12 +94,11 @@ func newView(spec *encoding.Spec) *view {
 			v.push[i] = 1 + uint16(kind)
 		}
 	}
-	for s, av := range spec.SiteAV {
-		k := nb.SiteIndex(s)
-		if k < 0 {
-			v.straySiteAV = append(v.straySiteAV, s)
-		} else if !spec.PerEdge {
-			for _, e := range nb.Targets(k) {
+	// SiteAV is read by site id; one of the wrong length is a structure
+	// finding and contributes no addition value.
+	if spec.CheckSiteAV() == nil {
+		for k, av := range spec.SiteAV {
+			for _, e := range nb.Targets(int32(k)) {
 				v.av[e] = av
 			}
 		}
