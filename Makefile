@@ -97,7 +97,6 @@ profile-baseline:
 # .dpa verifier (also run in CI).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalContext -fuzztime 10s ./internal/encoding
-	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/encoding
 	$(GO) test -run '^$$' -fuzz FuzzCompiledDecode -fuzztime 10s ./internal/encoding
 	$(GO) test -run '^$$' -fuzz FuzzProfileReader -fuzztime 10s ./internal/profile
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s ./internal/analysisio
@@ -167,9 +166,10 @@ scale-baseline:
 	mkdir -p results
 	$(GO) run ./cmd/dpbench -experiment scale -scale 1.0 -workers 4 | tee results/scale.txt
 
-# Regenerate the decode-throughput table over the full suite (legacy map
-# decoder vs compiled flat tables; results/decode.txt) — the human-readable
-# companion of the gated speedup rows in the bench-smoke baseline.
+# Regenerate the decode-throughput table over the full suite (the compiled
+# decoder's ns/context, frames/s and allocs/op; results/decode.txt) — the
+# human-readable companion of the gated allocs/op rows in the bench-smoke
+# baseline.
 decode-baseline:
 	mkdir -p results
 	$(GO) run ./cmd/dpbench -experiment decode -scale 0.3 -repeats 3 | tee results/decode.txt
@@ -186,7 +186,6 @@ golden-freshness:
 # Everything CI runs, in CI's order — reproduce a red workflow offline.
 ci-local: lint lint-invariants build test-shuffle race verify-encodings serve-smoke ingest-stress ingest-bench-smoke extend-soak golden-freshness bench-smoke scale-smoke
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalContext -fuzztime 5s ./internal/encoding
-	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 5s ./internal/encoding
 	$(GO) test -run '^$$' -fuzz FuzzCompiledDecode -fuzztime 5s ./internal/encoding
 	$(GO) test -run '^$$' -fuzz FuzzProfileReader -fuzztime 5s ./internal/profile
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 5s ./internal/analysisio

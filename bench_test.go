@@ -187,7 +187,7 @@ func BenchmarkDecode(b *testing.B) {
 	if len(states) == 0 {
 		b.Fatal("no states collected")
 	}
-	dec := encoding.NewDecoder(res.Spec)
+	dec := encoding.Compile(res.Spec)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx := i % len(states)
@@ -617,7 +617,7 @@ class D { method x { emit x } }
 	})
 
 	b.Run("deltapath-decode", func(b *testing.B) {
-		dec := encoding.NewDecoder(res.Spec)
+		dec := encoding.Compile(res.Spec)
 		for i := 0; i < b.N; i++ {
 			s := samples[i%len(samples)]
 			if _, err := dec.Decode(s.st, s.node); err != nil {

@@ -21,13 +21,13 @@ import (
 // routinely benchmarked on a 1-CPU box where absolute times are noisy and
 // multi-worker scaling is meaningless. The gate therefore (1) compares
 // best-of-N measurements on both sides, (2) prefers machine-independent
-// *ratios* — the observability overhead (metrics-on / metrics-off) and the
-// decode speedup (legacy / compiled), the scale tiers' bytes/node and
-// identity/verify verdicts, the extend steps' delta-verify-vs-full
-// obligation fraction, and the ingest experiment's group-commit/per-batch
-// throughput ratio — over absolute timings, which are gated only for
-// encode and intern, and (3) never compares multi-worker speedup rows —
-// only the workers=1 intern cost.
+// ratios and counts — the observability overhead (metrics-on /
+// metrics-off), the decoder's allocations per decode, the scale tiers'
+// bytes/node and identity/verify verdicts, the extend steps'
+// delta-verify-vs-full obligation fraction, and the ingest experiment's
+// group-commit/per-batch throughput ratio — over absolute timings, which
+// are gated only for encode and intern, and (3) never compares
+// multi-worker speedup rows — only the workers=1 intern cost.
 
 // baselineDoc mirrors the slice of the -json document the gate reads.
 // Unknown experiments in the file are simply not compared.
@@ -66,6 +66,39 @@ func higherBetter(name string, base, fresh float64) (check, bool) {
 		return check{}, false
 	}
 	return check{name: name, base: base, fresh: fresh, ratio: base / fresh}, true
+}
+
+// regressed reports whether c fails the gate at the given tolerance.
+func (c check) regressed(tolerance float64) bool { return c.ratio > 1+tolerance }
+
+// decodeAllocsSlack is how far a fresh run's allocations per decode may
+// exceed the baseline's before the decode row fails. The row counts
+// allocations rather than timing decodes, so it needs no noise tolerance:
+// the decoder's steady state allocates nothing, and half an allocation per
+// decode on average means some decode path started allocating.
+const decodeAllocsSlack = 0.5
+
+// decodeChecks gates each baseline decode row on its program's fresh row:
+// compiled allocations per decode, an absolute count, reported with ratio 1
+// when within decodeAllocsSlack of the baseline and +Inf past it.
+func decodeChecks(base, fresh []eval.DecodeRow) []check {
+	freshBy := make(map[string]eval.DecodeRow, len(fresh))
+	for _, r := range fresh {
+		freshBy[r.Program] = r
+	}
+	var out []check
+	for _, b := range base {
+		f, ok := freshBy[b.Program]
+		if !ok {
+			continue
+		}
+		c := check{name: "decode " + b.Program + " compiled allocs/op", base: b.AllocsPerOp, fresh: f.AllocsPerOp, ratio: 1}
+		if f.AllocsPerOp-b.AllocsPerOp >= decodeAllocsSlack {
+			c.ratio = math.Inf(1)
+		}
+		out = append(out, c)
+	}
+	return out
 }
 
 // runCompare executes the gate and exits: 0 when every metric is within
@@ -143,23 +176,11 @@ func runCompare(path string, tolerance float64, repeats int) {
 	}
 
 	if len(base.Decode) > 0 {
-		// Gate only the machine-independent legacy/compiled speedup: absolute
-		// ns/context on the 1-CPU container is noise, but the ratio of the two
-		// decoders over identical contexts is stable. A pre-speedup baseline
-		// (no Speedup field) contributes no checks rather than failing.
 		fresh, err := eval.DecodeLatency(suite, scale, 2048, repeats)
 		if err != nil {
 			fatalCompare(err)
 		}
-		freshBy := make(map[string]eval.DecodeRow, len(fresh))
-		for _, r := range fresh {
-			freshBy[r.Program] = r
-		}
-		for _, b := range base.Decode {
-			if f, ok := freshBy[b.Program]; ok {
-				add(higherBetter("decode "+b.Program+" compiled speedup", b.Speedup, f.Speedup))
-			}
-		}
+		checks = append(checks, decodeChecks(base.Decode, fresh)...)
 	}
 
 	if len(base.Fig8) > 0 {
@@ -307,7 +328,7 @@ func runCompare(path string, tolerance float64, repeats int) {
 	fmt.Printf("%-42s %12s %12s %8s  %s\n", "metric", "baseline", "fresh", "ratio", "verdict")
 	for _, c := range checks {
 		verdict := "ok"
-		if c.ratio > 1+tolerance {
+		if c.regressed(tolerance) {
 			verdict = "REGRESSION"
 			regressions++
 		}

@@ -31,10 +31,8 @@
 // (default examples/*.mv — the generated suite has no dead code, so the
 // curated programs carry the precision witnesses).
 //
-// The decode experiment measures offline decode throughput through both
-// data paths — the legacy map-based reference decoder and the compiled
-// flat tables (encoding.Compile) — reporting ns/context for each, the
-// legacy/compiled speedup, compiled-path frames/s, and compiled
+// The decode experiment measures offline decode throughput through the
+// compiled flat tables (encoding.Compile): ns/context, frames/s, and
 // steady-state allocations per decode (expected 0).
 //
 // The scale experiment sweeps the huge-graph scalability tiers

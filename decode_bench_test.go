@@ -1,8 +1,8 @@
-// Decode-path benchmarks: the legacy map-based decoder vs the compiled
-// flat-table decoder on identical context sets, the cost of compiling the
-// flat tables, plus the encoder's per-event cost on the dense probe ids.
-// `dpbench -experiment decode` measures the same ratio end to end; these
-// go-bench forms are the developer-loop spelling.
+// Decode-path benchmarks: the compiled decoder on sampled context sets, the
+// cost of compiling its flat tables, plus the encoder's per-event cost on
+// the dense probe ids. `dpbench -experiment decode` measures decode
+// throughput end to end; these go-bench forms are the developer-loop
+// spelling.
 package deltapath
 
 import (
@@ -60,32 +60,9 @@ func collectDecodeContexts(b *testing.B, file string) (*Analysis, []benchContext
 	return an, ctxs
 }
 
-// BenchmarkDecodeLegacy measures the map-based reference decoder. One
-// iteration decodes every collected context; ns/context divides it out.
-func BenchmarkDecodeLegacy(b *testing.B) {
-	an, ctxs := collectDecodeContexts(b, "testdata/recursion.mv")
-	dec := encoding.NewDecoder(an.epoch().result.Spec)
-	for _, c := range ctxs { // warm the memo caches
-		if _, err := dec.Decode(c.st, c.end); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range ctxs {
-			if _, err := dec.Decode(c.st, c.end); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(len(ctxs))), "ns/context")
-}
-
-// BenchmarkDecodeCompiled measures the compiled flat-table decoder on the
-// same contexts, through the allocation-free DecodeInto batch loop, and on
-// dynload.mv, whose contexts include UCP pieces starting at nodes without a
+// BenchmarkDecodeCompiled measures the compiled flat-table decoder through
+// the allocation-free DecodeInto batch loop, on recursion.mv's contexts and
+// on dynload.mv's, which include UCP pieces starting at nodes without a
 // compiled territory row (the warm-up pass publishes theirs).
 func BenchmarkDecodeCompiled(b *testing.B) {
 	for _, name := range []string{"recursion", "dynload"} {
@@ -117,7 +94,7 @@ func BenchmarkDecodeCompiled(b *testing.B) {
 // compiledSink keeps BenchmarkCompile's result live.
 var compiledSink *encoding.CompiledDecoder
 
-// BenchmarkCompile times encoding.Compile — the CSR rows plus the territory
+// BenchmarkCompile times encoding.Compile — the in-rows plus the territory
 // rows of the statically known piece starts — on three suite programs and
 // the 50k-node huge smoke tier.
 func BenchmarkCompile(b *testing.B) {

@@ -243,8 +243,8 @@ func TestDecodeWithLoadedAnalysis(t *testing.T) {
 	}
 	vm.SetProbes(enc)
 	vm.SetInstrumented(plan.InstrumentedMethods())
-	liveDec := encoding.NewDecoder(res.Spec)
-	loadedDec := encoding.NewDecoder(bundle.Spec)
+	liveDec := encoding.Compile(res.Spec)
+	loadedDec := encoding.Compile(bundle.Spec)
 	var records [][]byte
 	var live []string
 	vm.OnEmit = func(_ *minivm.VM, m minivm.MethodRef, _ string) {

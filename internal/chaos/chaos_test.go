@@ -33,7 +33,7 @@ type bench struct {
 	spec    *encoding.Spec
 	cptPlan *cpt.Plan
 	plan    *instrument.Plan
-	dec     *encoding.Decoder
+	dec     *encoding.CompiledDecoder
 	window  uint64 // probe events in a fault-free reference run
 }
 
@@ -100,7 +100,7 @@ func benches(t *testing.T) []*bench {
 			spec:    res.Spec,
 			cptPlan: cptPlan,
 			plan:    plan,
-			dec:     encoding.NewDecoder(res.Spec),
+			dec:     encoding.Compile(res.Spec),
 		}
 		// Measure the probe-event window with a quiet injector, so one-shot
 		// faults can be aimed anywhere in a run.

@@ -155,7 +155,7 @@ func TestFigure5Anchors(t *testing.T) {
 		t.Fatalf("stack = %+v, want one anchor element for C", st.Stack)
 	}
 	// Decode recovers A > C > F > G.
-	dec := encoding.NewDecoder(res.Spec)
+	dec := encoding.Compile(res.Spec)
 	names, err := dec.DecodeNames(st, ids["G"])
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestFigure5Anchors(t *testing.T) {
 // encoding uniqueness and decode round trips.
 func exhaustiveCheck(t *testing.T, g *callgraph.Graph, res *Result, maxRec, maxLen int) int {
 	t.Helper()
-	dec := encoding.NewDecoder(res.Spec)
+	dec := encoding.Compile(res.Spec)
 	seen := make(map[string]string)
 	count := 0
 	encoding.EnumeratePaths(g, maxRec, maxLen, func(path []callgraph.Edge) {

@@ -112,7 +112,7 @@ func verifyAllPaths(t *testing.T, g *callgraph.Graph, spec *encoding.Spec, maxID
 	if !ok {
 		t.Fatal("graph has no entry")
 	}
-	dec := encoding.NewDecoder(spec)
+	dec := encoding.Compile(spec)
 	seen := map[string]bool{}
 	paths := 0
 

@@ -11,45 +11,31 @@ import (
 	"deltapath/internal/obs"
 )
 
-// This file is the compiled decode path: Compile lowers a Spec into flat,
-// cache-friendly arrays — CSR in-edge rows sorted by descending AV, edge-
-// index bitsets for the anchor territories — built once and read-only
-// afterwards (a territory row first needed at decode time is published once,
-// atomically), so decoding needs no locks, no map lookups, and (through
-// DecodeInto plus a pooled scratch arena) no steady-state allocations.
-// The legacy Decoder remains as the map-based reference implementation;
-// the differential tests and FuzzCompiledDecode hold the two byte-identical
-// on every input, valid or corrupt.
+// This file is the decode path: Compile lowers the spec's in-rows (BuildRows,
+// the rows the verifier proves) into flat tables — each row's callers and
+// addition values, and edge-index bitsets for the anchor territories — built
+// once and read-only afterwards (a territory row first needed at decode time
+// is published once, atomically), so decoding needs no locks, no map
+// lookups, and (through DecodeInto plus a pooled scratch arena) no
+// steady-state allocations. The tests hold it identical to a map-based
+// reference decoder on every input, valid or corrupt.
 
-// ContextDecoder is the read-side contract shared by the legacy Decoder and
-// the CompiledDecoder: recover a context precisely, or salvage the longest
-// decodable suffix. The recovery path (instrument.Encoder) accepts either.
-type ContextDecoder interface {
-	Decode(st *State, end callgraph.NodeID) ([]Frame, error)
-	DecodeBestEffort(st *State, end callgraph.NodeID) ([]Frame, bool)
-}
-
-var (
-	_ ContextDecoder = (*Decoder)(nil)
-	_ ContextDecoder = (*CompiledDecoder)(nil)
-)
-
-// CompiledDecoder decodes contexts from flat precomputed tables. Its only
-// mutable state after Compile returns is the territory row of a piece start
-// first seen at decode time, built once and published through an atomic
-// pointer, so it is safe for unlimited concurrent use without locks (the
-// sync.Pool scratch arena is internally concurrent).
+// CompiledDecoder decodes contexts from flat precomputed tables. It is
+// deterministic and instant (no search), the paper's headline advantage
+// over Breadcrumbs-style probabilistic decoding. Its only mutable state
+// after Compile returns is the territory row of a piece start first seen at
+// decode time, built once and published through an atomic pointer, so it is
+// safe for unlimited concurrent use without locks (the sync.Pool scratch
+// arena is internally concurrent).
 type CompiledDecoder struct {
 	spec     *Spec
 	numNodes int32
 
-	// CSR in-edge rows: node n's non-push in-edges occupy slots
-	// inStart[n]..inStart[n+1], sorted by descending AV with ties in the
-	// exact order the legacy sortedIn cache uses (see sortedInEdges).
-	// inCaller/inAV are parallel per-slot arrays. Each non-push edge
-	// appears in exactly one slot (as an in-edge of its callee), so the
-	// slot number doubles as the dense edge index keying the territory
-	// bitsets.
+	// The in-rows of BuildRows: node n's forward in-edges occupy slots
+	// inStart[n]..inStart[n+1] in ascending (AV, caller, label) order,
+	// which pickEdge reads from the top. Each forward edge holds exactly one
+	// slot (in its callee's row), so the slot number doubles as the dense
+	// edge index keying the territory bitsets.
 	inStart  []int32
 	inCaller []int32
 	inAV     []uint64
@@ -65,28 +51,28 @@ type CompiledDecoder struct {
 	// its compiled size; past the cap a row is built for one decode and
 	// dropped.
 	//
-	// rows is nil when the spec has no anchors — then every edge qualifies
-	// and the filter would be pure overhead, exactly the legacy
-	// territoryOf contract.
+	// rows is nil when the spec has no anchors: then every edge qualifies
+	// and the filter would be pure overhead.
 	terrWords int32
 	rows      []atomic.Pointer[[]uint64]
 	built     int32
 	published atomic.Int32
 
-	// Out-CSR of the non-push edges, walked by the territory DFS;
-	// anchorBits is its retreat set.
-	outStart   []int32
-	outCallee  []int32
-	outIdx     []int32
-	anchorBits []bool
+	// The territory DFS walks the numbering's out-rows (outStart, callee),
+	// setting the in-row slot of each edge id it crosses (slot is -1 for a
+	// push edge), and retreats at the rows' anchor bitset.
+	outStart []int32
+	callee   []int32
+	slot     []int32
+	anchor   []uint64
 
 	// scratch pools per-decode working space (piece node stack + segment
 	// table), so a warm DecodeInto performs zero allocations.
 	scratch sync.Pool
 
-	// Observability hooks (nil = no-op), registered under the same
-	// dp_decode_memo_* names as the legacy decoder: every table lookup is
-	// a hit, and every territory row built at decode time is a miss.
+	// Observability hooks (nil = no-op): every table lookup is a
+	// dp_decode_memo_hits_total, and every territory row built at decode
+	// time a dp_decode_memo_misses_total.
 	memoHits   *obs.Counter
 	memoMisses *obs.Counter
 	frames     *obs.Histogram
@@ -108,83 +94,53 @@ type decodeScratch struct {
 }
 
 // Compile lowers spec into a CompiledDecoder. Cost is O(V + E log E) for
-// the CSR rows plus, only when the spec has anchors, one O(V + E) territory
-// DFS per statically known piece start — paid once per analysis, amortized
-// over every decode.
+// the rows plus, only when the spec has anchors, one O(V + E) territory DFS
+// per statically known piece start — paid once per analysis, amortized over
+// every decode.
 func Compile(spec *Spec) *CompiledDecoder {
-	g := spec.Graph
-	n := g.NumNodes()
+	r := BuildRows(spec)
 	c := &CompiledDecoder{
 		spec:     spec,
-		numNodes: int32(n),
-		inStart:  make([]int32, n+1),
+		numNodes: int32(len(r.InStart) - 1),
+		inStart:  r.InStart,
+		inCaller: r.InCaller,
+		inAV:     r.InAV,
 	}
 	c.scratch.New = func() any { return &decodeScratch{} }
-
-	// CSR in-edge rows, slot-for-slot the legacy sortedIn order.
-	for v := 0; v < n; v++ {
-		row := sortedInEdges(spec, callgraph.NodeID(v))
-		c.inStart[v+1] = c.inStart[v] + int32(len(row))
-		for _, ae := range row {
-			c.inCaller = append(c.inCaller, int32(ae.e.Caller))
-			c.inAV = append(c.inAV, ae.av)
-		}
-	}
-
 	if len(spec.Anchors) > 0 {
-		c.compileTerritories()
+		c.compileTerritories(r)
 	}
 	return c
 }
 
-// compileTerritories builds the out-CSR the territory DFS walks and fills the
-// rows of the piece starts known statically: every anchor, the entry, and the
+// compileTerritories keeps what the territory DFS reads and fills the rows
+// of the piece starts known statically: every anchor, the entry, and the
 // context roots. Any other start is filled on first use (see territory).
-func (c *CompiledDecoder) compileTerritories() {
+func (c *CompiledDecoder) compileTerritories(r *Rows) {
 	n := int(c.numNodes)
-	numEdges := len(c.inCaller)
-	c.terrWords = int32((numEdges + 63) / 64)
+	nb := c.spec.Graph.Numbering()
+	c.terrWords = int32((len(r.InEdge) + 63) / 64)
+	c.outStart, c.callee, c.anchor = nb.OutStart, nb.Callee, r.Anchor
+	c.slot = make([]int32, len(r.Push))
+	for e := range c.slot {
+		c.slot[e] = -1
+	}
+	for s, e := range r.InEdge {
+		c.slot[e] = int32(s)
+	}
 
-	// Out-CSR of the non-push edges carrying their dense indexes, built by
-	// counting sort: each CSR in-row slot is one edge caller→callee whose
-	// dense index is the slot itself, so the out-adjacency is a regrouping
-	// of the in-rows — no per-node slice headers at huge node counts.
-	outStart := make([]int32, n+1)
-	for slot := 0; slot < numEdges; slot++ {
-		outStart[c.inCaller[slot]+1]++
-	}
-	for v := 0; v < n; v++ {
-		outStart[v+1] += outStart[v]
-	}
-	outCallee := make([]int32, numEdges)
-	outIdx := make([]int32, numEdges)
-	fill := make([]int32, n)
-	copy(fill, outStart[:n])
-	for callee := 0; callee < n; callee++ {
-		for slot := c.inStart[callee]; slot < c.inStart[callee+1]; slot++ {
-			caller := c.inCaller[slot]
-			outCallee[fill[caller]] = int32(callee)
-			outIdx[fill[caller]] = slot
-			fill[caller]++
+	var starts []int32
+	for v := int32(0); int(v) < n; v++ {
+		if c.isAnchor(v) {
+			starts = append(starts, v)
 		}
 	}
-
-	anchors := make([]bool, n)
-	starts := make([]int32, 0, len(c.spec.Anchors)+4)
-	for a, on := range c.spec.Anchors {
-		if on && a >= 0 && int(a) < n {
-			anchors[a] = true
-			starts = append(starts, int32(a))
-		}
-	}
-	c.outStart, c.outCallee, c.outIdx, c.anchorBits = outStart, outCallee, outIdx, anchors
-
 	if e, ok := c.spec.Graph.Entry(); ok && int(e) < n {
 		starts = append(starts, int32(e))
 	}
-	for _, r := range c.spec.Graph.ContextRoots() {
-		if r >= 0 && int(r) < n {
-			starts = append(starts, int32(r))
+	for _, root := range c.spec.Graph.ContextRoots() {
+		if root >= 0 && int(root) < n {
+			starts = append(starts, int32(root))
 		}
 	}
 	slices.Sort(starts)
@@ -205,6 +161,8 @@ func (c *CompiledDecoder) compileTerritories() {
 	c.built = int32(len(starts))
 }
 
+func (c *CompiledDecoder) isAnchor(v int32) bool { return c.anchor[v>>6]&(1<<(v&63)) != 0 }
+
 // fillTerritory runs the bounded territory DFS from start, setting the
 // dense edge-index bit of every edge inside the territory. seen is an
 // epoch-stamped visited array (epoch must be nonzero, and unique per call
@@ -215,24 +173,25 @@ func (c *CompiledDecoder) fillTerritory(start int32, bits []uint64, seen []int32
 	for len(work) > 0 {
 		v := work[len(work)-1]
 		work = work[:len(work)-1]
-		if v != start && c.anchorBits[v] {
+		if v != start && c.isAnchor(v) {
 			continue // retreat at other anchors
 		}
-		for j := c.outStart[v]; j < c.outStart[v+1]; j++ {
-			idx := c.outIdx[j]
-			bits[idx>>6] |= 1 << (uint(idx) & 63)
-			callee := c.outCallee[j]
-			if seen[callee] != epoch {
-				seen[callee] = epoch
-				work = append(work, callee)
+		for e := c.outStart[v]; e < c.outStart[v+1]; e++ {
+			s := c.slot[e]
+			if s < 0 {
+				continue // a push edge starts a piece of its own
+			}
+			bits[s>>6] |= 1 << (uint(s) & 63)
+			if u := c.callee[e]; seen[u] != epoch {
+				seen[u] = epoch
+				work = append(work, u)
 			}
 		}
 	}
 	return work
 }
 
-// Observe resolves the compiled decoder's metric hooks from reg (nil
-// disables), under the same names as the legacy decoder's: one
+// Observe resolves the decoder's metric hooks from reg (nil disables): one
 // dp_decode_memo_hits_total per table lookup, one
 // dp_decode_memo_misses_total per territory row built at decode time, and
 // the decoded-context size histogram.
@@ -243,8 +202,7 @@ func (c *CompiledDecoder) Observe(reg *obs.Registry) {
 }
 
 // Decode recovers the full calling context whose encoding is st and which
-// ends at node end, like Decoder.Decode — byte-identical frames, identical
-// error classification — but from the flat tables.
+// ends at node end, ordered from the program entry (index 0) to end.
 func (c *CompiledDecoder) Decode(st *State, end callgraph.NodeID) ([]Frame, error) {
 	return c.DecodeInto(nil, st, end)
 }
@@ -261,9 +219,9 @@ func (c *CompiledDecoder) DecodeInto(dst []Frame, st *State, end callgraph.NodeI
 	sc.flat = sc.flat[:0]
 	sc.segs = sc.segs[:0]
 
-	// Decode pieces in the legacy order — live first, then the stack from
-	// the innermost suspended piece outward — so corrupt inputs fail on
-	// the same piece with the same error the legacy decoder reports.
+	// Pieces decode live first, then the stack from the innermost
+	// suspended piece outward, so a corrupt record fails on its innermost
+	// bad piece.
 	seg, err := c.decodePiece(sc, st.ID, end, st.Start)
 	if err != nil {
 		return nil, err
@@ -284,9 +242,13 @@ func (c *CompiledDecoder) DecodeInto(dst []Frame, st *State, end callgraph.NodeI
 	return out, nil
 }
 
-// DecodeBestEffort mirrors Decoder.DecodeBestEffort on the flat tables: the
-// longest decodable suffix behind a Gap frame, never an error. It is the
-// cold salvage path, so it allocates its result freshly.
+// DecodeBestEffort recovers as much of the context as the state still
+// encodes: the longest decodable suffix, behind a Gap frame when outer
+// pieces are lost. It never fails — an undecodable live piece degrades to
+// the end frame behind a gap — and reports whether the full context was
+// recovered, so one bad piece of a corrupt log record costs the outer
+// frames, not the whole record. It is the cold salvage path, so it
+// allocates its result freshly.
 func (c *CompiledDecoder) DecodeBestEffort(st *State, end callgraph.NodeID) ([]Frame, bool) {
 	if !c.valid(end) {
 		return []Frame{{Gap: true}}, false
@@ -325,10 +287,10 @@ func (c *CompiledDecoder) DecodeBestEffort(st *State, end callgraph.NodeID) ([]F
 	return c.assemble(out, sc, joined, false), complete
 }
 
-// joinPiece validates and decodes one suspended piece, checking the same
-// invariants joinOuter checks in the same order. innerStart is the start
-// node of the piece immediately inside el (whose first decoded frame the
-// anchor-kind check compares against).
+// joinPiece validates and decodes one suspended piece: its boundary nodes,
+// its own path, then its kind. innerStart is the start node of the piece
+// immediately inside el (whose first decoded frame the anchor-kind check
+// compares against).
 func (c *CompiledDecoder) joinPiece(sc *decodeScratch, el *Element, innerStart callgraph.NodeID) (pieceSeg, error) {
 	if !c.valid(el.OuterEnd) || !c.valid(el.OuterStart) {
 		return pieceSeg{}, fmt.Errorf("%w: piece boundary node out of range", ErrCorruptEncoding)
@@ -385,8 +347,9 @@ func (c *CompiledDecoder) assemble(dst []Frame, sc *decodeScratch, stack []Eleme
 	return dst
 }
 
-// decodePiece walks one piece bottom-up through the CSR rows, then writes
-// it into the scratch arena in entry-to-end order.
+// decodePiece recovers one piece, the acyclic path from start to end whose
+// addition values sum to id: it walks bottom-up through the in-rows, then
+// writes the path into the scratch arena in entry-to-end order.
 func (c *CompiledDecoder) decodePiece(sc *decodeScratch, id uint64, end, start callgraph.NodeID) (pieceSeg, error) {
 	terr := c.territory(start)
 	sc.nodes = append(sc.nodes[:0], end)
@@ -419,21 +382,22 @@ func (c *CompiledDecoder) decodePiece(sc *decodeScratch, id uint64, end, start c
 	return seg, nil
 }
 
-// pickEdge returns the CSR slot of n's in-edge, within the territory, with
-// the largest AV not exceeding id. The row descends by AV, so the candidate
-// region starts at the first slot with AV ≤ id — found by binary search on
-// long rows (an interval search over the AV table) — and the territory
-// filter scans forward from there, exactly the legacy selection order.
+// pickEdge returns the slot of n's in-edge, within the territory, with the
+// largest AV not exceeding id — the decoding rule of Section 2, restricted
+// to the piece's territory as Section 3.2 requires. The row ascends by
+// (AV, caller, label) and is read from the top, so among equal AVs the
+// largest (caller, label) wins. Long rows find the last slot with AV ≤ id
+// by binary search, and the territory filter scans down from there.
 func (c *CompiledDecoder) pickEdge(n callgraph.NodeID, id uint64, terr []uint64) (int32, bool) {
 	c.memoHits.Inc()
 	lo, hi := c.inStart[n], c.inStart[n+1]
 	if hi-lo > 8 {
 		row := c.inAV[lo:hi]
-		lo += int32(sort.Search(len(row), func(k int) bool { return row[k] <= id }))
+		hi = lo + int32(sort.Search(len(row), func(k int) bool { return row[k] > id }))
 	}
-	for s := lo; s < hi; s++ {
+	for s := hi - 1; s >= lo; s-- {
 		if c.inAV[s] > id {
-			continue // short rows skip the search; AVs descend
+			continue // short rows skip the search
 		}
 		if terr != nil && terr[s>>6]&(1<<(uint(s)&63)) == 0 {
 			continue
@@ -444,10 +408,10 @@ func (c *CompiledDecoder) pickEdge(n callgraph.NodeID, id uint64, terr []uint64)
 }
 
 // territory returns start's territory bitset row, or nil when the spec has
-// no anchors (no restriction — the legacy contract). A start without a row
-// gets one from a fresh bounded DFS, counted as a memo miss, and publishes
-// it unless the cap is reached: the count is reserved before the row is
-// swapped in and given back on a lost race, so it never passes built.
+// no anchors (no restriction). A start without a row gets one from a fresh
+// bounded DFS, counted as a memo miss, and publishes it unless the cap is
+// reached: the count is reserved before the row is swapped in and given
+// back on a lost race, so it never passes built.
 func (c *CompiledDecoder) territory(start callgraph.NodeID) []uint64 {
 	if c.rows == nil {
 		return nil

@@ -1,15 +1,10 @@
 package encoding
 
 import (
-	"cmp"
 	"errors"
-	"fmt"
-	"slices"
 	"strings"
-	"sync"
 
 	"deltapath/internal/callgraph"
-	"deltapath/internal/obs"
 )
 
 // Sentinel decode errors. They classify *corruption* — an encoding that no
@@ -42,306 +37,5 @@ type Frame struct {
 	Gap  bool
 }
 
-// Decoder recovers calling contexts from runtime encoding states. It is
-// deterministic and instant (no search), which is the paper's headline
-// advantage over Breadcrumbs-style probabilistic decoding.
-//
-// A Decoder is safe for concurrent use: the lazily built per-node and
-// per-territory caches are guarded internally, so one decoder can serve
-// the decode requests of many goroutines (the log-processing deployment
-// shape).
-type Decoder struct {
-	spec *Spec
-
-	mu sync.RWMutex
-
-	// inEdges[n] caches the non-push in-edges of n with their addition
-	// values, sorted by descending AV (ties broken by insertion order,
-	// which never matters within one territory — ranges are disjoint).
-	inEdges map[callgraph.NodeID][]avEdge
-
-	// territory caches, per piece-start node, the set of edges a piece
-	// starting there can traverse: the bounded DFS of Section 3.2 that
-	// retreats at anchor nodes.
-	territory map[callgraph.NodeID]map[callgraph.Edge]bool
-
-	// Observability hooks (nil = no-op): cache effectiveness of the two
-	// memo layers above, and the size distribution of decoded contexts.
-	memoHits   *obs.Counter
-	memoMisses *obs.Counter
-	frames     *obs.Histogram
-}
-
-type avEdge struct {
-	e  callgraph.Edge
-	av uint64
-}
-
-// NewDecoder builds a decoder for the spec.
-func NewDecoder(spec *Spec) *Decoder {
-	return &Decoder{
-		spec:      spec,
-		inEdges:   make(map[callgraph.NodeID][]avEdge),
-		territory: make(map[callgraph.NodeID]map[callgraph.Edge]bool),
-	}
-}
-
-// Observe resolves the decoder's metric hooks from reg (nil disables):
-// memo hits/misses of the in-edge and territory caches, and a histogram
-// of decoded-context sizes.
-func (d *Decoder) Observe(reg *obs.Registry) {
-	d.memoHits = reg.Counter(obs.MetricDecodeMemoHits)
-	d.memoMisses = reg.Counter(obs.MetricDecodeMemoMisses)
-	d.frames = reg.Histogram(obs.MetricDecodeFrames, obs.DefaultDepthBuckets)
-}
-
-// Decode recovers the full calling context whose encoding is st and which
-// ends at node end. The result is ordered from the program entry (index 0)
-// to end.
-func (d *Decoder) Decode(st *State, end callgraph.NodeID) ([]Frame, error) {
-	if err := d.validLive(st, end); err != nil {
-		return nil, err
-	}
-	frames, err := d.decodePiece(st.ID, end, st.Start)
-	if err != nil {
-		return nil, err
-	}
-	for i := len(st.Stack) - 1; i >= 0; i-- {
-		frames, err = d.joinOuter(frames, &st.Stack[i])
-		if err != nil {
-			return nil, fmt.Errorf("piece %d (%s): %w", i, st.Stack[i].Kind, err)
-		}
-	}
-	d.frames.Observe(uint64(len(frames)))
-	return frames, nil
-}
-
-// DecodeBestEffort recovers as much of the context as the state still
-// encodes: the longest decodable suffix, preceded by a Gap frame when the
-// outer pieces are lost. It never fails — an undecodable live piece
-// degrades to just the end frame behind a gap — and reports whether the
-// full context was recovered. This is the degraded-output mode a log
-// pipeline falls back to when a record is corrupt: one bad piece costs the
-// outer frames, not the whole record.
-func (d *Decoder) DecodeBestEffort(st *State, end callgraph.NodeID) ([]Frame, bool) {
-	if !d.validNode(end) {
-		return []Frame{{Gap: true}}, false
-	}
-	if d.validLive(st, end) != nil {
-		return []Frame{{Gap: true}, {Node: end}}, false
-	}
-	frames, err := d.decodePiece(st.ID, end, st.Start)
-	if err != nil {
-		return []Frame{{Gap: true}, {Node: end}}, false
-	}
-	for i := len(st.Stack) - 1; i >= 0; i-- {
-		joined, err := d.joinOuter(frames, &st.Stack[i])
-		if err != nil {
-			return append([]Frame{{Gap: true}}, frames...), false
-		}
-		frames = joined
-	}
-	return frames, true
-}
-
-// joinOuter decodes one suspended piece and prepends it to the frames of
-// the pieces inside it, according to its kind.
-func (d *Decoder) joinOuter(inner []Frame, el *Element) ([]Frame, error) {
-	if !d.validNode(el.OuterEnd) || !d.validNode(el.OuterStart) {
-		return nil, fmt.Errorf("%w: piece boundary node out of range", ErrCorruptEncoding)
-	}
-	outer, err := d.decodePiece(el.DecodeID, el.OuterEnd, el.OuterStart)
-	if err != nil {
-		return nil, err
-	}
-	switch el.Kind {
-	case PieceAnchor:
-		// The outer piece ends at the anchor, which is also the
-		// first frame of the inner piece: drop the duplicate.
-		if len(inner) == 0 || inner[0].Node != el.OuterEnd {
-			return nil, fmt.Errorf("%w: anchor piece does not start at %s",
-				ErrCorruptEncoding, d.spec.Graph.Name(el.OuterEnd))
-		}
-		return append(outer, inner[1:]...), nil
-	case PieceRecursion, PiecePruned:
-		// The recorded call site connects caller (end of outer)
-		// to the inner piece's start.
-		return append(outer, inner...), nil
-	case PieceUCP:
-		joined := append(outer, Frame{Gap: true})
-		return append(joined, inner...), nil
-	default:
-		return nil, fmt.Errorf("%w: unexpected piece kind %v on stack", ErrCorruptEncoding, el.Kind)
-	}
-}
-
-// validNode reports whether n names a node of the spec's graph.
-func (d *Decoder) validNode(n callgraph.NodeID) bool {
-	return n >= 0 && int(n) < d.spec.Graph.NumNodes()
-}
-
-// validLive checks the live piece's boundary nodes, so corrupt records
-// (arbitrary bytes through UnmarshalContext) fail with a typed error
-// instead of indexing the graph out of range.
-func (d *Decoder) validLive(st *State, end callgraph.NodeID) error {
-	if !d.validNode(end) || !d.validNode(st.Start) {
-		return fmt.Errorf("%w: piece boundary node out of range", ErrCorruptEncoding)
-	}
-	return nil
-}
-
-// DecodeNames is Decode rendering node names, with gaps shown as "...".
-func (d *Decoder) DecodeNames(st *State, end callgraph.NodeID) ([]string, error) {
-	frames, err := d.Decode(st, end)
-	if err != nil {
-		return nil, err
-	}
-	return d.Names(frames), nil
-}
-
-// Names renders decoded frames as node names, with gaps shown as "...".
-func (d *Decoder) Names(frames []Frame) []string {
-	out := make([]string, len(frames))
-	for i, f := range frames {
-		if f.Gap {
-			out[i] = "..."
-		} else {
-			out[i] = d.spec.Graph.Name(f.Node)
-		}
-	}
-	return out
-}
-
 // FormatContext joins decoded names with " > ".
 func FormatContext(names []string) string { return strings.Join(names, " > ") }
-
-// decodePiece recovers one piece: the acyclic path from start to end whose
-// addition values sum to id. It walks bottom-up, at each node choosing the
-// in-edge (within start's territory) with the greatest addition value not
-// exceeding the remaining id — the decoding rule of Section 2, restricted
-// to the piece's territory as Section 3.2 requires.
-func (d *Decoder) decodePiece(id uint64, end, start callgraph.NodeID) ([]Frame, error) {
-	terr := d.territoryOf(start)
-	frames := []Frame{{Node: end}}
-	n := end
-	for steps := 0; ; steps++ {
-		if steps > d.spec.Graph.NumNodes()+1 {
-			return nil, fmt.Errorf("%w: decode did not terminate after %d steps", ErrCorruptEncoding, steps)
-		}
-		if n == start {
-			if id != 0 {
-				return nil, fmt.Errorf("%w: reached piece start %s with residual id %d",
-					ErrResidualID, d.spec.Graph.Name(start), id)
-			}
-			break
-		}
-		best, ok := d.pickEdge(n, id, terr)
-		if !ok {
-			return nil, fmt.Errorf("%w: no in-edge of %s matches id %d (piece start %s)",
-				ErrNoMatchingEdge, d.spec.Graph.Name(n), id, d.spec.Graph.Name(start))
-		}
-		id -= best.av
-		n = best.e.Caller
-		frames = append(frames, Frame{Node: n})
-	}
-	// Reverse into entry-to-end order.
-	for i, j := 0, len(frames)-1; i < j; i, j = i+1, j-1 {
-		frames[i], frames[j] = frames[j], frames[i]
-	}
-	return frames, nil
-}
-
-// pickEdge returns the in-edge of n, within the territory, with the largest
-// addition value that is at most id.
-func (d *Decoder) pickEdge(n callgraph.NodeID, id uint64, terr map[callgraph.Edge]bool) (avEdge, bool) {
-	for _, cand := range d.sortedIn(n) {
-		if cand.av > id {
-			continue // sorted descending: keep looking for a smaller AV
-		}
-		if terr != nil && !terr[cand.e] {
-			continue
-		}
-		return cand, true
-	}
-	return avEdge{}, false
-}
-
-// sortedIn returns n's non-push in-edges sorted by descending AV. One memo
-// hit or miss is counted per lookup — the same accounting the compiled
-// decoder applies to its precomputed tables.
-func (d *Decoder) sortedIn(n callgraph.NodeID) []avEdge {
-	d.mu.RLock()
-	cached, ok := d.inEdges[n]
-	d.mu.RUnlock()
-	if ok {
-		d.memoHits.Inc()
-		return cached
-	}
-	d.memoMisses.Inc()
-	list := sortedInEdges(d.spec, n)
-	d.mu.Lock()
-	d.inEdges[n] = list
-	d.mu.Unlock()
-	return list
-}
-
-// sortedInEdges builds n's non-push in-edges sorted by descending AV, ties
-// in reverse insertion order. Within one territory the order of ties never
-// matters (AV ranges are disjoint), but on corrupt inputs the chosen edge
-// depends on it, so the legacy cache and the compiled CSR rows both use
-// this one builder and stay slot-for-slot identical.
-func sortedInEdges(spec *Spec, n callgraph.NodeID) []avEdge {
-	var list []avEdge
-	for _, e := range spec.Graph.In(n) {
-		if _, pushed := spec.Push[e]; pushed {
-			continue
-		}
-		list = append(list, avEdge{e: e, av: spec.AV(e)})
-	}
-	slices.Reverse(list)
-	slices.SortStableFunc(list, func(a, b avEdge) int { return cmp.Compare(b.av, a.av) })
-	return list
-}
-
-// territoryOf returns the set of edges a piece starting at start may
-// traverse: every non-push edge reachable from start without leaving
-// through another anchor node. A nil result means "no restriction", used
-// when the spec has no anchors at all (then every edge qualifies and the
-// filter would be pure overhead).
-func (d *Decoder) territoryOf(start callgraph.NodeID) map[callgraph.Edge]bool {
-	if len(d.spec.Anchors) == 0 {
-		return nil
-	}
-	d.mu.RLock()
-	t, ok := d.territory[start]
-	d.mu.RUnlock()
-	if ok {
-		d.memoHits.Inc()
-		return t
-	}
-	d.memoMisses.Inc()
-	t = make(map[callgraph.Edge]bool)
-	seen := map[callgraph.NodeID]bool{start: true}
-	work := []callgraph.NodeID{start}
-	for len(work) > 0 {
-		v := work[len(work)-1]
-		work = work[:len(work)-1]
-		if v != start && d.spec.Anchors[v] {
-			continue // retreat at other anchors
-		}
-		for _, e := range d.spec.Graph.Out(v) {
-			if _, pushed := d.spec.Push[e]; pushed {
-				continue
-			}
-			t[e] = true
-			if !seen[e.Callee] {
-				seen[e.Callee] = true
-				work = append(work, e.Callee)
-			}
-		}
-	}
-	d.mu.Lock()
-	d.territory[start] = t
-	d.mu.Unlock()
-	return t
-}

@@ -32,7 +32,7 @@ func diamondSpec() (*Spec, map[string]callgraph.NodeID) {
 
 func TestDecodeBothDiamondArms(t *testing.T) {
 	spec, ids := diamondSpec()
-	dec := NewDecoder(spec)
+	dec := Compile(spec)
 	for id, want := range map[uint64]string{0: "a > b > d", 1: "a > c > d"} {
 		st := NewState(ids["a"])
 		st.ID = id
@@ -48,7 +48,7 @@ func TestDecodeBothDiamondArms(t *testing.T) {
 
 func TestDecodeCorruptIDRejected(t *testing.T) {
 	spec, ids := diamondSpec()
-	dec := NewDecoder(spec)
+	dec := Compile(spec)
 	// ID 99 is outside every range: no in-edge matches after subtracting.
 	st := NewState(ids["a"])
 	st.ID = 99
@@ -59,7 +59,7 @@ func TestDecodeCorruptIDRejected(t *testing.T) {
 
 func TestDecodeResidualAtStartRejected(t *testing.T) {
 	spec, ids := diamondSpec()
-	dec := NewDecoder(spec)
+	dec := Compile(spec)
 	// End at b with ID 1: the only in-edge of b has AV 0 from a, leaving
 	// residual 1 at the piece start.
 	st := NewState(ids["a"])
@@ -74,7 +74,7 @@ func TestDecodeUnreachableEndRejected(t *testing.T) {
 	spec, ids := diamondSpec()
 	// A node with no in-edges that is not the start.
 	orphan := spec.Graph.AddNode("orphan", false)
-	dec := NewDecoder(spec)
+	dec := Compile(spec)
 	st := NewState(ids["a"])
 	if _, err := dec.Decode(st, orphan); err == nil {
 		t.Fatal("context ending at unreachable node decoded")
@@ -83,7 +83,7 @@ func TestDecodeUnreachableEndRejected(t *testing.T) {
 
 func TestDecodeCorruptStackRejected(t *testing.T) {
 	spec, ids := diamondSpec()
-	dec := NewDecoder(spec)
+	dec := Compile(spec)
 	st := NewState(ids["a"])
 	// An anchor element whose inner piece does not start at the anchor.
 	st.Stack = append(st.Stack, Element{
@@ -99,57 +99,11 @@ func TestDecodeCorruptStackRejected(t *testing.T) {
 
 func TestDecodeUnknownPieceKindRejected(t *testing.T) {
 	spec, ids := diamondSpec()
-	dec := NewDecoder(spec)
+	dec := Compile(spec)
 	st := NewState(ids["a"])
 	st.Stack = append(st.Stack, Element{Kind: PieceKind(42), OuterEnd: ids["a"], OuterStart: ids["a"]})
 	st.Start = ids["a"]
 	if _, err := dec.Decode(st, ids["a"]); err == nil {
 		t.Fatal("unknown piece kind decoded")
-	}
-}
-
-func TestDecoderCachesAreConsistent(t *testing.T) {
-	spec, ids := diamondSpec()
-	dec := NewDecoder(spec)
-	// Repeated decodes exercise the in-edge and territory caches.
-	for i := 0; i < 100; i++ {
-		st := NewState(ids["a"])
-		st.ID = uint64(i % 2)
-		if _, err := dec.Decode(st, ids["d"]); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestDecoderConcurrent(t *testing.T) {
-	spec, ids := diamondSpec()
-	spec.Anchors = map[callgraph.NodeID]bool{} // exercise territory path too
-	spec.Anchors[ids["b"]] = true
-	dec := NewDecoder(spec)
-	done := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		go func(w int) {
-			for i := 0; i < 200; i++ {
-				st := NewState(ids["a"])
-				st.ID = 1
-				if _, err := dec.Decode(st, ids["d"]); err != nil {
-					done <- err
-					return
-				}
-				st2 := NewState(ids["a"])
-				st2.Add(0)
-				st2.PushAnchor(ids["b"])
-				if _, err := dec.Decode(st2, ids["b"]); err != nil {
-					done <- err
-					return
-				}
-			}
-			done <- nil
-		}(w)
-	}
-	for w := 0; w < 8; w++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
 	}
 }

@@ -17,7 +17,7 @@ func TestDecodeSentinelNoMatchingEdge(t *testing.T) {
 	// A context can never end at a node with no in-edges (other than the
 	// piece start): there is no edge to account for reaching it.
 	orphan := spec.Graph.AddNode("orphan", false)
-	dec := NewDecoder(spec)
+	dec := Compile(spec)
 	st := NewState(ids["a"])
 	_, err := dec.Decode(st, orphan)
 	if !errors.Is(err, ErrNoMatchingEdge) {
@@ -27,7 +27,7 @@ func TestDecodeSentinelNoMatchingEdge(t *testing.T) {
 
 func TestDecodeSentinelResidualID(t *testing.T) {
 	spec, ids := diamondSpec()
-	dec := NewDecoder(spec)
+	dec := Compile(spec)
 	st := NewState(ids["a"])
 	st.ID = 1
 	_, err := dec.Decode(st, ids["b"])
@@ -38,7 +38,7 @@ func TestDecodeSentinelResidualID(t *testing.T) {
 
 func TestDecodeSentinelCorruptBoundaries(t *testing.T) {
 	spec, ids := diamondSpec()
-	dec := NewDecoder(spec)
+	dec := Compile(spec)
 
 	// End node outside the graph.
 	st := NewState(ids["a"])
@@ -68,7 +68,7 @@ func TestDecodeSentinelCorruptBoundaries(t *testing.T) {
 
 func TestDecodeBestEffortCompleteMatchesDecode(t *testing.T) {
 	spec, ids := diamondSpec()
-	dec := NewDecoder(spec)
+	dec := Compile(spec)
 	st := NewState(ids["a"])
 	st.ID = 1
 	want, err := dec.Decode(st, ids["d"])
@@ -91,7 +91,7 @@ func TestDecodeBestEffortCompleteMatchesDecode(t *testing.T) {
 
 func TestDecodeBestEffortCorruptLivePiece(t *testing.T) {
 	spec, ids := diamondSpec()
-	dec := NewDecoder(spec)
+	dec := Compile(spec)
 	st := NewState(ids["a"])
 	st.ID = 99 // no path sums to 99
 	frames, complete := dec.DecodeBestEffort(st, ids["d"])
@@ -105,7 +105,7 @@ func TestDecodeBestEffortCorruptLivePiece(t *testing.T) {
 
 func TestDecodeBestEffortCorruptOuterPieceKeepsSuffix(t *testing.T) {
 	spec, ids := diamondSpec()
-	dec := NewDecoder(spec)
+	dec := Compile(spec)
 	// The live piece (b -> d along the AV-0 edge) is fine; the suspended
 	// outer piece carries a corrupt DecodeID no path can account for.
 	st := NewState(ids["a"])
@@ -122,7 +122,7 @@ func TestDecodeBestEffortCorruptOuterPieceKeepsSuffix(t *testing.T) {
 
 func TestDecodeBestEffortOutOfRangeEnd(t *testing.T) {
 	spec, ids := diamondSpec()
-	dec := NewDecoder(spec)
+	dec := Compile(spec)
 	st := NewState(ids["a"])
 	frames, complete := dec.DecodeBestEffort(st, callgraph.NodeID(999))
 	if complete || len(frames) != 1 || !frames[0].Gap {

@@ -35,10 +35,12 @@ func FuzzUnmarshalContext(f *testing.F) {
 }
 
 // FuzzDecode pipes arbitrary bytes through UnmarshalContext into the
-// decoder and asserts the corruption contract: whatever parses must either
-// decode or fail with a typed error — never panic, never loop — and
-// DecodeBestEffort must always return frames, agreeing with Decode exactly
-// when it reports the context complete.
+// reference decoder and asserts the corruption contract: whatever parses
+// must either decode or fail with a typed error — never panic, never loop
+// — and DecodeBestEffort must always return frames, agreeing with Decode
+// exactly when it reports the context complete. FuzzCompiledDecode holds
+// the compiled decoder to this oracle, so the oracle must keep the
+// contract on its own.
 func FuzzDecode(f *testing.F) {
 	spec, ids := diamondSpec()
 	dec := NewDecoder(spec)
@@ -60,6 +62,9 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		frames, err := dec.Decode(st, end)
+		if err != nil && !typedError(err) {
+			t.Fatalf("untyped decode error: %v", err)
+		}
 		beFrames, complete := dec.DecodeBestEffort(st.Snapshot(), end)
 		if len(beFrames) == 0 {
 			t.Fatal("DecodeBestEffort returned no frames")
@@ -67,15 +72,8 @@ func FuzzDecode(f *testing.F) {
 		if complete != (err == nil) {
 			t.Fatalf("complete=%v but Decode err=%v", complete, err)
 		}
-		if complete {
-			if len(frames) != len(beFrames) {
-				t.Fatalf("complete best-effort decode has %d frames, Decode has %d", len(beFrames), len(frames))
-			}
-			for i := range frames {
-				if frames[i] != beFrames[i] {
-					t.Fatalf("frame %d: best-effort %+v != %+v", i, beFrames[i], frames[i])
-				}
-			}
+		if complete && !framesEqual(frames, beFrames) {
+			t.Fatalf("complete best-effort decode %+v != Decode %+v", beFrames, frames)
 		}
 	})
 }

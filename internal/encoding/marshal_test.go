@@ -138,7 +138,7 @@ func TestMarshalDecodeIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, err := NewDecoder(spec).DecodeNames(back, end)
+	names, err := Compile(spec).DecodeNames(back, end)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 // Package encoding defines the artifacts shared by every calling-context
 // encoding in this repository: the static Spec an encoding algorithm
-// produces (addition values, anchors, push edges), the runtime State the
-// instrumentation maintains (the encoding ID plus the piece stack of
-// Section 3.2/4.1 of the paper), and the precise Decoder that recovers a
-// calling context from a State.
+// produces (addition values, anchors, push edges), the Spec's forward
+// in-rows (BuildRows, the arrays both the decoder and the verifier read),
+// the runtime State the instrumentation maintains (the encoding ID plus the
+// piece stack of Section 3.2/4.1 of the paper), and the precise decoder
+// (Compile) that recovers a calling context from a State.
 //
 // The runtime representation follows the paper exactly: a calling context is
 // a stack of pieces. The bottom piece starts at the program entry; a new

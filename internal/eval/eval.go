@@ -384,24 +384,20 @@ func Table2(suite []workload.Params, scale float64) ([]Table2Row, error) {
 // DecodeRow reports decode throughput for one benchmark: the quantitative
 // backing for the paper's "deterministic and instant decoding" claim
 // (contrast Breadcrumbs' 5-second-per-context offline search), measured
-// through both data paths — the legacy map-based reference decoder and the
-// compiled flat tables (encoding.Compile). Speedup is the machine-independent
-// metric the bench-smoke gate compares; absolute ns/context is recorded for
-// the record but never gated (1-CPU container noise).
+// through the decoder production runs (encoding.Compile). AllocsPerOp, an
+// allocation count, is what the bench-smoke gate compares; the ns/context
+// timing is recorded but never gated.
 type DecodeRow struct {
 	Program      string
 	Contexts     int     // distinct contexts timed
-	LegacyNs     float64 // best-of-repeats mean ns/context, legacy map decoder
-	CompiledNs   float64 // same contexts through the compiled flat tables
-	Speedup      float64 // LegacyNs / CompiledNs
-	FramesPerSec float64 // compiled-path frame throughput at CompiledNs
-	AllocsPerOp  float64 // compiled steady-state heap allocations per decode
+	CompiledNs   float64 // best-of-repeats mean ns/context
+	FramesPerSec float64 // frame throughput at CompiledNs
+	AllocsPerOp  float64 // steady-state heap allocations per decode
 	MaxDepth     int     // deepest decoded context
 }
 
 // DecodeLatency collects up to sample distinct contexts per benchmark and
-// times their decoding through both decoders, keeping the best of repeats
-// timed batches per side.
+// times their decoding, keeping the best of repeats timed batches.
 func DecodeLatency(suite []workload.Params, scale float64, sample, repeats int) ([]DecodeRow, error) {
 	if sample <= 0 {
 		sample = 2048
@@ -461,45 +457,25 @@ func DecodeLatency(suite []workload.Params, scale float64, sample, repeats int) 
 		if len(samples) == 0 {
 			return nil, fmt.Errorf("%s: no contexts sampled", p.Name)
 		}
-		legacy := encoding.NewDecoder(res.Spec)
 		compiled := encoding.Compile(res.Spec)
 		row := DecodeRow{Program: p.Name, Contexts: len(samples)}
-		// Warm both paths once (legacy memo caches, compiled scratch pool
-		// and frame buffer), collecting depth and frame totals from the
-		// warm pass so the timed batches are measurement only.
+		// Warm the scratch pool, the frame buffer and any territory rows
+		// once, collecting depth and frame totals from the warm pass so the
+		// timed batches are measurement only.
 		var buf []encoding.Frame
 		totalFrames := 0
 		for _, s := range samples {
-			frames, err := legacy.Decode(s.st, s.node)
-			if err != nil {
+			if buf, err = compiled.DecodeInto(buf[:0], s.st, s.node); err != nil {
 				return nil, fmt.Errorf("%s: decode: %w", p.Name, err)
 			}
-			if len(frames) > row.MaxDepth {
-				row.MaxDepth = len(frames)
-			}
-			totalFrames += len(frames)
-			if buf, err = compiled.DecodeInto(buf[:0], s.st, s.node); err != nil {
-				return nil, fmt.Errorf("%s: compiled decode: %w", p.Name, err)
-			}
-			if len(buf) != len(frames) {
-				return nil, fmt.Errorf("%s: decoder disagreement: legacy %d frames, compiled %d",
-					p.Name, len(frames), len(buf))
-			}
+			row.MaxDepth = max(row.MaxDepth, len(buf))
+			totalFrames += len(buf)
 		}
 		n := float64(len(samples))
 		for r := 0; r < repeats; r++ {
-			start := time.Now()
-			for _, s := range samples {
-				if _, err := legacy.Decode(s.st, s.node); err != nil {
-					return nil, err
-				}
-			}
-			if ns := float64(time.Since(start).Nanoseconds()) / n; row.LegacyNs == 0 || ns < row.LegacyNs {
-				row.LegacyNs = ns
-			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			start = time.Now()
+			start := time.Now()
 			for _, s := range samples {
 				if buf, err = compiled.DecodeInto(buf[:0], s.st, s.node); err != nil {
 					return nil, err
@@ -515,7 +491,6 @@ func DecodeLatency(suite []workload.Params, scale float64, sample, repeats int) 
 			}
 		}
 		if row.CompiledNs > 0 {
-			row.Speedup = row.LegacyNs / row.CompiledNs
 			row.FramesPerSec = float64(totalFrames) / n / row.CompiledNs * 1e9
 		}
 		rows = append(rows, row)

@@ -162,7 +162,7 @@ func TestDecodeLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rows[0]
-	if r.Contexts == 0 || r.LegacyNs <= 0 || r.CompiledNs <= 0 || r.Speedup <= 0 || r.FramesPerSec <= 0 {
+	if r.Contexts == 0 || r.CompiledNs <= 0 || r.FramesPerSec <= 0 {
 		t.Fatalf("implausible decode row: %+v", r)
 	}
 	// "Instant decoding": the compiled path must stay far under a

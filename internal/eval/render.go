@@ -131,17 +131,16 @@ func RenderScale(rows []ScaleRow) string {
 	return b.String()
 }
 
-// RenderDecodeLatency prints the decode-throughput table: legacy map
-// decoder vs compiled flat tables on the same sampled contexts.
+// RenderDecodeLatency prints the decode-throughput table of the compiled
+// decoder on the sampled contexts.
 func RenderDecodeLatency(rows []DecodeRow) string {
 	var b strings.Builder
-	b.WriteString("Decode throughput (ns per context; legacy map decoder vs compiled flat tables)\n")
-	fmt.Fprintf(&b, "%-22s %9s %11s %12s %8s %13s %10s %7s\n",
-		"program", "contexts", "legacy ns", "compiled ns", "speedup", "frames/s", "allocs/op", "max.d")
+	b.WriteString("Decode throughput (ns per context; compiled flat tables)\n")
+	fmt.Fprintf(&b, "%-22s %9s %12s %13s %10s %7s\n",
+		"program", "contexts", "compiled ns", "frames/s", "allocs/op", "max.d")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-22s %9d %11.1f %12.1f %7.2fx %13.0f %10.2f %7d\n",
-			r.Program, r.Contexts, r.LegacyNs, r.CompiledNs, r.Speedup,
-			r.FramesPerSec, r.AllocsPerOp, r.MaxDepth)
+		fmt.Fprintf(&b, "%-22s %9d %12.1f %13.0f %10.2f %7d\n",
+			r.Program, r.Contexts, r.CompiledNs, r.FramesPerSec, r.AllocsPerOp, r.MaxDepth)
 	}
 	return b.String()
 }

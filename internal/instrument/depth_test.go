@@ -37,7 +37,7 @@ func runDepth(t *testing.T, src string, seed uint64) *DepthEncoder {
 	vm.SetProbes(enc)
 	vm.SetInstrumented(plan.InstrumentedMethods())
 	vm.SetProbeDynamic(true) // the scheme's requirement
-	dec := encoding.NewDecoder(res.Spec)
+	dec := encoding.Compile(res.Spec)
 	checked := 0
 	vm.OnEmit = func(v *minivm.VM, m minivm.MethodRef, _ string) {
 		node, known := build.NodeOf[m]
@@ -179,7 +179,7 @@ class C { method cb { emit c } }
 	vm.SetProbes(enc)
 	vm.SetInstrumented(nil) // library entries/exits must count depth
 	vm.SetProbeDynamic(true)
-	dec := encoding.NewDecoder(res.Spec)
+	dec := encoding.Compile(res.Spec)
 	sawGap := false
 	vm.OnEmit = func(v *minivm.VM, m minivm.MethodRef, _ string) {
 		node, known := build.NodeOf[m]

@@ -70,7 +70,7 @@ type Encoder struct {
 	// dec decodes the live state for the invariant checker; lazily built
 	// (a compiled flat-table decoder), or shared across encoders of one
 	// spec via SetDecoder.
-	dec encoding.ContextDecoder
+	dec *encoding.CompiledDecoder
 	// walker captures ground-truth stacks for the checker and for resync;
 	// built on first use (its filter is the instrumented-method set).
 	// nodeBuf/directBuf are its reused capture buffers.

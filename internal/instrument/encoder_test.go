@@ -23,7 +23,7 @@ type harness struct {
 	build   *cha.Result
 	plan    *Plan
 	enc     *Encoder
-	dec     *encoding.Decoder
+	dec     *encoding.CompiledDecoder
 	vm      *minivm.VM
 	keyCtx  map[string]string
 	emits   int
@@ -76,7 +76,7 @@ func newHarness(t *testing.T, src string, o harnessOpts) *harness {
 	vm.SetInstrumented(plan.InstrumentedMethods())
 	h := &harness{
 		t: t, prog: prog, build: build, plan: plan, enc: enc,
-		dec: encoding.NewDecoder(spec), vm: vm,
+		dec: encoding.Compile(spec), vm: vm,
 		keyCtx: make(map[string]string),
 	}
 	vm.OnEmit = h.onEmit
@@ -224,7 +224,7 @@ func TestRecursionRoundTrip(t *testing.T) {
 		vm.MaxDepth = 20
 		vm.SetProbes(enc)
 		vm.SetInstrumented(plan.InstrumentedMethods())
-		dec := encoding.NewDecoder(res.Spec)
+		dec := encoding.Compile(res.Spec)
 		checked := 0
 		vm.OnEmit = func(v *minivm.VM, m minivm.MethodRef, _ string) {
 			node := build.NodeOf[m]
@@ -328,7 +328,7 @@ func TestFigure6WithoutCPTWouldCorrupt(t *testing.T) {
 	}
 	vm.SetProbes(enc)
 	vm.SetInstrumented(plan.InstrumentedMethods())
-	dec := encoding.NewDecoder(res.Spec)
+	dec := encoding.Compile(res.Spec)
 	mismatch := false
 	vm.OnEmit = func(v *minivm.VM, m minivm.MethodRef, _ string) {
 		node, known := build.NodeOf[m]

@@ -105,7 +105,7 @@ func TestProfileGuidedFreeSites(t *testing.T) {
 	vm.SetProbes(enc)
 	vm.SetInstrumented(plan.InstrumentedMethods())
 	vm.SetInstrumentedSites(plan.ActiveSites())
-	dec := encoding.NewDecoder(res.Spec)
+	dec := encoding.Compile(res.Spec)
 	checked := 0
 	vm.OnEmit = func(v *minivm.VM, m minivm.MethodRef, _ string) {
 		node := build.NodeOf[m]

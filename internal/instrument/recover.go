@@ -38,12 +38,12 @@ type Health struct {
 	PartialDecodes uint64
 }
 
-// SetDecoder shares a decoder (built over this plan's spec) with the
+// SetDecoder shares a decoder (compiled from this plan's spec) with the
 // invariant checker, so many encoders reuse one set of decode tables.
-// Either decoder works; without it the checker lazily compiles its own.
-func (e *Encoder) SetDecoder(d encoding.ContextDecoder) { e.dec = d }
+// Without it the checker lazily compiles its own.
+func (e *Encoder) SetDecoder(d *encoding.CompiledDecoder) { e.dec = d }
 
-func (e *Encoder) decoder() encoding.ContextDecoder {
+func (e *Encoder) decoder() *encoding.CompiledDecoder {
 	if e.dec == nil {
 		e.dec = encoding.Compile(e.plan.Spec)
 	}

@@ -63,7 +63,7 @@ func TestSpawnContextsRootAtTaskEntry(t *testing.T) {
 	}
 	vm.SetProbes(enc)
 	vm.SetInstrumented(plan.InstrumentedMethods())
-	dec := encoding.NewDecoder(res.Spec)
+	dec := encoding.Compile(res.Spec)
 	taskRooted := 0
 	vm.OnEmit = func(v *minivm.VM, m minivm.MethodRef, _ string) {
 		node, known := build.NodeOf[m]

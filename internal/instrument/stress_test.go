@@ -96,7 +96,7 @@ func stressOne(t *testing.T, prog *minivm.Program, cfg stressConfig, dispatchSee
 	}
 	vm.SetProbes(enc)
 	vm.SetInstrumented(plan.InstrumentedMethods())
-	dec := encoding.NewDecoder(res.Spec)
+	dec := encoding.Compile(res.Spec)
 	keyCtx := make(map[string]string)
 	checked := 0
 	vm.OnEmit = func(v *minivm.VM, m minivm.MethodRef, _ string) {

@@ -142,7 +142,7 @@ func TestFigure1DecodeWorkedExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := encoding.NewDecoder(res.Spec)
+	dec := encoding.Compile(res.Spec)
 	st := encoding.NewState(ids["A"])
 	st.ID = 6
 	names, err := dec.DecodeNames(st, ids["G"])
@@ -162,7 +162,7 @@ func TestExhaustiveUniqueRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := encoding.NewDecoder(res.Spec)
+	dec := encoding.Compile(res.Spec)
 	seen := make(map[string]string)
 	count := 0
 	encoding.EnumeratePaths(g, 0, 16, func(path []callgraph.Edge) {
@@ -214,7 +214,7 @@ func TestRecursionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := encoding.NewDecoder(res.Spec)
+	dec := encoding.Compile(res.Spec)
 	seen := make(map[string]string)
 	encoding.EnumeratePaths(g, 3, 10, func(path []callgraph.Edge) {
 		st, err := encoding.EncodePath(res.Spec, path)
@@ -291,7 +291,7 @@ func TestPruningOverflow(t *testing.T) {
 		}
 	}
 	// Round trip still exact despite pruning.
-	dec := encoding.NewDecoder(res.Spec)
+	dec := encoding.Compile(res.Spec)
 	seen := make(map[string]string)
 	checked := 0
 	encoding.EnumeratePaths(g, 0, 10, func(path []callgraph.Edge) {

@@ -50,9 +50,9 @@ type decodeJob struct {
 //
 // Each worker memoizes the records it has already decoded, so append-mode
 // profiles (where one record can recur with separate counts) pay for each
-// distinct record at most once per worker; the expensive per-piece work is
-// additionally shared across workers by the encoding.Decoder's internal
-// territory/in-edge caches, which decode closes over.
+// distinct record at most once per worker. The decoder decode closes over
+// is shared by every worker: the compiled decoder's tables are read-only,
+// and safe for concurrent use without locks.
 //
 // The first error — a corrupt record, a failed decode — aborts the run;
 // remaining records are drained but not decoded.

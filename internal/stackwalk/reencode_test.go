@@ -85,7 +85,7 @@ class G { method cb { emit g } }
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec := encoding.NewDecoder(res.Spec)
+			dec := encoding.Compile(res.Spec)
 			for seed := uint64(0); seed < uint64(p.seeds); seed++ {
 				vm, err := minivm.NewVM(prog, seed)
 				if err != nil {

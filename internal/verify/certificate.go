@@ -109,8 +109,8 @@ func (v *view) nodeFingerprints() []uint64 {
 		for e := v.outStart[u]; e < v.outStart[u+1]; e++ {
 			h = h.word(uint64(uint32(v.label[e])))
 			h = h.word(uint64(uint32(v.callee[e])))
-			h = h.word(1 + uint64(v.push[e])) // 1, or 2+kind for a push edge
-			h = h.word(v.av[e])
+			h = h.word(1 + uint64(v.Push[e])) // 1, or 2+kind for a push edge
+			h = h.word(v.AV[e])
 		}
 		fps[u] = uint64(h)
 	}

@@ -10,7 +10,8 @@
 //
 //   - structure: the spec's maps reference only nodes, edges, and call sites
 //     that exist in its graph (a corrupted or mismatched .dpa violates this
-//     first).
+//     first), and the in-rows the decoder shares with the verifier hold
+//     exactly each node's forward in-edges, in order.
 //   - push-kind / recursion-anchored: piece-starting edges carry a
 //     recursion/pruned kind, and every recursive edge's target is an anchor
 //     (Section 2 via Algorithm 2: each cyclic step starts a piece with
@@ -215,7 +216,7 @@ func (o Options) maxID() uint64 {
 func (v *view) verify(rep *Report, plan *cpt.Plan, maxID uint64,
 	obligations func(nodeFP []uint64, starts []callgraph.NodeID) ([]territoryObligation, error)) error {
 
-	checkStructure(rep, v)
+	rowsOK := checkStructure(rep, v)
 	pushOK := checkPushEdges(rep, v)
 	checkVirtualAV(rep, v)
 
@@ -228,7 +229,7 @@ func (v *view) verify(rep *Report, plan *cpt.Plan, maxID uint64,
 	var obs []territoryObligation
 	if !v.topoOrder() {
 		reportForwardCycle(rep, v)
-	} else if pushOK {
+	} else if pushOK && rowsOK {
 		nodeFP = v.nodeFingerprints()
 		var err error
 		if obs, err = obligations(nodeFP, starts); err != nil {
@@ -251,24 +252,82 @@ func (v *view) verify(rep *Report, plan *cpt.Plan, maxID uint64,
 // checkStructure verifies that the site-indexed SiteAV has one entry per
 // call site of the graph and that every spec map key references an entity
 // of the graph. analysisio.Load guarantees this for well-formed files; an
-// in-memory spec (or a tampered artifact) may not. The view collected the
-// stray keys while reading the maps.
-func checkStructure(rep *Report, v *view) {
+// in-memory spec (or a tampered artifact) may not. It then proves the rows
+// (checkRows) and reports whether they hold.
+func checkStructure(rep *Report, v *view) bool {
 	g := v.g
 	if v.spec.CheckSiteAV() != nil {
 		rep.add("structure", "", "",
 			"SiteAV has %d entries for %d call sites: one per site, none in a per-edge spec",
 			len(v.spec.SiteAV), v.nb.NumSites())
 	}
-	slices.SortFunc(v.strayEdgeAV, compareEdges)
-	for _, e := range v.strayEdgeAV {
+	var strayEdgeAV []callgraph.Edge
+	for e := range v.spec.EdgeAV {
+		if v.nb.EdgeIndex(e) < 0 {
+			strayEdgeAV = append(strayEdgeAV, e)
+		}
+	}
+	slices.SortFunc(strayEdgeAV, compareEdges)
+	for _, e := range strayEdgeAV {
 		rep.add("structure", "", siteName(g, e.Site()),
 			"per-edge addition value assigned to nonexistent edge to %s", nameOf(g, e.Callee))
 	}
-	slices.Sort(v.strayAnchors)
-	for _, n := range v.strayAnchors {
+	var strayAnchors []callgraph.NodeID
+	for a := range v.spec.Anchors {
+		if a < 0 || int(a) >= v.n {
+			strayAnchors = append(strayAnchors, a)
+		}
+	}
+	slices.Sort(strayAnchors)
+	for _, n := range strayAnchors {
 		rep.add("structure", fmt.Sprintf("node#%d", n), "", "anchor is not a node of the graph")
 	}
+	return checkRows(rep, v)
+}
+
+// checkRows proves the in-rows the compiled decoder lowers and the later
+// checks read: each slot of node u's row holds a forward edge into u with
+// that edge's caller and addition value, and each row ascends strictly by
+// (AV, caller, label). Slots in different rows then hold edges of
+// different callees, and no row holds an edge twice, so the rows hold every
+// forward edge exactly when they have as many slots.
+func checkRows(rep *Report, v *view) bool {
+	g, before := v.g, len(rep.Findings)
+	for u := int32(0); int(u) < v.n; u++ {
+		for k := v.InStart[u]; k < v.InStart[u+1]; k++ {
+			e := v.InEdge[k]
+			switch {
+			case v.callee[e] != u || v.Push[e] != 0 || v.InCaller[k] != v.caller[e] || v.InAV[k] != v.AV[e]:
+				rep.add("structure", nameOf(g, callgraph.NodeID(u)), siteName(g, v.site(e)),
+					"in-row slot %d does not hold a forward in-edge of this node", k)
+			case k > v.InStart[u] && !v.rowOrdered(v.InEdge[k-1], e):
+				rep.add("structure", nameOf(g, callgraph.NodeID(u)), siteName(g, v.site(e)),
+					"in-row slot %d is out of (AV, caller, label) order", k)
+			}
+		}
+	}
+	forward := 0
+	for _, p := range v.Push {
+		if p == 0 {
+			forward++
+		}
+	}
+	if forward != len(v.InEdge) {
+		rep.add("structure", "", "", "in-rows hold %d slots for %d forward edges", len(v.InEdge), forward)
+	}
+	return len(rep.Findings) == before
+}
+
+// rowOrdered reports whether edge a sorts strictly before edge b in an
+// in-row: by addition value, then caller, then label.
+func (v *view) rowOrdered(a, b int32) bool {
+	if v.AV[a] != v.AV[b] {
+		return v.AV[a] < v.AV[b]
+	}
+	if v.caller[a] != v.caller[b] {
+		return v.caller[a] < v.caller[b]
+	}
+	return v.label[a] < v.label[b]
 }
 
 // checkPushEdges verifies the piece-starting edges: they must exist, carry
@@ -346,7 +405,7 @@ func reportForwardCycle(rep *Report, v *view) {
 
 func (v *view) forwardSelfLoop(u int32) bool {
 	for e := v.outStart[u]; e < v.outStart[u+1]; e++ {
-		if v.callee[e] == u && v.push[e] == 0 {
+		if v.callee[e] == u && v.Push[e] == 0 {
 			return true
 		}
 	}
@@ -375,7 +434,7 @@ func (v *view) forwardSCC() ([]int32, int) {
 			}
 			e := f.e
 			f.e++
-			if c := v.callee[e]; v.push[e] == 0 && !seen[c] {
+			if c := v.callee[e]; v.Push[e] == 0 && !seen[c] {
 				seen[c] = true
 				stack = append(stack, frame{c, v.outStart[c]})
 			}
@@ -398,7 +457,7 @@ func (v *view) forwardSCC() ([]int32, int) {
 		for len(work) > 0 {
 			u := work[len(work)-1]
 			work = work[:len(work)-1]
-			for _, c := range v.inCaller[v.inStart[u]:v.inStart[u+1]] {
+			for _, c := range v.InCaller[v.InStart[u]:v.InStart[u+1]] {
 				if comp[c] == -1 {
 					comp[c] = int32(count)
 					work = append(work, c)
@@ -501,7 +560,7 @@ func (p *prover) prove(start callgraph.NodeID, stamp int32) territoryObligation 
 		}
 		p.expanded[u] = stamp
 		for e := v.outStart[u]; e < v.outStart[u+1]; e++ {
-			if c := v.callee[e]; v.push[e] == 0 && p.member[c] != stamp {
+			if c := v.callee[e]; v.Push[e] == 0 && p.member[c] != stamp {
 				p.member[c] = stamp
 				p.ranks = append(p.ranks, v.rank[c])
 				p.work = append(p.work, c)
@@ -526,9 +585,9 @@ func (p *prover) prove(start callgraph.NodeID, stamp int32) territoryObligation 
 			continue
 		}
 		in := p.in[:0]
-		for k := v.inStart[n]; k < v.inStart[n+1]; k++ {
-			if c := v.inCaller[k]; p.expanded[c] == stamp {
-				in = append(in, interval{k: k, av: v.inAV[k], width: p.icc[c]})
+		for k := v.InStart[n]; k < v.InStart[n+1]; k++ {
+			if c := v.InCaller[k]; p.expanded[c] == stamp {
+				in = append(in, interval{k: k, av: v.InAV[k], width: p.icc[c]})
 			}
 		}
 		p.in = in
@@ -537,7 +596,7 @@ func (p *prover) prove(start callgraph.NodeID, stamp int32) territoryObligation 
 		var iccN uint64
 		for i, iv := range in {
 			if iv.av > p.maxID-iv.width {
-				sub.add("capacity", nameOf(g, callgraph.NodeID(n)), siteName(g, v.site(v.inEdges[iv.k])),
+				sub.add("capacity", nameOf(g, callgraph.NodeID(n)), siteName(g, v.site(v.InEdge[iv.k])),
 					"piece capacity overflows the integer limit: addition value %d + width %d > %d (territory of %s)",
 					iv.av, iv.width, p.maxID, nameOf(g, start))
 				nodeOK = false
@@ -550,10 +609,10 @@ func (p *prover) prove(start callgraph.NodeID, stamp int32) territoryObligation 
 			if i+1 < len(in) {
 				next := in[i+1]
 				if gap := next.av - iv.av; gap < iv.width {
-					sub.add("intervals", nameOf(g, callgraph.NodeID(n)), siteName(g, v.site(v.inEdges[iv.k])),
+					sub.add("intervals", nameOf(g, callgraph.NodeID(n)), siteName(g, v.site(v.InEdge[iv.k])),
 						"in-edge ranges overlap in territory of %s: [%d,%d) from %s collides with [%d,...) from %s — two paths share an encoding",
-						nameOf(g, start), iv.av, iv.av+iv.width, nameOf(g, callgraph.NodeID(v.inCaller[iv.k])),
-						next.av, nameOf(g, callgraph.NodeID(v.inCaller[next.k])))
+						nameOf(g, start), iv.av, iv.av+iv.width, nameOf(g, callgraph.NodeID(v.InCaller[iv.k])),
+						next.av, nameOf(g, callgraph.NodeID(v.InCaller[next.k])))
 					nodeOK = false
 				}
 			}
@@ -643,9 +702,9 @@ func checkVirtualAV(rep *Report, v *view) {
 	}
 	for k := int32(0); int(k) < v.nb.NumSites(); k++ {
 		targets := v.nb.Targets(k)
-		want := v.av[targets[0]]
+		want := v.AV[targets[0]]
 		for _, e := range targets[1:] {
-			if got := v.av[e]; got != want {
+			if got := v.AV[e]; got != want {
 				rep.add("virtual-site-av", "", siteName(g, v.site(e)),
 					"dispatch targets disagree on the addition value: %s gets %d, %s gets %d",
 					nameOf(g, callgraph.NodeID(v.callee[targets[0]])), want, nameOf(g, callgraph.NodeID(v.callee[e])), got)
