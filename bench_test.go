@@ -693,45 +693,3 @@ func BenchmarkAblationProfileGuided(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationBatchAnchors measures the batched restart policy (an
-// engineering extension to Algorithm 2) on a hub-less lattice whose
-// encoding pressure crosses the integer limit across a whole layer: the
-// sequential policy restarts once per anchor, the batched one once per
-// round.
-func BenchmarkAblationBatchAnchors(b *testing.B) {
-	g := callgraph.New()
-	prev := []callgraph.NodeID{g.AddNode("main", false)}
-	g.SetEntry(prev[0])
-	var label int32
-	for layer := 0; layer < 40; layer++ {
-		var cur []callgraph.NodeID
-		for i := 0; i < 4; i++ {
-			n := g.AddNode(fmt.Sprintf("L%dN%d", layer, i), false)
-			cur = append(cur, n)
-			for _, p := range prev {
-				g.AddEdge(p, label, n)
-				label++
-			}
-		}
-		prev = cur
-	}
-	for _, cfg := range []struct {
-		name  string
-		batch bool
-	}{{"sequential", false}, {"batched", true}} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			var anchors, restarts int
-			for i := 0; i < b.N; i++ {
-				res, err := core.Encode(g, core.Options{MaxID: 1<<40 - 1, BatchAnchors: cfg.batch})
-				if err != nil {
-					b.Fatal(err)
-				}
-				anchors, restarts = len(res.OverflowAnchors), res.Restarts
-			}
-			b.ReportMetric(float64(anchors), "anchors")
-			b.ReportMetric(float64(restarts), "restarts")
-		})
-	}
-}

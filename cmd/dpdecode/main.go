@@ -39,21 +39,30 @@
 //
 // With -partial, corrupt records do not fail the run: each decodes to its
 // longest decodable suffix behind an explicit "..." gap (best-effort mode),
-// and the number of partial decodes is reported at the end.
+// or to the gap alone when its bytes do not parse, and the partial and
+// unreadable counts are reported at the end. A broken frame still fails.
 package main
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"deltapath"
 )
+
+// decoder is a re-run *deltapath.Analysis or a loaded *OfflineDecoder.
+type decoder interface {
+	DecodeBytes(record []byte) ([]string, error)
+	DecodeBytesBestEffort(record []byte) (names []string, complete bool, err error)
+	DecodeProfile(r io.Reader, workers int) (*deltapath.ProfileReport, error)
+}
 
 func main() {
 	app := flag.Bool("app", false, "encoding-application setting (must match the recording run)")
@@ -69,9 +78,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var decode func([]byte) ([]string, error)
-	var decodePartial func([]byte) ([]string, bool, error)
-	var decodeProfile func(io.Reader, int) (*deltapath.ProfileReport, error)
+	var dec decoder
 	var logPath string
 	switch {
 	case *analysisFile != "" && flag.NArg() == 1:
@@ -79,17 +86,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		dec, err := deltapath.LoadDecoder(af)
+		off, err := deltapath.LoadDecoder(af)
 		af.Close()
 		if err != nil {
 			fatal(err)
 		}
-		if ep := dec.Epoch(); ep > 0 {
+		if ep := off.Epoch(); ep > 0 {
 			fmt.Fprintf(os.Stderr, "analysis epoch %d (extended snapshot)\n", ep)
 		}
-		decode = dec.DecodeBytes
-		decodePartial = dec.DecodeBytesBestEffort
-		decodeProfile = dec.DecodeProfile
+		dec = off
 		logPath = flag.Arg(0)
 	case *analysisFile == "" && flag.NArg() == 2:
 		src, err := os.ReadFile(flag.Arg(0))
@@ -104,9 +109,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		decode = an.DecodeBytes
-		decodePartial = an.DecodeBytesBestEffort
-		decodeProfile = an.DecodeProfile
+		dec = an
 		logPath = flag.Arg(1)
 	default:
 		fmt.Fprintln(os.Stderr, "usage: dpdecode [-app] [-unique] [-partial] program.mv log.bin")
@@ -121,7 +124,7 @@ func main() {
 	defer f.Close()
 
 	if *profileIn {
-		rep, err := decodeProfile(f, *workers)
+		rep, err := dec.DecodeProfile(f, *workers)
 		if err != nil {
 			fatal(err)
 		}
@@ -139,63 +142,80 @@ func main() {
 		return
 	}
 
+	summary, err := decodeLog(f, os.Stdout, dec, *unique, *partial)
+	if err != nil {
+		fatalDecode(err)
+	}
+	fmt.Fprintln(os.Stderr, summary)
+}
+
+// decodeLog decodes the length-prefixed records of a "dprun -record" log
+// from r onto w, one line per record or, with unique, one per distinct
+// context with its count (count descending, ties in context order), and
+// returns the summary line. With partial a record whose bytes do not parse
+// prints as a bare "..." gap; without it, it ends the run. A broken frame
+// always ends the run.
+func decodeLog(r io.Reader, w io.Writer, dec decoder, unique, partial bool) (string, error) {
 	counts := make(map[string]int)
-	n, partials := 0, 0
+	n, partials, unreadable := 0, 0, 0
 	for {
 		var hdr [4]byte
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			if err == io.EOF {
 				break
 			}
-			fatal(fmt.Errorf("record %d: %w", n, err))
+			return "", fmt.Errorf("record %d: %w", n, err)
 		}
 		size := binary.LittleEndian.Uint32(hdr[:])
 		if size > 1<<20 {
-			fatal(fmt.Errorf("record %d: implausible size %d", n, size))
+			return "", fmt.Errorf("record %d: implausible size %d", n, size)
 		}
 		rec := make([]byte, size)
-		if _, err := io.ReadFull(f, rec); err != nil {
-			fatal(fmt.Errorf("record %d: %w", n, err))
+		if _, err := io.ReadFull(r, rec); err != nil {
+			return "", fmt.Errorf("record %d: %w", n, err)
 		}
 		n++
 		var names []string
-		if *partial {
+		var err error
+		if partial {
 			var complete bool
-			names, complete, err = decodePartial(rec)
-			if err != nil {
-				fatal(fmt.Errorf("record %d: %w", n, err))
-			}
-			if !complete {
+			names, complete, err = dec.DecodeBytesBestEffort(rec)
+			switch {
+			case err != nil:
+				names = []string{"..."}
+				unreadable++
+			case !complete:
 				partials++
 			}
-		} else {
-			names, err = decode(rec)
-			if err != nil {
-				fatalDecode(fmt.Errorf("record %d: %w", n, err))
-			}
+		} else if names, err = dec.DecodeBytes(rec); err != nil {
+			return "", fmt.Errorf("record %d: %w", n, err)
 		}
 		ctx := strings.Join(names, " > ")
-		if *unique {
+		if unique {
 			counts[ctx]++
 		} else {
-			fmt.Println(ctx)
+			fmt.Fprintln(w, ctx)
 		}
 	}
-	if *unique {
+	if unique {
 		keys := make([]string, 0, len(counts))
 		for k := range counts {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return counts[keys[i]] > counts[keys[j]] })
+		slices.SortFunc(keys, func(a, b string) int {
+			return cmp.Or(cmp.Compare(counts[b], counts[a]), strings.Compare(a, b))
+		})
 		for _, k := range keys {
-			fmt.Printf("%8d  %s\n", counts[k], k)
+			fmt.Fprintf(w, "%8d  %s\n", counts[k], k)
 		}
 	}
-	if *partial && partials > 0 {
-		fmt.Fprintf(os.Stderr, "decoded %d records (%d partial)\n", n, partials)
-		return
+	switch {
+	case unreadable > 0:
+		return fmt.Sprintf("decoded %d records (%d partial, %d unreadable)", n, partials, unreadable), nil
+	case partials > 0:
+		return fmt.Sprintf("decoded %d records (%d partial)", n, partials), nil
 	}
-	fmt.Fprintf(os.Stderr, "decoded %d records\n", n)
+	return fmt.Sprintf("decoded %d records", n), nil
 }
 
 func fatal(err error) {

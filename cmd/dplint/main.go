@@ -220,7 +220,7 @@ func checkProgram(path string, app bool, graph string, maxID uint64, opts verify
 
 // checkArtifact verifies a .dpa analysis file as persisted, keeping the
 // loaded bundle so -delta can re-certify it. An unloadable file yields a
-// "load" finding, exactly like verify.CheckFile.
+// "load" finding, as verify.CheckBytes reports an unloadable analysis.
 func checkArtifact(path string, opts verify.Options) (*verify.Report, *encoding.Spec, *cpt.Plan) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -230,7 +230,7 @@ func checkArtifact(path string, opts verify.Options) (*verify.Report, *encoding.
 	if err != nil {
 		return &verify.Report{Source: path, Findings: []verify.Diagnostic{{Check: "load", Detail: err.Error()}}}, nil, nil
 	}
-	rep := verify.CheckBundle(bundle, opts)
+	rep := verify.Check(bundle.Spec, bundle.CPT, opts)
 	rep.Source = path
 	return rep, bundle.Spec, bundle.CPT
 }

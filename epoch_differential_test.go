@@ -1,12 +1,16 @@
 package deltapath
 
 import (
+	"maps"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"deltapath/internal/callgraph"
+	"deltapath/internal/core"
 	"deltapath/internal/instrument"
 	"deltapath/internal/minivm"
 )
@@ -27,7 +31,10 @@ import (
 //
 // Together these certify the tentpole contract: an incrementally extended
 // epoch is indistinguishable, context for context, from the analysis a full
-// re-run would have produced.
+// re-run would have produced. Decodes do not read what an epoch keeps for
+// the next Extend (its clean nodes' cells), so each epoch whose delta keeps
+// the old nodes' topological order is also compared with the from-scratch
+// core analysis cell for cell (checkRetained).
 
 // diffSrc is the interleaving workhorse: three dynamic classes joining two
 // dispatch chains at different times, including a subclass-of-dynamic (Y)
@@ -67,8 +74,8 @@ type diffEvent struct {
 // runInterleaved executes prog once, extending by schedule[i] (and adopting)
 // right after event i is captured, and returns every event decoded against
 // its recorded epoch. absorbedAt records each published epoch's absorbed
-// list.
-func runInterleaved(t *testing.T, prog *Program, opts Options, seed uint64, schedule map[int][]string) (events []diffEvent, absorbedAt map[uint64][]string) {
+// list, and retained counts the epochs checkRetained compared.
+func runInterleaved(t *testing.T, prog *Program, opts Options, seed uint64, schedule map[int][]string) (events []diffEvent, absorbedAt map[uint64][]string, retained int) {
 	t.Helper()
 	an, err := Analyze(prog, opts)
 	if err != nil {
@@ -91,6 +98,7 @@ func runInterleaved(t *testing.T, prog *Program, opts Options, seed uint64, sche
 		}
 		events = append(events, ev)
 		if classes, ok := schedule[idx]; ok {
+			prev := an.epoch()
 			if _, eerr := an.Extend(classes...); eerr != nil {
 				t.Errorf("seed %d event %d: Extend(%v): %v", seed, idx, classes, eerr)
 			} else {
@@ -99,6 +107,9 @@ func runInterleaved(t *testing.T, prog *Program, opts Options, seed uint64, sche
 				if verr := an.VerifyEncoding(); verr != nil {
 					t.Errorf("seed %d event %d: epoch %d fails verification: %v", seed, idx, an.Epoch(), verr)
 				}
+				if checkRetained(t, prev, an.epoch(), opts.MaxID) {
+					retained++
+				}
 			}
 		}
 		idx++
@@ -106,7 +117,61 @@ func runInterleaved(t *testing.T, prog *Program, opts Options, seed uint64, sche
 	if err != nil {
 		t.Fatal(err)
 	}
-	return events, absorbedAt
+	return events, absorbedAt, retained
+}
+
+// checkRetained compares epoch ep, which an Extend of prev published, with
+// the from-scratch analysis it must equal when the grown graph keeps the old
+// nodes' topological order: core.Encode over the grown graph with prev's
+// resetting anchors forced. Addition values, anchors and every node's ICC
+// cells must agree, so a cell carried over wrong shows in the epoch that
+// keeps it, not only through a later Extend's addition values. It reports
+// whether ep qualified.
+func checkRetained(t *testing.T, prev, ep *epochState, maxID uint64) bool {
+	t.Helper()
+	g := ep.build.Graph
+	if !oldOrderKept(t, prev.build.Graph, g) {
+		return false
+	}
+	force := make([]callgraph.NodeID, 0, len(prev.result.Spec.Anchors))
+	for n := range prev.result.Spec.Anchors {
+		force = append(force, n)
+	}
+	slices.Sort(force)
+	want, err := core.Encode(g, core.Options{MaxID: maxID, ForceAnchors: force})
+	if err != nil {
+		t.Errorf("epoch %d: from-scratch Encode: %v", ep.id, err)
+		return true
+	}
+	got := ep.result
+	if !slices.Equal(got.Spec.SiteAV, want.Spec.SiteAV) {
+		t.Errorf("epoch %d: SiteAV %v, from scratch %v", ep.id, got.Spec.SiteAV, want.Spec.SiteAV)
+	}
+	if !maps.Equal(got.Spec.Anchors, want.Spec.Anchors) {
+		t.Errorf("epoch %d: anchors %v, from scratch %v", ep.id, got.Spec.Anchors, want.Spec.Anchors)
+	}
+	for _, n := range g.Nodes() {
+		if !slices.Equal(got.ICC(n), want.ICC(n)) {
+			t.Errorf("epoch %d: ICC(%s) = %v, from scratch %v", ep.id, g.Name(n), got.ICC(n), want.ICC(n))
+		}
+	}
+	return true
+}
+
+// oldOrderKept reports whether g's topological order, restricted to the
+// nodes of old, is old's own.
+func oldOrderKept(t *testing.T, old, g *callgraph.Graph) bool {
+	t.Helper()
+	ot, err := old.TopoOrder(old.RecursiveEdges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt, err := g.TopoOrder(g.RecursiveEdges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt = slices.DeleteFunc(gt, func(n callgraph.NodeID) bool { return int(n) >= old.NumNodes() })
+	return slices.Equal(ot, gt)
 }
 
 // promote returns prog with the absorbed classes moved to the static set,
@@ -191,19 +256,24 @@ func TestEpochDifferential(t *testing.T) {
 			for _, c := range prog.Dynamic {
 				dynNames = append(dynNames, c.Name)
 			}
+			retained := 0
 			for trial := 0; trial < trials; trial++ {
-				runDifferentialTrial(t, prog, dynNames, trial)
+				retained += runDifferentialTrial(t, prog, dynNames, trial)
 				if t.Failed() {
 					return
 				}
+			}
+			if retained == 0 {
+				t.Error("no epoch kept the old nodes' topological order; the retained state went unchecked")
 			}
 		})
 	}
 }
 
 // runDifferentialTrial derives one random interleaving from the trial
-// number, runs it, and checks every event against both oracles.
-func runDifferentialTrial(t *testing.T, prog *Program, dynNames []string, trial int) {
+// number, runs it, and checks every event against both oracles. It returns
+// how many of its epochs checkRetained compared.
+func runDifferentialTrial(t *testing.T, prog *Program, dynNames []string, trial int) int {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(trial) * 7919))
 	seed := uint64(rng.Intn(8))
@@ -231,9 +301,9 @@ func runDifferentialTrial(t *testing.T, prog *Program, dynNames []string, trial 
 		schedule[at] = append(schedule[at], batch...)
 	}
 
-	events, absorbedAt := runInterleaved(t, prog, opts, seed, schedule)
+	events, absorbedAt, retained := runInterleaved(t, prog, opts, seed, schedule)
 	if t.Failed() {
-		return
+		return retained
 	}
 	if len(events) != nEvents {
 		t.Fatalf("trial %d: interleaved run emitted %d events, un-extended run %d — executions diverged", trial, len(events), nEvents)
@@ -266,7 +336,7 @@ func runDifferentialTrial(t *testing.T, prog *Program, dynNames []string, trial 
 	for epoch, absorbed := range absorbedAt {
 		oracles[epoch] = oracleDecodes(t, prog, absorbed, opts, seed)
 		if t.Failed() {
-			return
+			return retained
 		}
 	}
 	for i, ev := range events {
@@ -280,6 +350,7 @@ func runDifferentialTrial(t *testing.T, prog *Program, dynNames []string, trial 
 				trial, i, ev.epoch, absorbedAt[ev.epoch], ev.decoded, oracle[i])
 		}
 	}
+	return retained
 }
 
 // TestExtendSoak is the long randomized soak ci-local runs under -race

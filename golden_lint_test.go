@@ -282,7 +282,7 @@ func TestGoldenLint(t *testing.T) {
 
 			// Verify the artifact exactly as `dplint <file>.dpa` does, and
 			// pin both rendered surfaces.
-			rep := verify.CheckFile(fixturePath, verify.Options{})
+			rep := verify.CheckBytes(data, verify.Options{})
 			rep.Source = filepath.ToSlash(fixturePath)
 			if fx.check == "" {
 				if !rep.Clean() {

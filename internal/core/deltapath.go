@@ -58,18 +58,6 @@ type Options struct {
 	// profile-guided optimization Section 8 adopts from PCCE.
 	EdgeProfile map[callgraph.Edge]uint64
 
-	// BatchAnchors changes the restart policy of Algorithm 2 (an
-	// engineering extension, not in the paper): instead of restarting
-	// after the first overflow, the pass continues with the overflowing
-	// range marked dead, collecting every distinct overflowing caller of
-	// the round, and all of them become anchors before the single
-	// restart. On graphs without hub structure — where pressure crosses
-	// the integer limit across a wide frontier — this turns one restart
-	// per anchor into one restart per round (see
-	// BenchmarkAblationBatchAnchors). Anchor sets can be slightly larger
-	// than the sequential policy's.
-	BatchAnchors bool
-
 	// MeasureMemory enables live-heap sampling at analysis checkpoints;
 	// the high-water mark is reported in Result.Stats.PeakBytes. Off by
 	// default: runtime.ReadMemStats stops the world.
@@ -143,10 +131,8 @@ type Cell struct {
 // territory holds n, in anchor order. A resetting node reads {n: 1}: its
 // piece starts afresh. Any other node reads its final CAV cells, and a
 // non-resetting piece start (the entry) its reserved 1 relative to itself
-// besides the cells of the pieces that flow through it. A successful pass
-// kills no cell, even in batch mode: every kill records an overflow, and a
-// pass that records one fails. Nil when n has no territory or the Result
-// carries no territory state.
+// besides the cells of the pieces that flow through it. Nil when n has no
+// territory or the Result carries no territory state.
 func (r *Result) ICC(n callgraph.NodeID) []Cell {
 	if r.terr == nil || n < 0 || int(n) >= len(r.terr.pos) {
 		return nil
@@ -179,45 +165,43 @@ func Encode(g *callgraph.Graph, opts Options) (*Result, error) {
 		return nil, err
 	}
 	// The engine (engine.go) orders the graph and builds its site schedule
-	// once; each restart resumes its sweep at the earliest new anchor.
+	// once; each restart resumes its sweep at the new anchor.
 	mem := &memPeak{enabled: opts.MeasureMemory}
 	mem.sample()
-	eng := newEngine(g, st, opts)
+	eng := newEngine(g, st, opts.EdgeProfile)
 	res := &Result{}
 	from := 0
 	for {
 		eng.rebuild(from)
 		eng.replay(from)
 		mem.sample()
-		overflowAt := eng.sweep(from)
+		p := eng.sweep(from)
 		mem.sample()
-		if overflowAt != nil {
-			added := len(res.OverflowAnchors)
-			if err := st.promote(g, res, overflowAt); err != nil {
-				return nil, err
-			}
-			from = eng.promote(res.OverflowAnchors[added:])
-			continue
+		if p < 0 {
+			break
 		}
-		res.finish(g, st, eng)
-		mem.sample()
-		stats := &AnalysisStats{
-			Nodes:          g.NumNodes(),
-			Edges:          g.NumEdges(),
-			Sites:          g.NumSites(),
-			Anchors:        len(st.an),
-			SweptSites:     eng.swept,
-			TerritoryCells: eng.cells,
+		if from, err = eng.promote(g, st, res, p); err != nil {
+			return nil, err
 		}
-		if opts.MeasureMemory {
-			stats.PeakBytes = mem.peak
-			if stats.Nodes > 0 {
-				stats.BytesPerNode = float64(stats.PeakBytes) / float64(stats.Nodes)
-			}
-		}
-		res.Stats = stats
-		return res, nil
 	}
+	res.finish(g, st, eng)
+	mem.sample()
+	stats := &AnalysisStats{
+		Nodes:          g.NumNodes(),
+		Edges:          g.NumEdges(),
+		Sites:          g.NumSites(),
+		Anchors:        len(st.an),
+		SweptSites:     eng.swept,
+		TerritoryCells: eng.cells,
+	}
+	if opts.MeasureMemory {
+		stats.PeakBytes = mem.peak
+		if stats.Nodes > 0 {
+			stats.BytesPerNode = float64(stats.PeakBytes) / float64(stats.Nodes)
+		}
+	}
+	res.Stats = stats
+	return res, nil
 }
 
 // restartState is the input of Algorithm 2's restart loop and the anchor
@@ -287,25 +271,21 @@ func recursiveEdges(g *callgraph.Graph) ([]int, map[callgraph.Edge]bool) {
 	return comp, rec
 }
 
-// promote turns the overflowing callers of a failed pass into resetting
-// anchors and records them in res. It fails when none of them is new: the
-// next pass would overflow in the same place.
-func (st *restartState) promote(g *callgraph.Graph, res *Result, overflowAt []callgraph.NodeID) error {
-	progress := false
-	for _, p := range overflowAt {
-		if !st.resets[p] {
-			st.an[p] = true
-			st.resets[p] = true
-			res.OverflowAnchors = append(res.OverflowAnchors, p)
-			progress = true
-		}
+// promote is Algorithm 2's restart step, which Encode and Extend share: p,
+// the overflowing caller of a failed pass, becomes a resetting anchor in
+// st and the engine and is recorded in res, and the next pass resumes at
+// p's position. It fails when p already resets: the next pass would
+// overflow in the same place.
+func (eng *engine) promote(g *callgraph.Graph, st *restartState, res *Result, p callgraph.NodeID) (int, error) {
+	if st.resets[p] {
+		return 0, fmt.Errorf("%w: overflow at anchor %s with limit %d",
+			errWidthTooSmall, g.Name(p), st.maxID)
 	}
-	if !progress {
-		return fmt.Errorf("%w: overflow at anchor %s with limit %d",
-			errWidthTooSmall, g.Name(overflowAt[0]), st.maxID)
-	}
+	st.an[p], st.resets[p] = true, true
+	eng.anB[p], eng.resetsB[p] = true, true
+	res.OverflowAnchors = append(res.OverflowAnchors, p)
 	res.Restarts++
-	return nil
+	return int(eng.pos[p]), nil
 }
 
 // resetAnchors derives the runtime-resetting anchor set (the Spec.Anchors

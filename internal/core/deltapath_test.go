@@ -545,78 +545,6 @@ func TestEdgeProfileOrdering(t *testing.T) {
 	exhaustiveCheck(t, g, res, 0, 16)
 }
 
-// lattice builds a wide doubling lattice: 3 nodes per layer, each called
-// by all nodes of the previous layer — no hubs, so the sequential policy
-// needs many anchors/restarts at a small width.
-func lattice(layers int) *callgraph.Graph {
-	g := callgraph.New()
-	prev := []callgraph.NodeID{g.AddNode("main", false)}
-	g.SetEntry(prev[0])
-	var label int32
-	for layer := 0; layer < layers; layer++ {
-		var cur []callgraph.NodeID
-		for i := 0; i < 3; i++ {
-			n := g.AddNode(fmt.Sprintf("L%dN%d", layer, i), false)
-			cur = append(cur, n)
-			for _, p := range prev {
-				g.AddEdge(p, label, n)
-				label++
-			}
-		}
-		prev = cur
-	}
-	return g
-}
-
-// TestBatchAnchorsCorrectAndFewerRestarts: the batched restart policy must
-// preserve correctness while using far fewer restarts on graphs whose
-// pressure crosses the limit across a wide frontier.
-func TestBatchAnchorsCorrectAndFewerRestarts(t *testing.T) {
-	g := lattice(8)
-	seq, err := Encode(g, Options{MaxID: 63})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bat, err := Encode(g, Options{MaxID: 63, BatchAnchors: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("sequential: %d anchors, %d restarts; batched: %d anchors, %d restarts",
-		len(seq.OverflowAnchors), seq.Restarts, len(bat.OverflowAnchors), bat.Restarts)
-	if bat.Restarts >= seq.Restarts {
-		t.Fatalf("batching did not reduce restarts: %d vs %d", bat.Restarts, seq.Restarts)
-	}
-	if bat.MaxID > 63 || seq.MaxID > 63 {
-		t.Fatalf("limit violated: seq %d, batch %d", seq.MaxID, bat.MaxID)
-	}
-	exhaustiveCheck(t, g, bat, 0, 12)
-}
-
-// TestBatchAnchorsPropertyRandom: batched mode stays exact on random
-// virtual-dispatch graphs at small widths.
-func TestBatchAnchorsPropertyRandom(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomDAG(rng, 5+rng.Intn(25), true)
-		res, err := Encode(g, Options{MaxID: 127, BatchAnchors: true})
-		if err != nil {
-			return true // width genuinely too small: legal outcome
-		}
-		for _, m := range iccMap(res) {
-			for _, v := range m {
-				if v > 127 {
-					return false
-				}
-			}
-		}
-		exhaustiveCheck(t, g, res, 0, 12)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSpecValidateProperty: every spec the algorithm produces passes the
 // machine-checked range-disjointness audit; a corrupted spec fails it.
 func TestSpecValidateProperty(t *testing.T) {

@@ -17,12 +17,12 @@
 //   - Topological layout. Node rows, their CAV cells and the entries of
 //     their in-edges are laid out in their node's topological order, so
 //     everything at or after a position is one suffix of each array.
-//   - Resume. A failed pass stops at its first overflow (batch mode
-//     finishes its round). A path through the new anchor p reaches only
-//     nodes after it, so no row, cell, site AV or ICC read before p
-//     changes: the restart keeps that prefix, truncates the arrays at p,
-//     rebuilds the suffix, replays the writes that sites swept before p
-//     made into suffix cells, and sweeps on from p's task.
+//   - Resume. A failed pass stops at its first overflow and promotes that
+//     site's caller p. A path through the new anchor p reaches only nodes
+//     after it, so no row, cell, site AV or ICC read before p changes: the
+//     restart keeps that prefix, truncates the arrays at p, rebuilds the
+//     suffix, replays the writes that sites swept before p made into
+//     suffix cells, and sweeps on from p's task.
 //
 // ICC is never materialized: reads reconstruct it from the caller's frozen
 // CAV cell, which is exactly how the reference sweep builds its ICC map. On
@@ -36,7 +36,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 
 	"deltapath/internal/callgraph"
 )
@@ -103,35 +102,27 @@ type engine struct {
 	pos  []int32 // node -> topological position
 
 	// The node at position i has forward (non-recursive) in-edges
-	// inBuf[inOff[i]:inOff[i+1]] and its task, the sites the reference sweep assigns to it, is
-	// taskBuf[taskOff[i]:taskOff[i+1]], so a site's index in taskBuf is its
-	// sequence number.
+	// inBuf[inOff[i]:inOff[i+1]], and its task, the sites the reference
+	// sweep assigns to it, is taskBuf[taskOff[i]:taskOff[i+1]].
 	inOff, inBuf     []int32
 	taskOff, taskBuf []int32
 
 	maxID   uint64
-	batch   bool
 	anB     []bool // piece starts
 	resetsB []bool // the runtime-resetting piece starts
 
 	// Territory state, by position: the node at position i has the sorted
 	// anchors rowBuf[rowOff[i]:rowOff[i+1]], their CAV cells at the same
-	// indices of cav (and, in batch mode, of dead, marking killed cells),
-	// and its in-edges' entries ent[entOff[i]:entOff[i+1]]. Edge ei's own
-	// entries are ent[eOff[ei]:eEnd[ei]]; a recursive edge has none.
+	// indices of cav, and its in-edges' entries ent[entOff[i]:entOff[i+1]].
+	// Edge ei's own entries are ent[eOff[ei]:eEnd[ei]]; a recursive edge
+	// has none.
 	rowOff, rowBuf []int32
 	cav            []uint64
-	dead           []bool
 	entOff         []int32
 	ent            []edgeAnchor
 	eOff, eEnd     []int32
 
 	av []uint64 // by site
-
-	// Batch mode: each overflowing caller's smallest sequence number (-1
-	// for none), and the callers that have one.
-	overSeq []int32
-	over    []int32
 
 	// Row-building scratch, by anchor: mark stamps anchors already in the
 	// row being united (current stamp epoch), idx holds the cav index of
@@ -145,9 +136,9 @@ type engine struct {
 
 // newEngine groups the graph's forward in-edges by their callee's position
 // and builds the site schedule: each site at its first-encountered target
-// in Kahn order, forward in-edges in orderIn order, exactly as the
-// reference sweep assigns sites.
-func newEngine(g *callgraph.Graph, st *restartState, opts Options) *engine {
+// in Kahn order, forward in-edges in orderIn order under profile, exactly
+// as the reference sweep assigns sites.
+func newEngine(g *callgraph.Graph, st *restartState, profile map[callgraph.Edge]uint64) *engine {
 	nb := g.Numbering()
 	nn, ne, ns := g.NumNodes(), nb.NumEdges(), nb.NumSites()
 	eng := &engine{
@@ -158,7 +149,6 @@ func newEngine(g *callgraph.Graph, st *restartState, opts Options) *engine {
 		taskOff: make([]int32, nn+1),
 		taskBuf: make([]int32, 0, ns),
 		maxID:   st.maxID,
-		batch:   opts.BatchAnchors,
 		anB:     make([]bool, nn),
 		resetsB: make([]bool, nn),
 		rowOff:  make([]int32, nn+1),
@@ -193,7 +183,7 @@ func newEngine(g *callgraph.Graph, st *restartState, opts Options) *engine {
 	scheduled := make([]bool, ns)
 	for i, n := range st.topo {
 		eng.taskOff[i] = int32(len(eng.taskBuf))
-		for _, e := range orderIn(g.In(n), opts.EdgeProfile) {
+		for _, e := range orderIn(g.In(n), profile) {
 			if st.comp[e.Caller] == st.comp[e.Callee] {
 				continue // recursive
 			}
@@ -211,37 +201,7 @@ func newEngine(g *callgraph.Graph, st *restartState, opts Options) *engine {
 	for n := range st.resets {
 		eng.resetsB[n] = true
 	}
-	if eng.batch {
-		eng.overSeq = make([]int32, nn)
-		for i := range eng.overSeq {
-			eng.overSeq[i] = -1
-		}
-	}
 	return eng
-}
-
-// promote makes the anchors Algorithm 2 just added resetting piece starts
-// and returns the position to resume from: the earliest new anchor's.
-// Batch-mode overflows recorded before that position stay, because the
-// resumed pass repeats them; later ones are forgotten.
-func (eng *engine) promote(added []callgraph.NodeID) int {
-	from := len(eng.topo)
-	for _, n := range added {
-		eng.anB[n], eng.resetsB[n] = true, true
-		from = min(from, int(eng.pos[n]))
-	}
-	if eng.batch {
-		keep := eng.over[:0]
-		for _, c := range eng.over {
-			if eng.overSeq[c] < eng.taskOff[from] {
-				keep = append(keep, c)
-			} else {
-				eng.overSeq[c] = -1
-			}
-		}
-		eng.over = keep
-	}
-	return from
 }
 
 // rebuild truncates the territory state at position from and rebuilds it
@@ -283,10 +243,6 @@ func (eng *engine) rebuild(from int) {
 	eng.cells += total - base
 	eng.cav = slices.Grow(eng.cav[:base], total-base)[:total]
 	clear(eng.cav[base:])
-	if eng.batch {
-		eng.dead = slices.Grow(eng.dead[:base], total-base)[:total]
-		clear(eng.dead[base:])
-	}
 
 	k := eng.entOff[from]
 	eng.ent = slices.Grow(eng.ent[:k], entries-int(k))[:entries]
@@ -330,47 +286,36 @@ func (eng *engine) row(n int32) []int32 {
 // replay repeats, in sequence order, the writes that the sites swept before
 // position from made into the cells of later nodes, which rebuild has just
 // zeroed. Their addition values and the ICCs they read lie before from, so
-// each write (and, in batch mode, each kill) comes out as it did.
+// each write comes out as it did, and none overflows.
 func (eng *engine) replay(from int) {
-	for seq, s := range eng.taskBuf[:eng.taskOff[from]] {
-		eng.write(s, int32(seq), eng.av[s], int32(from))
+	for _, s := range eng.taskBuf[:eng.taskOff[from]] {
+		eng.write(s, eng.av[s], int32(from))
 	}
 }
 
-// sweep runs the tasks from position from on. It returns the callers to
-// promote in discovery order, or nil when the pass succeeds.
-func (eng *engine) sweep(from int) []callgraph.NodeID {
+// sweep runs the tasks from position from on. It returns the caller to
+// promote, or -1 when the pass succeeds.
+func (eng *engine) sweep(from int) callgraph.NodeID {
 	end := eng.taskOff[len(eng.topo)]
 	for seq := eng.taskOff[from]; seq < end; seq++ {
 		s := eng.taskBuf[seq]
 		a := eng.increment(s)
 		eng.av[s] = a
 		eng.swept++
-		if c, ok := eng.write(s, seq, a, 0); !ok && !eng.batch {
-			return []callgraph.NodeID{callgraph.NodeID(c)}
+		if c := eng.write(s, a, 0); c >= 0 {
+			return callgraph.NodeID(c)
 		}
 	}
-	if len(eng.over) == 0 {
-		return nil
-	}
-	sort.Slice(eng.over, func(i, j int) bool { return eng.overSeq[eng.over[i]] < eng.overSeq[eng.over[j]] })
-	callers := make([]callgraph.NodeID, len(eng.over))
-	for i, c := range eng.over {
-		callers[i] = callgraph.NodeID(c)
-	}
-	return callers
+	return -1
 }
 
 // increment is the first half of calculateIncrement: site s's addition
-// value, the maximum over its targets' live CAV cells. Recursive edges
-// have no entries, so they contribute nothing.
+// value, the maximum over its targets' CAV cells. Recursive edges have no
+// entries, so they contribute nothing.
 func (eng *engine) increment(s int32) uint64 {
 	var a uint64
 	for _, ei := range eng.nb.Targets(s) {
 		for _, ea := range eng.ent[eng.eOff[ei]:eng.eEnd[ei]] {
-			if eng.batch && eng.dead[ea.calleeCell] {
-				continue
-			}
 			if v := eng.cav[ea.calleeCell]; v > a {
 				a = v
 			}
@@ -381,13 +326,11 @@ func (eng *engine) increment(s int32) uint64 {
 
 // write is the second half: for every entry of s's targets at position
 // from or later, the caller's ICC plus a goes into the target's cell. It
-// returns the caller and false on an overflow, after which a normal pass
-// stops and batch mode kills the cell, records the caller with sequence
-// number seq, and goes on.
-func (eng *engine) write(s, seq int32, a uint64, from int32) (int32, bool) {
+// returns -1, or s's caller at the first write that would overflow; the
+// pass stops there.
+func (eng *engine) write(s int32, a uint64, from int32) int32 {
 	row := eng.nb.Targets(s)
 	c := eng.nb.Caller[row[0]]
-	ok := true
 	for _, ei := range row {
 		if from > 0 && eng.pos[eng.nb.Callee[ei]] < from {
 			continue
@@ -395,39 +338,22 @@ func (eng *engine) write(s, seq int32, a uint64, from int32) (int32, bool) {
 		for _, ea := range eng.ent[eng.eOff[ei]:eng.eEnd[ei]] {
 			w := eng.iccRead(c, ea.anchor, ea.callerCell)
 			if w > eng.maxID-a {
-				if !eng.batch {
-					return c, false
-				}
-				if eng.overSeq[c] < 0 {
-					eng.over = append(eng.over, c)
-				}
-				if eng.overSeq[c] < 0 || seq < eng.overSeq[c] {
-					eng.overSeq[c] = seq
-				}
-				eng.dead[ea.calleeCell] = true
-				ok = false
-				continue
+				return c
 			}
-			if !(eng.batch && eng.dead[ea.calleeCell]) {
-				eng.cav[ea.calleeCell] = w + a
-			}
+			eng.cav[ea.calleeCell] = w + a
 		}
 	}
-	return c, ok
+	return -1
 }
 
 // iccRead reconstructs ICC[c][r] exactly as the reference sweep's icc map
 // would hold it at the moment a later node reads it, for an entry of one of
 // c's out-edges with anchor r and caller cell ci. A piece start reads its
 // reserved 1 (r == c); otherwise c is interior to r's territory — r
-// expands c, so c does not reset — and the frozen CAV cell is read, a dead
-// cell reading as absent (0).
+// expands c, so c does not reset — and the frozen CAV cell is read.
 func (eng *engine) iccRead(c, r, ci int32) uint64 {
 	if r == c {
 		return 1
-	}
-	if eng.batch && eng.dead[ci] {
-		return 0
 	}
 	return eng.cav[ci]
 }

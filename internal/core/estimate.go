@@ -42,7 +42,7 @@ func bigPass(g *callgraph.Graph, orphans bool) (*restartState, []*big.Int, *big.
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	eng := newEngine(g, st, Options{})
+	eng := newEngine(g, st, nil)
 	eng.rebuild(0)
 	one := big.NewInt(1)
 	cav := make([]big.Int, len(eng.rowBuf))

@@ -87,7 +87,7 @@ type ExtendStats struct {
 // Extend incrementally re-encodes g, which must be the graph of prev plus
 // appended nodes and edges (never removals — clone the old graph and grow
 // the clone). opts must carry the same MaxID prev was encoded under; the
-// profile-guided and batch-anchor modes are not supported incrementally.
+// profile-guided and forced-anchor modes are not supported incrementally.
 // prev is never mutated: old-epoch decoders may keep reading it while
 // Extend runs.
 //
@@ -101,8 +101,8 @@ func Extend(prev *Result, g *callgraph.Graph, opts Options) (*Result, *ExtendSta
 	if prev == nil || prev.terr == nil {
 		return nil, nil, fmt.Errorf("core: Extend needs a Result produced by Encode or Extend in this process (loaded analyses carry no incremental state)")
 	}
-	if len(opts.EdgeProfile) > 0 || opts.BatchAnchors || len(opts.ForceAnchors) > 0 {
-		return nil, nil, fmt.Errorf("core: Extend supports only the MaxID option (profile ordering, batch anchors and forced anchors are whole-pass modes)")
+	if len(opts.EdgeProfile) > 0 || len(opts.ForceAnchors) > 0 {
+		return nil, nil, fmt.Errorf("core: Extend supports only the MaxID option (profile ordering and forced anchors are whole-pass modes)")
 	}
 	if prev.Spec.PerEdge {
 		return nil, nil, fmt.Errorf("core: Extend does not support per-edge encodings")
@@ -193,22 +193,20 @@ func Extend(prev *Result, g *callgraph.Graph, opts Options) (*Result, *ExtendSta
 		TotalNodes:     g.NumNodes(),
 		TotalSites:     g.NumSites(),
 	}
-	eng := newEngine(g, st, opts)
+	eng := newEngine(g, st, nil)
 	for {
-		overflowAt, err := eng.extendOnce(prev, st, newEdges, newlyRec, stats)
+		p, err := eng.extendOnce(prev, st, newEdges, newlyRec, stats)
 		if err != nil {
 			return nil, nil, err
 		}
-		if overflowAt < 0 {
+		if p < 0 {
 			res.finish(g, st, eng)
 			stats.TotalAnchors = len(an)
 			return res, stats, nil
 		}
-		added := len(res.OverflowAnchors)
-		if err := st.promote(g, res, []callgraph.NodeID{overflowAt}); err != nil {
+		if _, err := eng.promote(g, st, res, p); err != nil {
 			return nil, nil, err
 		}
-		eng.promote(res.OverflowAnchors[added:])
 		stats.Restarts++
 	}
 }
@@ -389,14 +387,14 @@ func (eng *engine) extendOnce(prev *Result, st *restartState,
 	// target recursive) has no addition value.
 	prevNb := prev.Spec.Graph.Numbering()
 	clear(eng.av)
-	for seq, s := range eng.taskBuf {
+	for _, s := range eng.taskBuf {
 		if !dirtySite[s] {
 			eng.av[s] = prev.Spec.SiteAV[prevNb.SiteIndex(nb.Site(s))]
 			continue
 		}
 		a := eng.increment(s)
 		eng.av[s] = a
-		if c, ok := eng.write(s, int32(seq), a, 0); !ok {
+		if c := eng.write(s, a, 0); c >= 0 {
 			return callgraph.NodeID(c), nil
 		}
 	}

@@ -466,9 +466,6 @@ func TestExtendRejects(t *testing.T) {
 	if _, _, err := Extend(&Result{}, g2, Options{}); err == nil {
 		t.Errorf("prev without incremental state accepted")
 	}
-	if _, _, err := Extend(prev, g2, Options{BatchAnchors: true}); err == nil {
-		t.Errorf("BatchAnchors accepted")
-	}
 	if _, _, err := Extend(prev, g2, Options{ForceAnchors: []callgraph.NodeID{a}}); err == nil {
 		t.Errorf("ForceAnchors accepted")
 	}

@@ -37,16 +37,28 @@ func encodeOracle(g *callgraph.Graph, opts Options) (*oracleResult, error) {
 	}
 	res := &Result{}
 	for {
-		run, overflowAt, ok := runOnce(g, st.topo, st.rec, st.an, st.resets, st.maxID,
-			opts.EdgeProfile, opts.BatchAnchors)
-		if !ok {
-			if err := st.promote(g, res, overflowAt); err != nil {
-				return nil, err
-			}
-			continue
+		run, overflowAt, ok := runOnce(g, st.topo, st.rec, st.an, st.resets, st.maxID, opts.EdgeProfile)
+		if ok {
+			return oracleFinish(res, g, st.rec, st.an, st.resets, run), nil
 		}
-		return oracleFinish(res, g, st.rec, st.an, st.resets, run), nil
+		if err := oraclePromote(g, res, st.an, st.resets, overflowAt, st.maxID); err != nil {
+			return nil, err
+		}
 	}
+}
+
+// oraclePromote is Algorithm 2's restart step on the reference maps: the
+// overflowing caller p becomes a resetting anchor, unless it already is
+// one, which rejects the width.
+func oraclePromote(g *callgraph.Graph, res *Result, an, resets map[callgraph.NodeID]bool,
+	p callgraph.NodeID, maxID uint64) error {
+	if resets[p] {
+		return fmt.Errorf("%w: overflow at anchor %s with limit %d", errWidthTooSmall, g.Name(p), maxID)
+	}
+	an[p], resets[p] = true, true
+	res.OverflowAnchors = append(res.OverflowAnchors, p)
+	res.Restarts++
+	return nil
 }
 
 // pass is the state of one reference analysis attempt.
@@ -57,33 +69,6 @@ type pass struct {
 	icc      map[callgraph.NodeID]map[callgraph.NodeID]uint64
 	av       map[callgraph.Site]uint64
 	maxCAV   uint64
-
-	// batch mode: dead marks (node, anchor) entries whose range
-	// overflowed; they are excluded from further propagation so the pass
-	// can keep collecting overflow sites. overflows lists the callers to
-	// anchor, in discovery order.
-	batch     bool
-	dead      map[callgraph.NodeID]map[callgraph.NodeID]bool
-	overflows []callgraph.NodeID
-	seenOver  map[callgraph.NodeID]bool
-}
-
-func (p *pass) markDead(n, r callgraph.NodeID) {
-	m := p.dead[n]
-	if m == nil {
-		m = make(map[callgraph.NodeID]bool)
-		p.dead[n] = m
-	}
-	m[r] = true
-}
-
-func (p *pass) isDead(n, r callgraph.NodeID) bool { return p.dead[n][r] }
-
-func (p *pass) recordOverflow(n callgraph.NodeID) {
-	if !p.seenOver[n] {
-		p.seenOver[n] = true
-		p.overflows = append(p.overflows, n)
-	}
 }
 
 // oracleFinish assembles a reference pass's outcome. The Spec's SiteAV is
@@ -118,10 +103,10 @@ func oracleFinish(res *Result, g *callgraph.Graph, rec map[callgraph.Edge]bool,
 
 // runOnce is the reference map sweep: one iteration of Algorithm 2's
 // restart loop, written as the paper states it. On overflow it returns the
-// callers to promote to anchors and ok=false.
+// caller to promote to an anchor and ok=false.
 func runOnce(g *callgraph.Graph, topo []callgraph.NodeID, rec map[callgraph.Edge]bool,
-	an, resets map[callgraph.NodeID]bool, maxID uint64, profile map[callgraph.Edge]uint64,
-	batch bool) (*pass, []callgraph.NodeID, bool) {
+	an, resets map[callgraph.NodeID]bool, maxID uint64,
+	profile map[callgraph.Edge]uint64) (*pass, callgraph.NodeID, bool) {
 
 	p := &pass{
 		nanchors: make(map[callgraph.NodeID][]callgraph.NodeID),
@@ -129,9 +114,6 @@ func runOnce(g *callgraph.Graph, topo []callgraph.NodeID, rec map[callgraph.Edge
 		cav:      make(map[callgraph.NodeID]map[callgraph.NodeID]uint64),
 		icc:      make(map[callgraph.NodeID]map[callgraph.NodeID]uint64),
 		av:       make(map[callgraph.Site]uint64),
-		batch:    batch,
-		dead:     make(map[callgraph.NodeID]map[callgraph.NodeID]bool),
-		seenOver: make(map[callgraph.NodeID]bool),
 	}
 	identifyTerritories(g, rec, an, resets, p)
 
@@ -153,8 +135,8 @@ func runOnce(g *callgraph.Graph, topo []callgraph.NodeID, rec map[callgraph.Edge
 			}
 			processed[cs] = true
 			a, overflow := calculateIncrement(g, rec, cs, p, maxID)
-			if overflow && !batch {
-				return nil, []callgraph.NodeID{cs.Caller}, false
+			if overflow {
+				return nil, cs.Caller, false
 			}
 			p.av[cs] = a
 		}
@@ -163,9 +145,6 @@ func runOnce(g *callgraph.Graph, topo []callgraph.NodeID, rec map[callgraph.Edge
 		} else if cavN := p.cav[n]; len(cavN) > 0 {
 			m := make(map[callgraph.NodeID]uint64, len(cavN))
 			for r, v := range cavN {
-				if p.batch && p.isDead(n, r) {
-					continue // dead range: do not seed downstream counts
-				}
 				m[r] = v
 			}
 			if an[n] {
@@ -179,10 +158,7 @@ func runOnce(g *callgraph.Graph, topo []callgraph.NodeID, rec map[callgraph.Edge
 			p.icc[n] = m
 		}
 	}
-	if len(p.overflows) > 0 {
-		return nil, p.overflows, false
-	}
-	return p, nil, true
+	return p, 0, true
 }
 
 // calculateIncrement computes the single addition value for call site cs
@@ -199,15 +175,11 @@ func calculateIncrement(g *callgraph.Graph, rec map[callgraph.Edge]bool,
 			continue // recursive edges carry no range; runtime pushes
 		}
 		for _, r := range p.eanchors[e] {
-			if p.batch && p.isDead(e.Callee, r) {
-				continue
-			}
 			if v := p.cav[e.Callee][r]; v > a {
 				a = v
 			}
 		}
 	}
-	overflowed := false
 	for _, e := range targets {
 		if rec[e] {
 			continue
@@ -216,26 +188,16 @@ func calculateIncrement(g *callgraph.Graph, rec map[callgraph.Edge]bool,
 		for _, r := range p.eanchors[e] {
 			w := iccP[r]
 			if w > maxID-a {
-				if !p.batch {
-					return 0, true
-				}
-				// Batch mode: record the caller, kill this range, and
-				// keep scanning for more overflow sites this round.
-				p.recordOverflow(e.Caller)
-				p.markDead(e.Callee, r)
-				overflowed = true
-				continue
+				return 0, true
 			}
 			v := w + a
-			if !(p.batch && p.isDead(e.Callee, r)) {
-				p.cav[e.Callee][r] = v
-			}
+			p.cav[e.Callee][r] = v
 			if v > p.maxCAV {
 				p.maxCAV = v
 			}
 		}
 	}
-	return a, overflowed
+	return a, false
 }
 
 // identifyTerritories computes, for every piece start, the nodes and edges
@@ -440,14 +402,9 @@ func extendOracle(prev *Result, g *callgraph.Graph, opts Options) (*oracleResult
 			out.dirty = dirty
 			return out, stats, nil
 		}
-		if resets[overflowAt] {
-			return nil, nil, fmt.Errorf("%w: overflow at anchor %s with limit %d",
-				errWidthTooSmall, g.Name(overflowAt), maxID)
+		if err := oraclePromote(g, res, an, resets, overflowAt, maxID); err != nil {
+			return nil, nil, err
 		}
-		an[overflowAt] = true
-		resets[overflowAt] = true
-		res.OverflowAnchors = append(res.OverflowAnchors, overflowAt)
-		res.Restarts++
 		stats.Restarts++
 	}
 }
@@ -503,8 +460,6 @@ func runExtendOnce(prev *oracleResult, g *callgraph.Graph, topo []callgraph.Node
 		cav:      make(map[callgraph.NodeID]map[callgraph.NodeID]uint64, len(prev.cav)),
 		icc:      make(map[callgraph.NodeID]map[callgraph.NodeID]uint64, len(prev.icc)),
 		av:       siteAVMap(prev.Spec),
-		dead:     make(map[callgraph.NodeID]map[callgraph.NodeID]bool),
-		seenOver: make(map[callgraph.NodeID]bool),
 	}
 	for n, list := range prev.nanchors {
 		if keep := filterAnchors(list, inR); len(keep) > 0 {

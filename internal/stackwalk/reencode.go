@@ -6,11 +6,11 @@ import (
 	"deltapath/internal/obs"
 )
 
-// Reencode derives a valid encoding.State from a walked stack: the state
-// the instrumentation would hold had every probe event along the walked
-// path fired correctly. path is the ground-truth call stack filtered to
-// analysed methods and mapped to graph nodes, outermost first; entry is the
-// program entry, used when the walk saw no analysed frame at all.
+// ReencodeDirect derives a valid encoding.State from a walked stack: the
+// state the instrumentation would hold had every probe event along the
+// walked path fired correctly. path is the ground-truth call stack filtered
+// to analysed methods and mapped to graph nodes, outermost first; entry is
+// the program entry, used when the walk saw no analysed frame at all.
 //
 // This is the recovery half of graceful degradation (the paper's Section 7
 // stack-walking baseline turned into a repair tool): when the runtime
@@ -22,24 +22,15 @@ import (
 // transition), and resumes exact incremental tracking from the result. The
 // cost is O(depth), the same bill as one anchor push amortized over the
 // events since the fault.
-func Reencode(spec *encoding.Spec, entry callgraph.NodeID, path []callgraph.NodeID) *encoding.State {
-	return ReencodeObserved(spec, entry, path, nil)
-}
-
-// ReencodeObserved is Reencode with an observability hook: reencodes (nil
-// = no-op) counts each state rebuild, the healer's primary rate signal.
-func ReencodeObserved(spec *encoding.Spec, entry callgraph.NodeID, path []callgraph.NodeID, reencodes *obs.Counter) *encoding.State {
-	return ReencodeDirect(spec, entry, path, nil, reencodes)
-}
-
-// ReencodeDirect is ReencodeObserved with call adjacency from the walk:
+//
 // direct, when non-nil, is parallel to path and reports for each frame
 // whether it was entered directly from the previous kept frame (see
 // Walker.CaptureNodesDirect). A transition that is not direct flowed
 // through unanalysed frames, so the replay pushes a hazardous UCP there —
 // matching what the live probes did — even when a static edge happens to
 // connect the pair. Without the flags a connecting edge is preferred, the
-// most compact state consistent with the filtered path.
+// most compact state consistent with the filtered path. reencodes (nil =
+// no-op) counts each state rebuild, the healer's primary rate signal.
 func ReencodeDirect(spec *encoding.Spec, entry callgraph.NodeID, path []callgraph.NodeID, direct []bool, reencodes *obs.Counter) *encoding.State {
 	reencodes.Inc()
 	if len(path) == 0 {

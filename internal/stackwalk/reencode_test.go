@@ -92,7 +92,7 @@ class G { method cb { emit g } }
 					t.Fatal(err)
 				}
 				// The encoder only provides the probe traffic the VM
-				// expects; the assertions are about Reencode alone.
+				// expects; the assertions are about ReencodeDirect alone.
 				vm.SetProbes(instrument.NewEncoder(plan))
 				vm.SetInstrumented(plan.InstrumentedMethods())
 				walker := &stackwalk.Walker{Filter: plan.InstrumentedMethods()}
@@ -110,7 +110,7 @@ class G { method cb { emit g } }
 						return
 					}
 					entry, _ := build.Graph.Entry()
-					st := stackwalk.Reencode(res.Spec, entry, path)
+					st := stackwalk.ReencodeDirect(res.Spec, entry, path, nil, nil)
 					names, err := dec.DecodeNames(st, path[len(path)-1])
 					if err != nil {
 						t.Fatalf("seed %d at %s: reencoded state undecodable: %v", seed, m, err)
@@ -143,7 +143,7 @@ class G { method cb { emit g } }
 func TestReencodeEmptyPath(t *testing.T) {
 	spec := &encoding.Spec{Graph: callgraph.New()}
 	entry := spec.Graph.AddNode("main", false)
-	st := stackwalk.Reencode(spec, entry, nil)
+	st := stackwalk.ReencodeDirect(spec, entry, nil, nil, nil)
 	if st.ID != 0 || st.Start != entry || len(st.Stack) != 0 {
 		t.Fatalf("unexpected state %+v", st)
 	}

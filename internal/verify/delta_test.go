@@ -345,8 +345,12 @@ func TestParallelCheckIdentity(t *testing.T) {
 		t.Fatalf("no lint fixtures: %v", err)
 	}
 	for _, p := range fixtures {
-		serial := CheckFile(p, Options{Workers: 1})
-		par := CheckFile(p, Options{Workers: 4})
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := CheckBytes(data, Options{Workers: 1})
+		par := CheckBytes(data, Options{Workers: 4})
 		if serial.Text() != par.Text() || serial.JSON() != par.JSON() {
 			t.Errorf("%s: parallel report differs from serial", p)
 		}

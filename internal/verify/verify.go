@@ -46,7 +46,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -136,33 +135,17 @@ func diag(check, node, site, format string, args ...any) Diagnostic {
 	return Diagnostic{Check: check, Node: node, Site: site, Detail: fmt.Sprintf(format, args...)}
 }
 
-// CheckFile loads a .dpa analysis file and verifies it. An unloadable file
-// yields a report with a single "load" finding rather than an error: a
-// corrupt artifact is a verification outcome, not a tool failure.
-func CheckFile(path string, opts Options) *Report {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return &Report{Source: path, Findings: []Diagnostic{{Check: "load", Detail: err.Error()}}}
-	}
-	rep := CheckBytes(data, opts)
-	rep.Source = path
-	return rep
-}
-
-// CheckBytes verifies a .dpa analysis held in memory. It never panics and
-// always terminates, whatever the bytes — the contract the fuzz target
-// pins.
+// CheckBytes verifies a .dpa analysis held in memory. An unloadable
+// analysis yields a report with a single "load" finding rather than an
+// error: a corrupt artifact is a verification outcome, not a tool failure.
+// It never panics and always terminates, whatever the bytes — the contract
+// the fuzz target pins.
 func CheckBytes(data []byte, opts Options) *Report {
 	bundle, err := analysisio.Load(bytes.NewReader(data))
 	if err != nil {
 		return &Report{Findings: []Diagnostic{{Check: "load", Detail: err.Error()}}}
 	}
-	return CheckBundle(bundle, opts)
-}
-
-// CheckBundle verifies a restored analysis bundle.
-func CheckBundle(b *analysisio.Bundle, opts Options) *Report {
-	return Check(b.Spec, b.CPT, opts)
+	return Check(bundle.Spec, bundle.CPT, opts)
 }
 
 // Check verifies an encoding spec (and its CPT plan, which may be nil) in
